@@ -387,7 +387,7 @@ class ScaleEmbedding:
 
 
 class Adam:
-    """Adam with a step-decayed learning rate and optional L2 weight decay.
+    """Adam with a step-decayed learning rate.
 
     lr(t) = max(lr_min, lr0 * decay^(t // decay_every)), with t counting
     completed optimizer steps.
@@ -395,14 +395,13 @@ class Adam:
 
     def __init__(self, params: Iterable[Parameter], lr0: float = 0.01,
                  lr_min: float = 0.0004, decay: float = 0.992,
-                 decay_every: int = 32, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 decay_every: int = 32, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.params = sorted(params, key=lambda p: p.name)
         self.lr0 = lr0
         self.lr_min = lr_min
         self.decay = decay
         self.decay_every = decay_every
-        self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -424,8 +423,6 @@ class Adam:
         correct2 = 1.0 - self.beta2 ** self.steps
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

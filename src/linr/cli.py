@@ -20,6 +20,7 @@ import numpy as np
 from .errors import LinrError
 from .pipeline import (
     FILE_EXTENSION,
+    WARM_START_MODES,
     GopConfig,
     container_summary,
     decode_sequence,
@@ -253,7 +254,7 @@ def _add_config_args(sub, with_coding=True):
         sub.add_argument("--seed", type=int)
         sub.add_argument("--stop-at", dest="stop_at", type=int)
         sub.add_argument("--warm-start", dest="warm_start",
-                         choices=["random", "previous_gop"])
+                         choices=WARM_START_MODES)
 
 
 def build_parser() -> argparse.ArgumentParser:

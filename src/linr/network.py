@@ -222,13 +222,6 @@ class OccupancyModel:
             merged = ad.add(g_feat, self.local_nets[j](cum, coarse))
         return self.heads[j](merged, coarse)
 
-    def predict_stage(self, j: int, context: ad.Tensor, coarse: SparseVoxelSet,
-                      coded_slots) -> ad.Tensor:
-        """Single-stage convenience path; arithmetic identical to the staged
-        loop in :meth:`predict_children`."""
-        g = self.global_features(context, coarse)
-        return self.stage_probability(j, g, coded_slots, coarse)
-
     def predict_children(self, context: ad.Tensor, coarse: SparseVoxelSet,
                          truth_masks):
         """Run all eight stages with ground-truth conditioning.

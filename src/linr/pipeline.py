@@ -6,6 +6,14 @@ previous group's pre-quantization parameters), quantize and reload the
 network so both sides run identical arithmetic, then range-code every
 child-occupancy bit under the network's predictions.
 
+Encoder and decoder share one coding loop, :func:`_coding_pass`: per scale
+transition, coarse to fine, it computes the scale context and the global
+features, then each of the eight stages' quantized probabilities exactly
+once.  Only the source of each stage's bits differs: the encoder hands in
+the ground truth and range-codes it, the decoder range-decodes the bits
+from the payload.  Whatever the decoder computes, the encoder computed
+from the same values in the same order.
+
 Container layout (`.linr`, all integers little-endian):
 
     magic "LNRP", version u8, bit_depth u8, num_scales u8, gop_size u16,
@@ -14,20 +22,25 @@ Container layout (`.linr`, all integers little-endian):
     per frame:  lowest-scale block (point_count u32, then 3 x u16 per point)
                 per scale transition, coarse to fine, per stage 0..7:
                 a u32 length prefix plus the occupancy payload
+
+One walker, :func:`_walk`, reads and validates this layout for both
+:func:`decode_sequence` and :func:`container_summary`.
 """
 from __future__ import annotations
 
 import struct
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DecodeError, InvalidOccupancyError, LinrError
+from .errors import CountMismatchError, DecodeError, LinrError
 from .network import ModelConfig, NUM_STAGES, OccupancyModel
 from .params import (
+    BLOCK_HEADER_SIZE,
     LaplaceSideInfo,
     QuantHeader,
     compress_params,
@@ -40,7 +53,6 @@ from .params import (
 )
 from .rangecoder import RangeDecoder, RangeEncoder, quantize_probabilities
 from .voxel import (
-    ScalePyramid,
     SparseVoxelSet,
     build_pyramid,
     pack_coords,
@@ -53,8 +65,10 @@ FILE_EXTENSION = ".linr"
 
 _HEADER_FMT = "<4sBBBHIB"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+_Header = namedtuple("_Header", "magic version bit_depth num_scales gop_size "
+                                "frame_count param_bits")
 
-WARM_START_MODES = ("random", "previous_gop", "external_checkpoint")
+WARM_START_MODES = ("random", "previous_gop")
 
 
 @dataclass
@@ -67,7 +81,6 @@ class GopConfig:
     bits: int = 8
     seed: int = 0
     warm_start: str = "previous_gop"
-    init_params: Optional[np.ndarray] = None
     bit_depth: int = 10
     stop_at: int = 64
     l2_coeff: float = 1e-4
@@ -85,8 +98,6 @@ class GopConfig:
             raise ValueError("bits must be in [1, 16]")
         if self.warm_start not in WARM_START_MODES:
             raise ValueError(f"warm_start must be one of {WARM_START_MODES}")
-        if self.warm_start == "external_checkpoint" and self.init_params is None:
-            raise ValueError("external_checkpoint warm start needs init_params")
 
 
 @dataclass
@@ -94,6 +105,7 @@ class TrainResult:
     model: OccupancyModel
     losses: list
     num_scales: int
+    pyramids: list  # one per frame, in order: the training data
 
     @property
     def steps(self) -> int:
@@ -254,34 +266,11 @@ class _Reader:
         self.pos = end
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def done(self) -> bool:
         return self.pos == len(self.data)
-
-
-def _model_config(num_scales: int, config: GopConfig) -> ModelConfig:
-    return ModelConfig(num_scales=num_scales, bit_depth=config.bit_depth)
-
-
-def _make_optimizer(model: OccupancyModel, config: GopConfig) -> ad.Adam:
-    # The L2 penalty of the loss rides the autodiff tape, so the optimizer
-    # itself applies no additional decay (that would count it twice).
-    return ad.Adam(
-        model.parameters(),
-        lr0=config.lr0,
-        lr_min=config.lr_min,
-        decay=config.lr_decay,
-        decay_every=config.lr_decay_every,
-        weight_decay=0.0,
-    )
 
 
 def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
@@ -298,17 +287,21 @@ def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
     if num_scales is None:
         num_scales = build_pyramid(frames[0], stop_at=config.stop_at).num_scales
     pyramids = [build_pyramid(f, num_scales=num_scales) for f in frames]
-    model = OccupancyModel(_model_config(num_scales, config), seed=config.seed)
+    model = OccupancyModel(
+        ModelConfig(num_scales=num_scales, bit_depth=config.bit_depth),
+        seed=config.seed,
+    )
     if init is not None:
         model.load_flat(init)
     if epochs is None:
         epochs = config.epochs_first
-    losses = _train_epochs(model, pyramids, config, epochs)
-    return TrainResult(model=model, losses=losses, num_scales=num_scales)
-
-
-def _train_epochs(model, pyramids, config, epochs):
-    opt = _make_optimizer(model, config)
+    opt = ad.Adam(
+        model.parameters(),
+        lr0=config.lr0,
+        lr_min=config.lr_min,
+        decay=config.lr_decay,
+        decay_every=config.lr_decay_every,
+    )
     losses = []
     for _ in range(epochs):
         for pyr in pyramids:
@@ -317,23 +310,16 @@ def _train_epochs(model, pyramids, config, epochs):
             loss.backward()
             opt.step()
             losses.append(loss.item())
-    return losses
+    return TrainResult(model=model, losses=losses, num_scales=num_scales,
+                       pyramids=pyramids)
 
 
-def _coords_to_wire(pc: SparseVoxelSet) -> bytes:
-    return pc.coords.astype("<u2").tobytes()
-
-
-def _coords_from_wire(raw: bytes, count: int, bit_depth: int) -> SparseVoxelSet:
-    coords = (
-        np.frombuffer(raw, dtype="<u2", count=count * 3)
-        .reshape(count, 3)
-        .astype(np.int64)
-    )
-    if count and coords.max() >= (1 << bit_depth):
+def _coords_from_wire(raw: bytes, bit_depth: int) -> SparseVoxelSet:
+    coords = np.frombuffer(raw, dtype="<u2").reshape(-1, 3).astype(np.int64)
+    if len(coords) and coords.max() >= (1 << bit_depth):
         raise DecodeError("lowest-scale coordinates exceed declared bit depth")
     keys = pack_coords(coords)
-    if count > 1 and np.any(np.diff(keys) <= 0):
+    if len(coords) > 1 and np.any(np.diff(keys) <= 0):
         raise DecodeError("lowest-scale coordinates not sorted and unique")
     return SparseVoxelSet(coords, assume_sorted=True)
 
@@ -344,42 +330,92 @@ def _estimate_bits(probs: np.ndarray, bits: np.ndarray) -> float:
     return float(-(t * np.log2(p) + (1.0 - t) * np.log2(1.0 - p)).sum())
 
 
-def _encode_frame(pyramid: ScalePyramid, model: Optional[OccupancyModel],
-                  parts: list, stage_records: list) -> tuple:
-    """Append one frame's blocks to ``parts``; returns (lowest, occupancy) bits."""
-    base = pyramid.levels[-1]
-    lowest = struct.pack("<I", len(base)) + _coords_to_wire(base)
-    parts.append(lowest)
-    occupancy_bits = 0
-    with ad.no_grad():
-        for i in range(pyramid.num_scales - 1, -1, -1):
-            coarse = pyramid.levels[i + 1]
-            masks = pyramid.masks(i)
-            context = model.scale_context(coarse, i)
-            g = model.global_features(context, coarse)
+def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
+                 num_scales: int, stage_bits, pyramid=None):
+    """The scale -> stage loop of one frame, shared by encoder and decoder.
+
+    From the lowest ``level`` up, each scale transition ``i`` computes the
+    scale context and the global features once; then each stage ``j`` in
+    0..7 quantizes its probabilities once and calls
+    ``stage_bits(i, j, coarse, probs, quantized)``.  That returns the
+    stage's 0/1 bits, one int64 per parent: the ground truth on encode,
+    the range-decoded bits on decode.  The bits condition the later stages
+    and form the child masks.
+
+    Yields ``(i, finer level)`` after each transition.  The finer level is
+    rebuilt from the masks, unless the encoder passes the ``pyramid`` it
+    trained on, whose levels already carry their kernel pairs.
+    """
+    for i in range(num_scales - 1, -1, -1):
+        coarse = level
+        with ad.no_grad():
+            g = model.global_features(model.scale_context(coarse, i), coarse)
             slots = []
+            masks = np.zeros(len(coarse), dtype=np.uint8)
             for j in range(NUM_STAGES):
-                p = model.stage_probability(j, g, slots, coarse)
-                flat = p.data[:, 0]
-                quantized = quantize_probabilities(flat)
-                bits_j = ((masks >> j) & 1).astype(np.int64)
-                enc = RangeEncoder()
-                for p1, bit in zip(quantized.tolist(), bits_j.tolist()):
-                    enc.encode_bit(p1, bit)
-                payload = enc.finish()
-                parts.append(struct.pack("<I", len(payload)))
-                parts.append(payload)
-                occupancy_bits += 8 * (4 + len(payload))
-                stage_records.append(
-                    StageRecord(
-                        scale=i,
-                        stage=j,
-                        payload_bits=8 * len(payload),
-                        estimated_bits=_estimate_bits(flat, bits_j),
-                    )
-                )
+                probs = model.stage_probability(j, g, slots, coarse).data[:, 0]
+                bits_j = stage_bits(i, j, coarse, probs,
+                                    quantize_probabilities(probs))
+                masks |= bits_j.astype(np.uint8) << j
                 slots.append(bits_j.astype(model.dtype))
-    return 8 * len(lowest), occupancy_bits
+        if pyramid is not None:
+            level = pyramid.levels[i]
+        else:
+            level = reconstruct_children(masks, coarse)
+        yield i, level
+
+
+def _stage_encoder(pyramid, parts: list, records: list):
+    """Stage callback of the encoder: range-codes the ground-truth bits,
+    appending each length-prefixed payload to ``parts``."""
+
+    def encode_stage(i, j, coarse, probs, quantized):
+        bits_j = ((pyramid.masks(i) >> j) & 1).astype(np.int64)
+        enc = RangeEncoder()
+        for p1, bit in zip(quantized.tolist(), bits_j.tolist()):
+            enc.encode_bit(p1, bit)
+        payload = enc.finish()
+        parts.append(struct.pack("<I", len(payload)))
+        parts.append(payload)
+        records.append(
+            StageRecord(
+                scale=i,
+                stage=j,
+                payload_bits=8 * len(payload),
+                estimated_bits=_estimate_bits(probs, bits_j),
+            )
+        )
+        return bits_j
+
+    return encode_stage
+
+
+def _stage_decoder(payloads: list, stats: Optional[DecodeStats]):
+    """Stage callback of the decoder: range-decodes the next payload."""
+    payloads = iter(payloads)
+
+    def decode_stage(i, j, coarse, probs, quantized):
+        payload = next(payloads)
+        dec = RangeDecoder(payload)
+        bits_j = np.fromiter(
+            (dec.decode_bit(p1) for p1 in quantized.tolist()),
+            dtype=np.int64,
+            count=len(quantized),
+        )
+        if dec.bits_consumed > 8 * len(payload) + 32:
+            raise DecodeError(
+                f"occupancy payload truncated at scale {i} stage {j}"
+            )
+        if stats is not None and bits_j.any():
+            hit = bits_j == 1
+            child = (coarse.coords[hit] << 1) + np.array(
+                [(j >> 2) & 1, (j >> 1) & 1, j & 1], dtype=np.int64
+            )
+            cost = -np.log2(quantized[hit] / 65536.0)
+            stats.point_costs.append((child, i, cost))
+        return bits_j
+
+    return decode_stage
 
 
 def encode_sequence(frames, config: GopConfig):
@@ -409,24 +445,15 @@ def encode_sequence(frames, config: GopConfig):
         frames[k : k + config.gop_size]
         for k in range(0, len(frames), config.gop_size)
     ]
-    frame_index = 0
     for gop_index, gop_frames in enumerate(groups):
-        pyramids = [build_pyramid(f, num_scales=num_scales) for f in gop_frames]
         epochs = config.epochs_first if gop_index == 0 else config.epochs_rest
         if num_scales > 0:
-            model = OccupancyModel(_model_config(num_scales, config),
-                                   seed=config.seed)
-            init = None
-            if gop_index == 0:
-                if config.warm_start == "external_checkpoint":
-                    init = config.init_params
-            elif config.warm_start in ("previous_gop", "external_checkpoint"):
-                init = prev_params
-            if init is not None:
-                model.load_flat(init)
+            init = prev_params if config.warm_start == "previous_gop" else None
             t0 = time.perf_counter()
-            _train_epochs(model, pyramids, config, epochs)
+            trained = train_gop(gop_frames, config, init=init,
+                                num_scales=num_scales, epochs=epochs)
             training_seconds += time.perf_counter() - t0
+            model, pyramids = trained.model, trained.pyramids
             # Warm starts continue from the full-precision parameters, but
             # coding always runs on the reloaded transmitted values.
             prev_params = model.flatten()
@@ -437,6 +464,7 @@ def encode_sequence(frames, config: GopConfig):
             block = pack_param_block(q_header, side, payload)
         else:
             model = None
+            pyramids = [build_pyramid(f, num_scales=0) for f in gop_frames]
             block = pack_param_block(
                 QuantHeader(min=0.0, max=0.0, bits=config.bits, count=0),
                 LaplaceSideInfo(mu=0.0, b=0.0),
@@ -448,21 +476,26 @@ def encode_sequence(frames, config: GopConfig):
         epochs_used.append(epochs)
 
         t0 = time.perf_counter()
-        for pyr, frame in zip(pyramids, gop_frames):
-            stage_records: list = []
-            lowest_bits, occ_bits = _encode_frame(pyr, model, parts, stage_records)
+        for pyr in pyramids:
+            base = pyr.levels[-1]
+            lowest = (struct.pack("<I", len(base))
+                      + base.coords.astype("<u2").tobytes())
+            parts.append(lowest)
+            stages: list = []
+            encode_stage = _stage_encoder(pyr, parts, stages)
+            for _ in _coding_pass(model, base, num_scales, encode_stage, pyr):
+                pass
             frame_records.append(
                 FrameRecord(
-                    frame_index=frame_index,
+                    frame_index=len(frame_records),
                     gop_index=gop_index,
-                    point_count=len(frame),
-                    lowest_bits=lowest_bits,
-                    occupancy_bits=occ_bits,
+                    point_count=len(pyr.levels[0]),
+                    lowest_bits=8 * len(lowest),
+                    occupancy_bits=sum(s.payload_bits + 32 for s in stages),
                     param_bits_amortized=8 * len(block) / len(gop_frames),
-                    stages=stage_records,
+                    stages=stages,
                 )
             )
-            frame_index += 1
         coding_seconds += time.perf_counter() - t0
 
     report = EncodeReport(
@@ -482,106 +515,88 @@ def encode_sequence(frames, config: GopConfig):
     return data, report
 
 
-def _decode_frame(reader: _Reader, model: Optional[OccupancyModel],
-                  num_scales: int, bit_depth: int,
-                  stats: Optional[DecodeStats]) -> SparseVoxelSet:
-    t0 = time.perf_counter()
-    count = reader.u32()
-    current = _coords_from_wire(reader.take(count * 6), count, bit_depth)
-    if stats is not None:
-        stats.lowest_seconds += time.perf_counter() - t0
-    with ad.no_grad():
-        for i in range(num_scales - 1, -1, -1):
-            t_scale = time.perf_counter()
-            coarse = current
-            context = model.scale_context(coarse, i)
-            g = model.global_features(context, coarse)
-            slots = []
-            columns = []
-            for j in range(NUM_STAGES):
-                p = model.stage_probability(j, g, slots, coarse)
-                quantized = quantize_probabilities(p.data[:, 0])
-                payload = reader.take(reader.u32())
-                dec = RangeDecoder(payload)
-                bits_j = np.fromiter(
-                    (dec.decode_bit(p1) for p1 in quantized.tolist()),
-                    dtype=np.int64,
-                    count=len(coarse),
-                )
-                if dec.bits_consumed > 8 * len(payload) + 32:
-                    raise DecodeError(
-                        f"occupancy payload truncated at scale {i} stage {j}"
-                    )
-                columns.append((bits_j, quantized))
-                slots.append(bits_j.astype(model.dtype))
-            masks = np.zeros(len(coarse), dtype=np.uint8)
-            for j, (bits_j, _) in enumerate(columns):
-                masks |= (bits_j.astype(np.uint8)) << j
-            if len(masks) and masks.min() == 0:
-                raise InvalidOccupancyError(
-                    f"decoded an empty child mask at scale {i} (corrupt stream)"
-                )
-            fine = reconstruct_children(masks, coarse)
-            if stats is not None:
-                for j, (bits_j, quantized) in enumerate(columns):
-                    hit = bits_j == 1
-                    if not hit.any():
-                        continue
-                    parents = coarse.coords[hit]
-                    child = (parents << 1) + np.array(
-                        [(j >> 2) & 1, (j >> 1) & 1, j & 1], dtype=np.int64
-                    )
-                    cost = -np.log2(quantized[hit] / 65536.0)
-                    stats.point_costs.append((child, i, cost))
-                stats.scale_seconds[i] = stats.scale_seconds.get(i, 0.0) + (
-                    time.perf_counter() - t_scale
-                )
-            current = fine
-    return current
+def _walk(data: bytes):
+    """Split a container into its sections, validating the layout.
+
+    The only reader of the container format.  Checks the header (magic,
+    version, frame and group counts), bounds every block and payload length
+    by the bytes present, and rejects trailing bytes; decodes no parameters
+    and no geometry.  Returns ``(header, groups)``: each group is
+    ``(QuantHeader, LaplaceSideInfo, parameter payload, frames)``, each
+    frame ``(lowest-scale coordinate bytes, occupancy payloads)`` with the
+    payloads in container order.
+    """
+    reader = _Reader(data)
+    header = _Header._make(struct.unpack(_HEADER_FMT, reader.take(HEADER_SIZE)))
+    if header.magic != MAGIC:
+        raise DecodeError("not a LNRP container")
+    if header.version != VERSION:
+        raise DecodeError(f"unsupported container version {header.version}")
+    if header.frame_count < 1 or header.gop_size < 1:
+        raise DecodeError("invalid frame or group count")
+    groups = []
+    remaining = header.frame_count
+    while remaining > 0:
+        quant, side, payload, reader.pos = unpack_param_block(data, reader.pos)
+        if header.num_scales == 0 and quant.count != 0:
+            raise DecodeError("parameter block present but no scales to decode")
+        frames = []
+        for _ in range(min(header.gop_size, remaining)):
+            coords = reader.take(6 * reader.u32())
+            payloads = [reader.take(reader.u32())
+                        for _ in range(header.num_scales * NUM_STAGES)]
+            frames.append((coords, payloads))
+        groups.append((quant, side, payload, frames))
+        remaining -= len(frames)
+    if not reader.done():
+        raise DecodeError(
+            f"{len(data) - reader.pos} trailing bytes after the last frame"
+        )
+    return header, groups
 
 
 def decode_sequence(data: bytes, collect_stats: bool = False):
     """Decode a container; returns (frames, DecodeStats or None)."""
     t_begin = time.perf_counter()
-    reader = _Reader(data)
-    magic, version, bit_depth, num_scales, gop_size, frame_count, bits = (
-        struct.unpack(_HEADER_FMT, reader.take(HEADER_SIZE))
-    )
-    if magic != MAGIC:
-        raise DecodeError("not a LNRP container")
-    if version != VERSION:
-        raise DecodeError(f"unsupported container version {version}")
-    if frame_count < 1 or gop_size < 1:
-        raise DecodeError("invalid frame or group count")
+    header, groups = _walk(data)
+    num_scales = header.num_scales
     stats = DecodeStats() if collect_stats else None
+    model = None
+    if num_scales > 0:
+        model = OccupancyModel(
+            ModelConfig(num_scales=num_scales, bit_depth=header.bit_depth)
+        )
 
     frames = []
-    remaining = frame_count
-    while remaining > 0:
-        in_gop = min(gop_size, remaining)
+    for quant, side, payload, blocks in groups:
         t0 = time.perf_counter()
-        q_header, side, payload, new_pos = unpack_param_block(reader.data, reader.pos)
-        reader.pos = new_pos
-        model = None
-        if num_scales > 0:
-            model = OccupancyModel(
-                ModelConfig(num_scales=num_scales, bit_depth=bit_depth)
-            )
-            q = decompress_params(payload, q_header, side)
-            reload_dequantized(model, q_header, q)
-        elif q_header.count != 0:
-            raise DecodeError("parameter block present but no scales to decode")
+        if model is not None:
+            # The symbol loop runs ``count`` times, so check the untrusted
+            # count before it starts.
+            if quant.count != model.num_parameters():
+                raise CountMismatchError(
+                    f"block carries {quant.count} parameters, "
+                    f"model has {model.num_parameters()}"
+                )
+            q = decompress_params(payload, quant, side)
+            reload_dequantized(model, quant, q)
         if stats is not None:
             stats.param_seconds += time.perf_counter() - t0
-        for _ in range(in_gop):
-            frames.append(
-                _decode_frame(reader, model, num_scales, bit_depth, stats)
-            )
-        remaining -= in_gop
-    if not reader.done():
-        raise DecodeError(
-            f"{len(reader.data) - reader.pos} trailing bytes after the last frame"
-        )
+        for coords, payloads in blocks:
+            t0 = time.perf_counter()
+            level = _coords_from_wire(coords, header.bit_depth)
+            if stats is not None:
+                stats.lowest_seconds += time.perf_counter() - t0
+            decode_stage = _stage_decoder(payloads, stats)
+            t_scale = time.perf_counter()
+            for i, level in _coding_pass(model, level, num_scales, decode_stage):
+                if stats is not None:
+                    now = time.perf_counter()
+                    stats.scale_seconds[i] = (
+                        stats.scale_seconds.get(i, 0.0) + now - t_scale
+                    )
+                    t_scale = now
+            frames.append(level)
     if stats is not None:
         stats.total_seconds = time.perf_counter() - t_begin
     return frames, stats
@@ -590,50 +605,30 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
 def container_summary(data: bytes) -> dict:
     """Byte accounting of a container without decoding any geometry.
 
+    Rejects every container whose layout :func:`decode_sequence` rejects.
     Returns totals per section plus per-scale occupancy bytes (length
     prefixes included in their sections).
     """
-    reader = _Reader(data)
-    magic, version, bit_depth, num_scales, gop_size, frame_count, bits = (
-        struct.unpack(_HEADER_FMT, reader.take(HEADER_SIZE))
-    )
-    if magic != MAGIC:
-        raise DecodeError("not a LNRP container")
-    param_bytes = 0
-    lowest_bytes = 0
+    header, groups = _walk(data)
+    num_scales = header.num_scales
+    blocks = [block for *_, frames in groups for block in frames]
     scale_bytes = {i: 0 for i in range(num_scales)}
-    gops = 0
-    remaining = frame_count
-    while remaining > 0:
-        in_gop = min(gop_size, remaining)
-        _, _, payload, new_pos = unpack_param_block(reader.data, reader.pos)
-        param_bytes += new_pos - reader.pos
-        reader.pos = new_pos
-        gops += 1
-        for _ in range(in_gop):
-            count = reader.u32()
-            reader.take(count * 6)
-            lowest_bytes += 4 + count * 6
-            for i in range(num_scales - 1, -1, -1):
-                for _ in range(NUM_STAGES):
-                    plen = reader.u32()
-                    reader.take(plen)
-                    scale_bytes[i] += 4 + plen
-        remaining -= in_gop
-    if not reader.done():
-        raise DecodeError("trailing bytes after the last frame")
+    for _, payloads in blocks:
+        for k, payload in enumerate(payloads):
+            scale_bytes[num_scales - 1 - k // NUM_STAGES] += 4 + len(payload)
     return {
         "file_bytes": len(data),
         "header_bytes": HEADER_SIZE,
-        "param_bytes": param_bytes,
-        "lowest_bytes": lowest_bytes,
+        "param_bytes": sum(BLOCK_HEADER_SIZE + len(payload)
+                           for _, _, payload, _ in groups),
+        "lowest_bytes": sum(4 + len(coords) for coords, _ in blocks),
         "scale_bytes": scale_bytes,
         "num_scales": num_scales,
-        "frame_count": frame_count,
-        "gop_count": gops,
-        "gop_size": gop_size,
-        "bit_depth": bit_depth,
-        "param_bits_width": bits,
+        "frame_count": header.frame_count,
+        "gop_count": len(groups),
+        "gop_size": header.gop_size,
+        "bit_depth": header.bit_depth,
+        "param_bits_width": header.param_bits,
     }
 
 

@@ -73,15 +73,12 @@ class SparseVoxelSet:
     """Sorted, deduplicated set of occupied voxel coordinates.
 
     ``coords`` is an (n, 3) int64 array, strictly increasing in
-    lexicographic order.  ``feats`` is an optional per-point feature matrix
-    whose rows align with ``coords``; when absent, the conventional
-    initialization is a single all-ones channel.
+    lexicographic order.
     """
 
-    __slots__ = ("coords", "feats", "_keys", "_kernel_pairs")
+    __slots__ = ("coords", "_keys", "_kernel_pairs")
 
-    def __init__(self, coords: np.ndarray, feats: Optional[np.ndarray] = None,
-                 *, assume_sorted: bool = False):
+    def __init__(self, coords: np.ndarray, *, assume_sorted: bool = False):
         coords = np.asarray(coords, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError(f"coords must be (n, 3), got {coords.shape}")
@@ -92,18 +89,8 @@ class SparseVoxelSet:
         if not assume_sorted and coords.shape[0]:
             keys = pack_coords(coords)
             if np.any(np.diff(keys) <= 0):
-                order = np.unique(keys)
-                if feats is not None and order.shape[0] != keys.shape[0]:
-                    raise ValueError("cannot deduplicate coords carrying features")
-                coords = unpack_coords(order)
-                if feats is not None:
-                    feats = feats[np.argsort(keys, kind="stable")]
-        if feats is not None:
-            feats = np.asarray(feats)
-            if feats.shape[0] != coords.shape[0]:
-                raise ValueError("feature rows must match coordinate count")
+                coords = unpack_coords(np.unique(keys))
         self.coords = coords
-        self.feats = feats
         self._keys: Optional[np.ndarray] = None
         self._kernel_pairs: dict = {}
 
@@ -126,12 +113,6 @@ class SparseVoxelSet:
         if self._keys is None:
             self._keys = pack_coords(self.coords)
         return self._keys
-
-    def features(self, dtype=np.float32) -> np.ndarray:
-        """Stored features, or the all-ones initialization."""
-        if self.feats is not None:
-            return np.asarray(self.feats, dtype=dtype)
-        return np.ones((len(self), 1), dtype=dtype)
 
     def check_bit_depth(self, bit_depth: int) -> None:
         if not 1 <= bit_depth <= MAX_BIT_DEPTH:
@@ -191,12 +172,10 @@ class ScalePyramid:
     """Chain of voxel sets from full resolution down to the coarsest level.
 
     ``levels[0]`` is the input cloud; ``levels[i + 1]`` is its floor-div-2
-    downsampling.  ``parent_maps[i][p]`` is the row in ``levels[i + 1]`` of
-    point ``p``'s parent.
+    downsampling.
     """
 
     levels: list
-    parent_maps: list
     _masks: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -212,10 +191,7 @@ class ScalePyramid:
 
 
 def downsample(pc: SparseVoxelSet) -> SparseVoxelSet:
-    """Halve the resolution: floor-div-2 then deduplicate.
-
-    The output carries no features (the all-ones initialization applies).
-    """
+    """Halve the resolution: floor-div-2 then deduplicate."""
     if len(pc) == 0:
         raise EmptyCloudError("cannot downsample an empty cloud")
     keys = np.unique(pack_coords(pc.coords >> 1))
@@ -235,17 +211,14 @@ def build_pyramid(pc: SparseVoxelSet, stop_at: int = 64,
     if num_scales is None and stop_at < 1:
         raise ValueError("stop_at must be >= 1")
     levels = [pc]
-    parent_maps = []
     while True:
         if num_scales is not None:
             if len(levels) - 1 >= num_scales:
                 break
         elif len(levels[-1]) <= stop_at:
             break
-        coarse = downsample(levels[-1])
-        parent_maps.append(coarse._lookup_keys(pack_coords(levels[-1].coords >> 1)))
-        levels.append(coarse)
-    return ScalePyramid(levels=levels, parent_maps=parent_maps)
+        levels.append(downsample(levels[-1]))
+    return ScalePyramid(levels=levels)
 
 
 def child_index(coords: np.ndarray) -> np.ndarray:

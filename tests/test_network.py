@@ -103,21 +103,6 @@ class TestStagedPrediction:
         np.testing.assert_array_equal(with_truth[0].data, with_fake[0].data)
         assert not np.array_equal(with_truth[7].data, with_fake[7].data)
 
-    def test_predict_stage_matches_staged_loop(self):
-        rng = np.random.default_rng(7)
-        pyr = toy_pyramid(rng, n=50)
-        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=7)
-        coarse = pyr.levels[1]
-        masks = pyr.masks(0)
-        ctx = model.scale_context(coarse, 0)
-        probs, _ = model.predict_children(ctx, coarse, masks)
-        slots = []
-        for j in range(NUM_STAGES):
-            ctx_j = model.scale_context(coarse, 0)
-            single = model.predict_stage(j, ctx_j, coarse, slots)
-            np.testing.assert_array_equal(single.data, probs[j].data)
-            slots.append(((masks >> j) & 1).astype(np.float32))
-
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(8)
         pts = rng.integers(0, 32, size=(40, 3))
@@ -125,8 +110,11 @@ class TestStagedPrediction:
         pc_shuffled = SparseVoxelSet(pts[rng.permutation(len(pts))])
         assert pc_sorted == pc_shuffled
         model = OccupancyModel(ModelConfig(num_scales=1), seed=8)
-        a = model.predict_stage(0, model.scale_context(pc_sorted, 0), pc_sorted, [])
-        b = model.predict_stage(0, model.scale_context(pc_shuffled, 0), pc_shuffled, [])
+        a, b = (
+            model.stage_probability(
+                0, model.global_features(model.scale_context(pc, 0), pc), [], pc)
+            for pc in (pc_sorted, pc_shuffled)
+        )
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_loss_matches_out_of_tape_oracle(self):

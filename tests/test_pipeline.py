@@ -5,16 +5,21 @@ coordinate-exactly.  Structural cases parse the container with an
 independent walker built from the documented layout.
 """
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from linr.errors import DecodeError, LinrError
-from linr.network import ModelConfig, OccupancyModel
+from linr.errors import CountMismatchError, DecodeError, LinrError
+from linr.network import NUM_STAGES, ModelConfig, OccupancyModel
 from linr.params import BLOCK_HEADER_SIZE, unpack_param_block
 from linr.pipeline import (
     GopConfig,
     HEADER_SIZE,
+    _coding_pass,
+    _stage_decoder,
+    _stage_encoder,
+    container_summary,
     decode_sequence,
     encode_sequence,
     train_gop,
@@ -149,6 +154,23 @@ class TestContainerStructure:
         assert report.gop_frame_counts == [2, 2, 2]
         assert len(report.gop_param_bits) == 3
 
+    def test_summary_matches_report_accounting(self):
+        rng = np.random.default_rng(22)
+        frames = [random_frame(rng, n=150) for _ in range(5)]
+        cfg = GopConfig(gop_size=2, epochs_first=1, epochs_rest=0)
+        data, report = encode_sequence(frames, cfg)
+        summary = container_summary(data)
+        assert summary["gop_count"] == 3  # 2 + 2 + 1 frames
+        assert summary["frame_count"] == 5
+        assert 8 * summary["param_bytes"] == sum(report.gop_param_bits)
+        assert summary["lowest_bytes"] == sum(f.lowest_bits / 8
+                                              for f in report.frames)
+        assert sum(summary["scale_bytes"].values()) == sum(
+            f.occupancy_bits / 8 for f in report.frames)
+        assert summary["scale_bytes"] == {
+            i: bits / 8 + 4 * NUM_STAGES * len(frames)
+            for i, bits in report.occupancy_by_scale().items()}
+
     def test_single_point_frame_minimal_container(self):
         frame = SparseVoxelSet(np.array([[0, 0, 0]]))
         data, report = encode_sequence([frame], GopConfig(gop_size=1))
@@ -186,19 +208,25 @@ class TestLosslessness:
 
     def test_zero_model_payload_near_one_bit_per_slot(self):
         rng = np.random.default_rng(10)
-        frames = [random_frame(rng, n=300)]
-        pyr = build_pyramid(frames[0], stop_at=64)
+        frame = random_frame(rng, n=300)
+        pyr = build_pyramid(frame, stop_at=64)
         model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales))
-        cfg = GopConfig(gop_size=1, epochs_first=0,
-                        warm_start="external_checkpoint",
-                        init_params=np.zeros(model.num_parameters()))
-        data, report = encode_sequence(frames, cfg)
+        model.zero_()
+        base = pyr.levels[-1]
+        parts, stages = [], []
+        encode_stage = _stage_encoder(pyr, parts, stages)
+        for _ in _coding_pass(model, base, pyr.num_scales, encode_stage, pyr):
+            pass
         parents = sum(len(pyr.levels[i + 1]) for i in range(pyr.num_scales))
-        measured = sum(s.payload_bits for s in report.frames[0].stages)
-        streams = len(report.frames[0].stages)
+        measured = sum(s.payload_bits for s in stages)
+        streams = len(stages)
         assert measured >= 8 * parents
         assert measured <= 1.02 * 8 * parents + 16 * streams
-        assert verify(data, frames).ok
+        # parts alternates length prefixes and payloads.
+        decode_stage = _stage_decoder(parts[1::2], None)
+        for _, level in _coding_pass(model, base, pyr.num_scales, decode_stage):
+            pass
+        assert level == frame
 
 
 class TestPayloadVsEstimate:
@@ -247,6 +275,25 @@ class TestDecodeRobustness:
         data, _ = self.make_container()
         with pytest.raises(DecodeError):
             decode_sequence(b"XXXX" + data[4:])
+
+    def test_summary_rejects_unsupported_version(self):
+        data, _ = self.make_container()
+        corrupt = bytearray(data)
+        corrupt[4] = 9  # the version byte follows the 4-byte magic
+        with pytest.raises(DecodeError):
+            decode_sequence(bytes(corrupt))
+        with pytest.raises(DecodeError):
+            container_summary(bytes(corrupt))
+
+    def test_inflated_param_count_rejected_before_decoding(self):
+        data, _ = self.make_container()
+        corrupt = bytearray(data)
+        # count follows min, max, mu, b (f32 each) and bits (u8).
+        struct.pack_into("<I", corrupt, HEADER_SIZE + 17, 1_000_000)
+        t0 = time.perf_counter()
+        with pytest.raises(CountMismatchError):
+            decode_sequence(bytes(corrupt))
+        assert time.perf_counter() - t0 < 1.0
 
     def test_bit_flip_never_verifies(self):
         data, frames = self.make_container()

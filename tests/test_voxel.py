@@ -54,12 +54,6 @@ class TestSparseVoxelSet:
         with pytest.raises(DepthError):
             pc.check_bit_depth(9)
 
-    def test_default_features_are_ones(self):
-        pc = make_set([(0, 0, 0), (1, 2, 3)])
-        f = pc.features()
-        assert f.shape == (2, 1)
-        assert np.all(f == 1.0)
-
     def test_lookup(self):
         pc = make_set([(0, 0, 0), (1, 1, 1), (5, 5, 5)])
         idx = pc.lookup(np.array([[1, 1, 1], [2, 2, 2], [5, 5, 5]]))
@@ -109,13 +103,6 @@ class TestBuildPyramid:
         pyr = build_pyramid(make_set([(5, 5, 5)]), num_scales=3)
         assert len(pyr.levels) == 4
         assert len(pyr.levels[-1]) == 1
-
-    def test_parent_maps_consistent(self):
-        rng = np.random.default_rng(3)
-        pyr = build_pyramid(random_cloud(rng, 800), stop_at=64)
-        for i, pmap in enumerate(pyr.parent_maps):
-            fine, coarse = pyr.levels[i], pyr.levels[i + 1]
-            assert np.array_equal(coarse.coords[pmap], fine.coords >> 1)
 
     def test_stop_rule(self):
         rng = np.random.default_rng(11)
