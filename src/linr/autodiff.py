@@ -218,12 +218,34 @@ def broadcast_row(table: Tensor, index: int, num_points: int) -> Tensor:
     return _make(data, (table,), backward)
 
 
+def _add_rows(dst: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
+    """``dst[rows] += src`` for ``rows`` without repeats.
+
+    The same float operations as the fancy-index form, done as one gather,
+    one in-place add and one write back of whole rows through a 1-D void
+    view of ``dst``, which numpy copies as opaque rows.  A repeated row
+    would keep only one of its sums, so callers pass the rows of one kernel
+    offset, which never repeat.
+    """
+    acc = np.take(dst, rows, axis=0)
+    acc += src
+    if not dst.flags.c_contiguous:
+        dst[rows] = acc
+        return
+    row = np.dtype((np.void, dst.itemsize * dst.shape[1]))
+    dst.view(row)[:, 0][rows] = acc.view(row)[:, 0]
+
+
 def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     """Submanifold sparse convolution via precomputed gather lists.
 
     ``weight`` is (num_offsets, c_in, c_out); ``pairs[k]`` gives the
-    (out_rows, in_rows) index arrays for kernel offset k.  Offsets are
-    accumulated in fixed order, points in row order.
+    (out_rows, in_rows) index arrays for kernel offset k, each free of
+    repeats (see ``SparseVoxelSet.kernel_pairs``).  Offsets are accumulated
+    in fixed order, points in row order.  An offset whose ``out_rows``
+    covers all n points lists them in order and needs no scatter; when its
+    ``in_rows`` is the same array (the centre offset, every 1x1 conv) it
+    needs no gather either.
     """
     if x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(
@@ -236,32 +258,41 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     c_out = weight.data.shape[2]
     out = np.empty((n, c_out), dtype=x.data.dtype)
     out[:] = bias.data
-    for k in range(weight.data.shape[0]):
-        out_rows, in_rows = pairs[k]
+    for k, (out_rows, in_rows) in enumerate(pairs):
         if out_rows.shape[0] == 0:
             continue
-        if out_rows.shape[0] == n:
-            out += x.data[in_rows] @ weight.data[k]
+        full = out_rows.shape[0] == n
+        same = full and in_rows is out_rows
+        xk = x.data if same else np.take(x.data, in_rows, axis=0)
+        if full:
+            out += xk @ weight.data[k]
         else:
-            out[out_rows] += x.data[in_rows] @ weight.data[k]
+            _add_rows(out, out_rows, xk @ weight.data[k])
 
     def backward(g):
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
+        need_w = weight.requires_grad
+        if need_w and weight.grad is None:
+            weight.grad = np.zeros_like(weight.data)
         need_x = x.requires_grad
         if need_x and x.grad is None:
             x.grad = np.zeros_like(x.data)
-        for k in range(weight.data.shape[0]):
-            out_rows, in_rows = pairs[k]
+        for k, (out_rows, in_rows) in enumerate(pairs):
             if out_rows.shape[0] == 0:
                 continue
-            gk = g[out_rows]
-            if weight.requires_grad:
-                if weight.grad is None:
-                    weight.grad = np.zeros_like(weight.data)
-                weight.grad[k] += x.data[in_rows].T @ gk
+            full = out_rows.shape[0] == n
+            same = full and in_rows is out_rows
+            gk = g if full else np.take(g, out_rows, axis=0)
+            if need_w:
+                xk = x.data if same else np.take(x.data, in_rows, axis=0)
+                weight.grad[k] += xk.T @ gk
             if need_x:
-                np.add.at(x.grad, in_rows, gk @ weight.data[k].T)
+                dx = gk @ weight.data[k].T
+                if same:
+                    x.grad += dx
+                else:
+                    _add_rows(x.grad, in_rows, dx)
 
     return _make(out, (x, weight, bias), backward)
 

@@ -53,6 +53,7 @@ from .params import (
 )
 from .rangecoder import RangeDecoder, RangeEncoder, quantize_probabilities
 from .voxel import (
+    ScalePyramid,
     SparseVoxelSet,
     build_pyramid,
     pack_coords,
@@ -151,6 +152,9 @@ class EncodeReport:
     gop_param_bits: list
     gop_frame_counts: list
     epochs_used: list
+    # Per group, the training loss of every optimizer step in bits: one per
+    # frame per epoch, in training order (empty when there are no scales).
+    gop_losses: list
     frames: list
     training_seconds: float
     coding_seconds: float
@@ -202,6 +206,7 @@ class EncodeReport:
             "gop_param_bits": list(self.gop_param_bits),
             "gop_frame_counts": list(self.gop_frame_counts),
             "epochs_used": list(self.epochs_used),
+            "gop_losses": [list(curve) for curve in self.gop_losses],
             "training_seconds": self.training_seconds,
             "coding_seconds": self.coding_seconds,
             "encode_seconds": self.encode_seconds,
@@ -278,15 +283,18 @@ def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
               epochs: Optional[int] = None) -> TrainResult:
     """Overfit one network to a group of frames.
 
-    One epoch is one optimizer step per frame, in container order.  When
-    ``init`` is given it is loaded verbatim before training (the warm
-    start); ``epochs=0`` returns it untouched.
+    A frame is a voxel set, or its pyramid when the caller has built it
+    already with ``num_scales`` transitions.  One epoch is one optimizer
+    step per frame, in container order.  When ``init`` is given it is
+    loaded verbatim before training (the warm start); ``epochs=0`` returns
+    it untouched.
     """
     if not frames:
         raise ValueError("train_gop needs at least one frame")
     if num_scales is None:
-        num_scales = build_pyramid(frames[0], stop_at=config.stop_at).num_scales
-    pyramids = [build_pyramid(f, num_scales=num_scales) for f in frames]
+        frames = [build_pyramid(frames[0], stop_at=config.stop_at), *frames[1:]]
+        num_scales = frames[0].num_scales
+    pyramids = [_pyramid(f, num_scales=num_scales) for f in frames]
     model = OccupancyModel(
         ModelConfig(num_scales=num_scales, bit_depth=config.bit_depth),
         seed=config.seed,
@@ -312,6 +320,13 @@ def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
             losses.append(loss.item())
     return TrainResult(model=model, losses=losses, num_scales=num_scales,
                        pyramids=pyramids)
+
+
+def _pyramid(frame, **how) -> ScalePyramid:
+    """``frame`` if it is a pyramid already, else ``build_pyramid(frame, **how)``."""
+    if isinstance(frame, ScalePyramid):
+        return frame
+    return build_pyramid(frame, **how)
 
 
 def _coords_from_wire(raw: bytes, bit_depth: int) -> SparseVoxelSet:
@@ -425,7 +440,10 @@ def encode_sequence(frames, config: GopConfig):
     for f in frames:
         f.check_bit_depth(config.bit_depth)
     t_begin = time.perf_counter()
-    num_scales = build_pyramid(frames[0], stop_at=config.stop_at).num_scales
+    # The first frame's pyramid fixes the scale count of every frame; it is
+    # built once and reused as that frame's training and coding pyramid.
+    frames = [build_pyramid(frames[0], stop_at=config.stop_at), *frames[1:]]
+    num_scales = frames[0].num_scales
 
     header = struct.pack(
         _HEADER_FMT, MAGIC, VERSION, config.bit_depth, num_scales,
@@ -436,6 +454,7 @@ def encode_sequence(frames, config: GopConfig):
     gop_param_bits = []
     gop_frame_counts = []
     epochs_used = []
+    gop_losses = []
     frame_records = []
     training_seconds = 0.0
     coding_seconds = 0.0
@@ -454,6 +473,7 @@ def encode_sequence(frames, config: GopConfig):
                                 num_scales=num_scales, epochs=epochs)
             training_seconds += time.perf_counter() - t0
             model, pyramids = trained.model, trained.pyramids
+            gop_losses.append(trained.losses)
             # Warm starts continue from the full-precision parameters, but
             # coding always runs on the reloaded transmitted values.
             prev_params = model.flatten()
@@ -464,7 +484,8 @@ def encode_sequence(frames, config: GopConfig):
             block = pack_param_block(q_header, side, payload)
         else:
             model = None
-            pyramids = [build_pyramid(f, num_scales=0) for f in gop_frames]
+            gop_losses.append([])
+            pyramids = [_pyramid(f, num_scales=0) for f in gop_frames]
             block = pack_param_block(
                 QuantHeader(min=0.0, max=0.0, bits=config.bits, count=0),
                 LaplaceSideInfo(mu=0.0, b=0.0),
@@ -504,6 +525,7 @@ def encode_sequence(frames, config: GopConfig):
         gop_param_bits=gop_param_bits,
         gop_frame_counts=gop_frame_counts,
         epochs_used=epochs_used,
+        gop_losses=gop_losses,
         frames=frame_records,
         training_seconds=training_seconds,
         coding_seconds=coding_seconds,
@@ -519,12 +541,12 @@ def _walk(data: bytes):
     """Split a container into its sections, validating the layout.
 
     The only reader of the container format.  Checks the header (magic,
-    version, frame and group counts), bounds every block and payload length
-    by the bytes present, and rejects trailing bytes; decodes no parameters
-    and no geometry.  Returns ``(header, groups)``: each group is
-    ``(QuantHeader, LaplaceSideInfo, parameter payload, frames)``, each
-    frame ``(lowest-scale coordinate bytes, occupancy payloads)`` with the
-    payloads in container order.
+    version, frame and group counts, no more scales than bits of depth),
+    bounds every block and payload length by the bytes present, and rejects
+    trailing bytes; decodes no parameters and no geometry.  Returns
+    ``(header, groups)``: each group is ``(QuantHeader, LaplaceSideInfo,
+    parameter payload, frames)``, each frame ``(lowest-scale coordinate
+    bytes, occupancy payloads)`` with the payloads in container order.
     """
     reader = _Reader(data)
     header = _Header._make(struct.unpack(_HEADER_FMT, reader.take(HEADER_SIZE)))
@@ -534,6 +556,10 @@ def _walk(data: bytes):
         raise DecodeError(f"unsupported container version {header.version}")
     if header.frame_count < 1 or header.gop_size < 1:
         raise DecodeError("invalid frame or group count")
+    if header.num_scales > header.bit_depth:
+        raise DecodeError(
+            f"{header.num_scales} scales exceed bit depth {header.bit_depth}"
+        )
     groups = []
     remaining = header.frame_count
     while remaining > 0:

@@ -144,6 +144,12 @@ class SparseVoxelSet:
         Returns, per kernel offset in fixed lexicographic order, a pair of
         index arrays ``(out_rows, in_rows)``: point ``out_rows[i]`` sees
         point ``in_rows[i]`` at that offset.  Cached per kernel size.
+
+        ``out_rows`` is ascending, and within one offset neither array
+        repeats a row: a translation maps distinct points to distinct
+        points.  ``sparse_conv`` relies on this to scatter each offset with
+        one plain indexed write.  The centre offset is the identity, given
+        as the same array twice.
         """
         if kernel_size not in (1, 3):
             raise ValueError("kernel size must be 1 or 3")

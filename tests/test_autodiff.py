@@ -104,6 +104,94 @@ class TestSparseConv:
         check_gradients(loss, [feats], rng, probes=10)
 
 
+def reference_sparse_conv(x, w, b, pairs, g, x_grad):
+    """Fancy-index forward and ``np.add.at`` backward: the plain formulation
+    that ``sparse_conv`` must reproduce bit for bit."""
+    n = x.shape[0]
+    out = np.empty((n, w.shape[2]), dtype=x.dtype)
+    out[:] = b
+    for k, (out_rows, in_rows) in enumerate(pairs):
+        if len(out_rows) == n:
+            out += x[in_rows] @ w[k]
+        elif len(out_rows):
+            out[out_rows] += x[in_rows] @ w[k]
+    w_grad = np.zeros_like(w)
+    for k, (out_rows, in_rows) in enumerate(pairs):
+        if len(out_rows):
+            gk = g[out_rows]
+            w_grad[k] += x[in_rows].T @ gk
+            np.add.at(x_grad, in_rows, gk @ w[k].T)
+    return out, x_grad, w_grad, np.zeros_like(b) + g.sum(axis=0)
+
+
+def mixed_offset_voxels():
+    """A line along x plus a 3x3 patch in a far z-plane: the centre offset
+    is full, the in-plane offsets partial, every offset with dz != 0 empty."""
+    line = [(x, 0, 0) for x in range(6)]
+    patch = [(x, y, 10) for x in range(3) for y in range(3)]
+    return SparseVoxelSet(np.array(line + patch))
+
+
+class TestSparseConvExact:
+    def check(self, pairs, n, c_in, c_out, x_grad_exists, seed, order="C"):
+        rng = np.random.default_rng(seed)
+        k = len(pairs)
+        xv = rng.normal(size=(n, c_in)).astype(np.float32)
+        w = ad.Parameter("w", rng.normal(size=(k, c_in, c_out)).astype(np.float32))
+        b = ad.Parameter("b", rng.normal(size=c_out).astype(np.float32))
+        x = ad.Tensor(xv.copy(order=order), requires_grad=True)
+        start = rng.normal(size=(n, c_in)).astype(np.float32)
+        if x_grad_exists:
+            x.grad = start.copy()
+        g = rng.normal(size=(n, c_out)).astype(np.float32)
+        out = ad.sparse_conv(x, w, b, pairs)
+        out._backward(g)
+        want = reference_sparse_conv(
+            xv, w.data, b.data, pairs, g,
+            start.copy() if x_grad_exists else np.zeros_like(xv),
+        )
+        for got, expect in zip((out.data, x.grad, w.grad, b.grad), want):
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("x_grad_exists", [False, True])
+    @pytest.mark.parametrize("kernel_size", [1, 3])
+    def test_matches_reference_on_voxel_set(self, kernel_size, x_grad_exists):
+        pc = mixed_offset_voxels()
+        pairs = pc.kernel_pairs(kernel_size)
+        sizes = {len(out_rows) for out_rows, _ in pairs}
+        if kernel_size == 3:
+            assert 0 in sizes and len(pc) in sizes and len(sizes) > 2
+        self.check(pairs, len(pc), 5, 3, x_grad_exists, seed=kernel_size)
+
+    def test_matches_reference_on_fortran_order_input(self):
+        # The gradient of a Fortran-order input is Fortran-order too, so it
+        # cannot be written through a row view.
+        pc = mixed_offset_voxels()
+        self.check(pc.kernel_pairs(3), len(pc), 5, 3, False, seed=9, order="F")
+
+    @pytest.mark.parametrize("x_grad_exists", [False, True])
+    def test_matches_reference_on_full_shifted_offset(self, x_grad_exists):
+        # A full-length offset whose in_rows is not the identity is gathered
+        # but not scattered.
+        n = 7
+        identity = np.arange(n, dtype=np.int64)
+        pairs = [
+            (identity, identity),
+            (identity, np.roll(identity, 2)),
+            (identity[1:4], identity[3:6]),
+            (identity[:0], identity[:0]),
+        ]
+        self.check(pairs, n, 4, 6, x_grad_exists, seed=7)
+
+    def test_kernel_pair_rows_unique_per_offset(self):
+        rng = np.random.default_rng(8)
+        pc = random_voxels(rng, 200, hi=7)
+        for out_rows, in_rows in pc.kernel_pairs(3):
+            assert len(np.unique(out_rows)) == len(out_rows)
+            assert len(np.unique(in_rows)) == len(in_rows)
+
+
 class TestMlp:
     def test_zero_weights_constant_bias(self):
         rng = np.random.default_rng(5)

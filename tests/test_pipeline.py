@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from linr import pipeline
 from linr.errors import CountMismatchError, DecodeError, LinrError
 from linr.network import NUM_STAGES, ModelConfig, OccupancyModel
 from linr.params import BLOCK_HEADER_SIZE, unpack_param_block
@@ -101,6 +102,35 @@ class TestTrainGop:
         frames = [random_frame(rng, n=100) for _ in range(3)]
         out = train_gop(frames, GopConfig(gop_size=4, seed=0), epochs=2)
         assert out.steps == 6  # one step per frame per epoch
+
+    def test_one_pyramid_per_frame(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return build_pyramid(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_pyramid", counted)
+        rng = np.random.default_rng(2)
+        frames = [random_frame(rng, n=100) for _ in range(3)]
+        train_gop(frames, GopConfig(gop_size=4, seed=0), epochs=0)
+        assert len(calls) == 3
+        calls.clear()
+        encode_sequence(frames, GopConfig(gop_size=2, epochs_first=0,
+                                          epochs_rest=0))
+        assert len(calls) == 3
+
+    def test_report_carries_loss_curves(self):
+        rng = np.random.default_rng(5)
+        frames = [random_frame(rng, n=80) for _ in range(5)]
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1)
+        _, report = encode_sequence(frames, cfg)
+        lengths = [len(curve) for curve in report.gop_losses]
+        assert lengths == [e * n for e, n in zip(report.epochs_used,
+                                                  report.gop_frame_counts)]
+        assert lengths == [4, 2, 1]
+        assert all(np.isfinite(curve).all() for curve in report.gop_losses)
+        assert report.to_dict()["gop_losses"] == report.gop_losses
 
 
 class TestContainerStructure:
@@ -284,6 +314,14 @@ class TestDecodeRobustness:
             decode_sequence(bytes(corrupt))
         with pytest.raises(DecodeError):
             container_summary(bytes(corrupt))
+
+    def test_more_scales_than_bit_depth_rejected(self):
+        data, _ = self.make_container()
+        corrupt = bytearray(data)
+        corrupt[6] = corrupt[5] + 1  # num_scales follows the bit_depth byte
+        for read in (decode_sequence, container_summary):
+            with pytest.raises(DecodeError, match="exceed bit depth"):
+                read(bytes(corrupt))
 
     def test_inflated_param_count_rejected_before_decoding(self):
         data, _ = self.make_container()
