@@ -245,7 +245,8 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     in fixed order, points in row order.  An offset whose ``out_rows``
     covers all n points lists them in order and needs no scatter; when its
     ``in_rows`` is the same array (the centre offset, every 1x1 conv) it
-    needs no gather either.
+    needs no gather either.  That identity offset also fixes the point
+    count, which ``x`` must match row for row.
     """
     if x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(
@@ -255,6 +256,10 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     if len(pairs) != weight.data.shape[0]:
         raise ShapeError("kernel map does not match weight offset count")
     n = x.data.shape[0]
+    for out_rows, in_rows in pairs:
+        if in_rows is out_rows and out_rows.shape[0] != n:
+            raise ShapeError(f"conv input has {n} rows for "
+                             f"{out_rows.shape[0]} points")
     c_out = weight.data.shape[2]
     out = np.empty((n, c_out), dtype=x.data.dtype)
     out[:] = bias.data
@@ -297,20 +302,27 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     return _make(out, (x, weight, bias), backward)
 
 
+def cross_entropy_bits(p: np.ndarray, t: np.ndarray):
+    """Summed binary cross-entropy in bits of targets ``t`` under ``p``, in
+    their dtype, with ``p`` clamped to [BCE_EPS, 1 - BCE_EPS] so the result
+    is finite for any input."""
+    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+    return -(t * np.log2(p) + (1.0 - t) * np.log2(1.0 - p)).sum()
+
+
 def bce_bits(probs: Tensor, targets: np.ndarray) -> Tensor:
     """Binary cross-entropy in bits (base-2 logs), summed over points.
 
-    Probabilities are clamped to [BCE_EPS, 1 - BCE_EPS] before the log, so
-    the result is finite for any input; the clamp region passes no gradient.
+    The probability clamp of :func:`cross_entropy_bits` passes no gradient.
     """
     t = np.asarray(targets, dtype=probs.data.dtype)
     if t.shape != probs.data.shape:
         raise ShapeError(f"bce shape mismatch: {t.shape} vs {probs.data.shape}")
-    p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
-    bits = -(t * np.log2(p) + (1.0 - t) * np.log2(1.0 - p)).sum()
+    bits = cross_entropy_bits(probs.data, t)
 
     def backward(g):
         if probs.requires_grad:
+            p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
             inside = (probs.data > BCE_EPS) & (probs.data < 1.0 - BCE_EPS)
             dp = (-(t / p) + (1.0 - t) / (1.0 - p)) / _LN2
             probs._accumulate(g * dp * inside)
@@ -417,6 +429,11 @@ class ScaleEmbedding:
 # Optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with a step-decayed learning rate.
 
@@ -426,16 +443,12 @@ class Adam:
 
     def __init__(self, params: Iterable[Parameter], lr0: float = 0.01,
                  lr_min: float = 0.0004, decay: float = 0.992,
-                 decay_every: int = 32, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 decay_every: int = 32):
         self.params = sorted(params, key=lambda p: p.name)
         self.lr0 = lr0
         self.lr_min = lr_min
         self.decay = decay
         self.decay_every = decay_every
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.steps = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -450,13 +463,13 @@ class Adam:
     def step(self) -> None:
         lr = self.lr()
         self.steps += 1
-        correct1 = 1.0 - self.beta1 ** self.steps
-        correct2 = 1.0 - self.beta2 ** self.steps
+        correct1 = 1.0 - ADAM_BETA1 ** self.steps
+        correct2 = 1.0 - ADAM_BETA2 ** self.steps
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
             p.data -= lr * update

@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import LinrError
 from .pipeline import (
     FILE_EXTENSION,
@@ -29,16 +27,16 @@ from .pipeline import (
 )
 from .plyio import generate_fixture, read_cloud_report, write_cloud
 
-_DEFAULTS = {
-    "gop": 32,
-    "epochs_first": 6,
-    "epochs_rest": 1,
-    "bits": 8,
-    "seed": 0,
-    "bit_depth": 10,
-    "stop_at": 64,
-    "warm_start": "previous_gop",
-    "voxelize": None,
+# Option name -> GopConfig field, for the options that configure coding.
+_CODING_OPTIONS = {
+    "gop": "gop_size",
+    "epochs_first": "epochs_first",
+    "epochs_rest": "epochs_rest",
+    "bits": "bits",
+    "seed": "seed",
+    "bit_depth": "bit_depth",
+    "stop_at": "stop_at",
+    "warm_start": "warm_start",
 }
 
 _CLOUD_SUFFIXES = (".ply", ".xyz", ".txt")
@@ -57,44 +55,57 @@ def _parse_config_file(path: Path) -> dict:
     return out
 
 
-def _resolve(args, file_cfg: dict, key: str, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key == "seed" and "LINR_SEED" in os.environ:
-        return int(os.environ["LINR_SEED"])
-    if key in file_cfg:
-        raw = file_cfg[key]
-        return None if raw == "none" else cast(raw)
-    return _DEFAULTS[key]
-
-
-def _build_config(args) -> GopConfig:
+def _settings(args) -> dict:
+    """Every option the user set, by precedence: flag, LINR_SEED (seed
+    only), then the ``--config`` file, read once.  Options left unset are
+    absent, so their defaults live in one place, ``GopConfig``."""
     file_cfg = {}
     if getattr(args, "config", None):
         file_cfg = _parse_config_file(Path(args.config))
-    return GopConfig(
-        gop_size=_resolve(args, file_cfg, "gop", int),
-        epochs_first=_resolve(args, file_cfg, "epochs_first", int),
-        epochs_rest=_resolve(args, file_cfg, "epochs_rest", int),
-        bits=_resolve(args, file_cfg, "bits", int),
-        seed=_resolve(args, file_cfg, "seed", int),
-        bit_depth=_resolve(args, file_cfg, "bit_depth", int),
-        stop_at=_resolve(args, file_cfg, "stop_at", int),
-        warm_start=_resolve(args, file_cfg, "warm_start", str),
-    )
+    out = {}
+    for key in (*_CODING_OPTIONS, "voxelize"):
+        flag = getattr(args, key, None)
+        if flag is not None:
+            out[key] = flag
+        elif key == "seed" and "LINR_SEED" in os.environ:
+            out[key] = int(os.environ["LINR_SEED"])
+        elif file_cfg.get(key, "none") != "none":
+            raw = file_cfg[key]
+            out[key] = raw if key == "warm_start" else int(raw)
+    return out
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+def _build_config(settings: dict) -> GopConfig:
+    return GopConfig(**{field: settings[key]
+                        for key, field in _CODING_OPTIONS.items()
+                        if key in settings})
+
+
+def _atomic_write(outputs) -> None:
+    """Write each ``(path, write)`` of the list ``outputs``: ``write(tmp)``
+    fills a temporary sibling of ``path``.  Every file is written before any
+    is renamed into place, so a failure leaves none of them behind."""
+    tmps = []
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        for path, write in outputs:
+            tmps.append(path.with_name(path.name + f".tmp{os.getpid()}"))
+            write(tmps[-1])
+        for tmp, (path, _) in zip(tmps, outputs):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
-def _gather_frames(args, input_path: str):
+def _bytes_writer(data: bytes):
+    return lambda tmp: tmp.write_bytes(data)
+
+
+def _cloud_writer(pc, fmt: str):
+    return lambda tmp: write_cloud(pc, tmp, fmt=fmt)
+
+
+def _gather_frames(input_path: str, settings: dict):
     path = Path(input_path)
     if path.is_dir():
         files = sorted(
@@ -106,9 +117,8 @@ def _gather_frames(args, input_path: str):
         files = [path]
     else:
         raise LinrError(f"{path}: no such file or directory")
-    file_cfg = _parse_config_file(Path(args.config)) if getattr(args, "config", None) else {}
-    bit_depth = _resolve(args, file_cfg, "bit_depth", int)
-    voxelize = _resolve(args, file_cfg, "voxelize", int)
+    bit_depth = settings.get("bit_depth", GopConfig.bit_depth)
+    voxelize = settings.get("voxelize")
     frames = []
     for f in files:
         pc, report = read_cloud_report(f, bit_depth=bit_depth, voxelize=voxelize)
@@ -120,14 +130,16 @@ def _gather_frames(args, input_path: str):
 
 
 def _cmd_encode(args) -> int:
-    config = _build_config(args)
-    frames, _ = _gather_frames(args, args.input)
+    settings = _settings(args)
+    config = _build_config(settings)
+    frames, _ = _gather_frames(args.input, settings)
     data, report = encode_sequence(frames, config)
     out = Path(args.out)
-    _atomic_write(out, data)
+    outputs = [(out, _bytes_writer(data))]
     if args.report:
-        _atomic_write(Path(args.report),
-                      json.dumps(report.to_dict(), indent=2).encode())
+        outputs.append((Path(args.report), _bytes_writer(
+            json.dumps(report.to_dict(), indent=2).encode())))
+    _atomic_write(outputs)
     alloc = report.allocation()
     print(f"wrote {out} ({len(data)} bytes, {report.bpp:.3f} bpp, "
           f"{len(frames)} frames, {report.num_scales} scales)")
@@ -147,27 +159,15 @@ def _cmd_decode(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = ".xyz" if args.format == "xyz" else ".ply"
     fmt = {"ply": "binary", "ply-ascii": "ascii", "xyz": "xyz"}[args.format]
-    tmp_paths = []
-    final_paths = []
-    try:
-        for k, frame in enumerate(frames):
-            final = out_dir / f"frame_{k:04d}{suffix}"
-            tmp = final.with_name(final.name + f".tmp{os.getpid()}")
-            write_cloud(frame, tmp, fmt=fmt)
-            tmp_paths.append(tmp)
-            final_paths.append(final)
-        for tmp, final in zip(tmp_paths, final_paths):
-            os.replace(tmp, final)
-    finally:
-        for tmp in tmp_paths:
-            tmp.unlink(missing_ok=True)
+    _atomic_write([(out_dir / f"frame_{k:04d}{suffix}", _cloud_writer(frame, fmt))
+                   for k, frame in enumerate(frames)])
     print(f"decoded {len(frames)} frames into {out_dir}")
     return 0
 
 
 def _cmd_verify(args) -> int:
     data = Path(args.input).read_bytes()
-    frames, _ = _gather_frames(args, args.against)
+    frames, _ = _gather_frames(args.against, _settings(args))
     result = verify(data, frames)
     print(("lossless: " if result.ok else "MISMATCH: ") + result.message)
     return 0 if result.ok else 1
@@ -206,7 +206,8 @@ def _cmd_stats(args) -> int:
         for coords, scale, costs in stats.point_costs:
             for (x, y, z), c in zip(coords, costs):
                 rows.append(f"{x},{y},{z},{scale},{c:.6f}")
-        _atomic_write(Path(args.per_point_csv), "\n".join(rows).encode() + b"\n")
+        _atomic_write([(Path(args.per_point_csv),
+                        _bytes_writer("\n".join(rows).encode() + b"\n"))])
         print(f"wrote per-point bit costs to {args.per_point_csv}")
     return 0
 
@@ -214,29 +215,21 @@ def _cmd_stats(args) -> int:
 def _cmd_fixture(args) -> int:
     if args.frames < 1:
         raise LinrError("--frames must be >= 1")
-    seed = int(os.environ.get("LINR_SEED", args.seed))
+    seed = _settings(args).get("seed", 0)
     if args.frames == 1:
         pc = generate_fixture(args.kind, args.size, seed=seed)
         fmt = "xyz" if args.out.endswith((".xyz", ".txt")) else "binary"
-        tmp = Path(args.out).with_name(Path(args.out).name + f".tmp{os.getpid()}")
-        try:
-            write_cloud(pc, tmp, fmt=fmt)
-            os.replace(tmp, args.out)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _atomic_write([(Path(args.out), _cloud_writer(pc, fmt))])
         print(f"wrote {args.out} ({len(pc)} points)")
         return 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(args.frames):
-        pc = generate_fixture(args.kind, args.size, seed=seed, offset=k)
-        path = out_dir / f"frame_{k:04d}.ply"
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        try:
-            write_cloud(pc, tmp, fmt="binary")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+    _atomic_write([
+        (out_dir / f"frame_{k:04d}.ply",
+         _cloud_writer(generate_fixture(args.kind, args.size, seed=seed, offset=k),
+                       "binary"))
+        for k in range(args.frames)
+    ])
     print(f"wrote {args.frames} frames into {out_dir}")
     return 0
 
@@ -297,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("--kind", required=True,
                      choices=["cube", "sphere-shell", "random", "plane"])
     fix.add_argument("--size", required=True, type=int)
-    fix.add_argument("--seed", type=int, default=0)
+    fix.add_argument("--seed", type=int, help="default: LINR_SEED, else 0")
     fix.add_argument("--frames", type=int, default=1,
                      help="write this many translated frames into a directory")
     fix.add_argument("--out", required=True)

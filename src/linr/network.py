@@ -19,25 +19,23 @@ from .voxel import ScalePyramid, SparseVoxelSet, neighbor_occupancy
 NEIGHBOR_CHANNELS = 7
 NUM_STAGES = 8
 
+# Layer widths.  A container records only the scale count, and the decoder
+# rebuilds the network from it, so these are part of the codec version:
+# changing one needs a new container VERSION.
+MLP_HIDDEN = 24
+CONV_CHANNELS = 8
+EMBED_CHANNELS = 8
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture constants; channel widths are codec-version invariants."""
+    """The one free architecture choice: the number of scale transitions."""
 
     num_scales: int
-    mlp_hidden: int = 24
-    conv_channels: int = 8
-    embed_channels: int = 8
-    residual_blocks: int = 1
-    bit_depth: int = 10
 
     def __post_init__(self):
         if self.num_scales < 0:
             raise ValueError("num_scales must be >= 0")
-        for field in ("mlp_hidden", "conv_channels", "embed_channels",
-                      "residual_blocks"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1")
 
 
 class ResidualBlock:
@@ -64,25 +62,19 @@ class GlobalExtractor:
     """Shared deep features of the scale-context tensor, computed once per
     scale and reused by all eight stages."""
 
-    def __init__(self, rng, name, c_in, channels, blocks, dtype):
+    def __init__(self, rng, name, c_in, channels, dtype):
         self.conv_in = ad.SparseConvLayer(rng, f"{name}.conv_in", c_in, channels, 3, dtype)
-        self.blocks = [
-            ResidualBlock(rng, f"{name}.block{k}", channels, dtype)
-            for k in range(blocks)
-        ]
+        # "block0": parameter names fix the order of the transmitted vector.
+        self.block = ResidualBlock(rng, f"{name}.block0", channels, dtype)
         self.conv_out = ad.SparseConvLayer(rng, f"{name}.conv_out", channels, channels, 3, dtype)
 
     def __call__(self, x, voxels):
-        h = ad.relu(self.conv_in(x, voxels))
-        for block in self.blocks:
-            h = block(h, voxels)
+        h = self.block(ad.relu(self.conv_in(x, voxels)), voxels)
         return self.conv_out(h, voxels)
 
     def parameters(self):
-        out = self.conv_in.parameters() + self.conv_out.parameters()
-        for block in self.blocks:
-            out += block.parameters()
-        return out
+        return (self.conv_in.parameters() + self.conv_out.parameters()
+                + self.block.parameters())
 
 
 class LocalExtractor:
@@ -125,25 +117,23 @@ class OccupancyModel:
         self.config = config
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        n = config.num_scales
-        c = config.conv_channels
-        self.embedding = ad.ScaleEmbedding(rng, "embed", n,
-                                           config.embed_channels, dtype)
-        context_in = NEIGHBOR_CHANNELS + config.embed_channels
+        c = CONV_CHANNELS
+        self.embedding = ad.ScaleEmbedding(rng, "embed", config.num_scales,
+                                           EMBED_CHANNELS, dtype)
         self.context_mlps = [
-            ad.Mlp(rng, f"scale_mlp.{i:02d}", context_in, config.mlp_hidden,
-                   config.mlp_hidden, dtype)
-            for i in range(n)
+            ad.Mlp(rng, f"scale_mlp.{i:02d}", NEIGHBOR_CHANNELS + EMBED_CHANNELS,
+                   MLP_HIDDEN, MLP_HIDDEN, dtype)
+            for i in range(config.num_scales)
         ]
-        self.global_net = GlobalExtractor(rng, "global", config.mlp_hidden, c,
-                                          config.residual_blocks, dtype)
+        self.global_net = GlobalExtractor(rng, "global", MLP_HIDDEN, c, dtype)
+        # Stage k conditions on the k slots before it; stage 0 on none.
         self.local_nets = {
-            j: LocalExtractor(rng, f"local.{j}", j, c, dtype)
-            for j in range(1, NUM_STAGES)
+            k: LocalExtractor(rng, f"local.{k}", k, c, dtype)
+            for k in range(1, NUM_STAGES)
         }
         self.heads = [
-            StageHead(rng, f"head.{j}", c, config.mlp_hidden, dtype)
-            for j in range(NUM_STAGES)
+            StageHead(rng, f"head.{k}", c, MLP_HIDDEN, dtype)
+            for k in range(NUM_STAGES)
         ]
         params = self.embedding.parameters()
         for mlp in self.context_mlps:
@@ -222,6 +212,25 @@ class OccupancyModel:
             merged = ad.add(g_feat, self.local_nets[j](cum, coarse))
         return self.heads[j](merged, coarse)
 
+    def transition(self, context: ad.Tensor, coarse: SparseVoxelSet,
+                   next_bits) -> np.ndarray:
+        """The eight-stage loop of one scale transition; returns child masks.
+
+        Computes the global features once.  For each stage j it calls
+        ``next_bits(j, p)`` with the stage's (n, 1) probability tensor; that
+        returns the stage's 0/1 bit per parent (the ground truth in training
+        and on encode, the range-decoded bits on decode), which conditions
+        every later stage and sets bit j of the masks.
+        """
+        g = self.global_features(context, coarse)
+        slots = []
+        masks = np.zeros(len(coarse), dtype=np.uint8)
+        for j in range(NUM_STAGES):
+            bits_j = next_bits(j, self.stage_probability(j, g, slots, coarse))
+            masks |= bits_j.astype(np.uint8) << j
+            slots.append(bits_j.astype(self.dtype))
+        return masks
+
     def predict_children(self, context: ad.Tensor, coarse: SparseVoxelSet,
                          truth_masks):
         """Run all eight stages with ground-truth conditioning.
@@ -235,17 +244,18 @@ class OccupancyModel:
         masks = np.asarray(truth_masks)
         if masks.shape[0] != len(coarse):
             raise ShapeError("mask count must match parent count")
-        g = self.global_features(context, coarse)
         probs = []
         loss = None
-        slots = []
-        for j in range(NUM_STAGES):
-            p = self.stage_probability(j, g, slots, coarse)
+
+        def truth(j, p):
+            nonlocal loss
+            bits_j = (masks >> j) & 1
             probs.append(p)
-            bits_j = ((masks >> j) & 1).astype(self.dtype)
             stage_loss = ad.bce_bits(p, bits_j[:, None])
             loss = stage_loss if loss is None else ad.add(loss, stage_loss)
-            slots.append(bits_j)
+            return bits_j
+
+        self.transition(context, coarse, truth)
         return probs, loss
 
     def frame_loss(self, pyramid: ScalePyramid, l2_coeff: float = 0.0) -> ad.Tensor:

@@ -53,6 +53,7 @@ from .params import (
 )
 from .rangecoder import RangeDecoder, RangeEncoder, quantize_probabilities
 from .voxel import (
+    CHILD_OFFSETS,
     ScalePyramid,
     SparseVoxelSet,
     build_pyramid,
@@ -85,10 +86,6 @@ class GopConfig:
     bit_depth: int = 10
     stop_at: int = 64
     l2_coeff: float = 1e-4
-    lr0: float = 0.01
-    lr_min: float = 0.0004
-    lr_decay: float = 0.992
-    lr_decay_every: int = 32
 
     def __post_init__(self):
         if self.gop_size < 1:
@@ -295,21 +292,12 @@ def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
         frames = [build_pyramid(frames[0], stop_at=config.stop_at), *frames[1:]]
         num_scales = frames[0].num_scales
     pyramids = [_pyramid(f, num_scales=num_scales) for f in frames]
-    model = OccupancyModel(
-        ModelConfig(num_scales=num_scales, bit_depth=config.bit_depth),
-        seed=config.seed,
-    )
+    model = OccupancyModel(ModelConfig(num_scales=num_scales), seed=config.seed)
     if init is not None:
         model.load_flat(init)
     if epochs is None:
         epochs = config.epochs_first
-    opt = ad.Adam(
-        model.parameters(),
-        lr0=config.lr0,
-        lr_min=config.lr_min,
-        decay=config.lr_decay,
-        decay_every=config.lr_decay_every,
-    )
+    opt = ad.Adam(model.parameters())
     losses = []
     for _ in range(epochs):
         for pyr in pyramids:
@@ -339,19 +327,13 @@ def _coords_from_wire(raw: bytes, bit_depth: int) -> SparseVoxelSet:
     return SparseVoxelSet(coords, assume_sorted=True)
 
 
-def _estimate_bits(probs: np.ndarray, bits: np.ndarray) -> float:
-    p = np.clip(probs.astype(np.float64), ad.BCE_EPS, 1.0 - ad.BCE_EPS)
-    t = bits.astype(np.float64)
-    return float(-(t * np.log2(p) + (1.0 - t) * np.log2(1.0 - p)).sum())
-
-
 def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
                  num_scales: int, stage_bits, pyramid=None):
-    """The scale -> stage loop of one frame, shared by encoder and decoder.
+    """The scale loop of one frame, shared by encoder and decoder.
 
     From the lowest ``level`` up, each scale transition ``i`` computes the
-    scale context and the global features once; then each stage ``j`` in
-    0..7 quantizes its probabilities once and calls
+    scale context and runs the model's eight-stage ``transition`` without
+    gradients.  Each stage ``j`` quantizes its probabilities once and calls
     ``stage_bits(i, j, coarse, probs, quantized)``.  That returns the
     stage's 0/1 bits, one int64 per parent: the ground truth on encode,
     the range-decoded bits on decode.  The bits condition the later stages
@@ -363,16 +345,14 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
     """
     for i in range(num_scales - 1, -1, -1):
         coarse = level
+
+        def next_bits(j, p):
+            probs = p.data[:, 0]
+            return stage_bits(i, j, coarse, probs, quantize_probabilities(probs))
+
         with ad.no_grad():
-            g = model.global_features(model.scale_context(coarse, i), coarse)
-            slots = []
-            masks = np.zeros(len(coarse), dtype=np.uint8)
-            for j in range(NUM_STAGES):
-                probs = model.stage_probability(j, g, slots, coarse).data[:, 0]
-                bits_j = stage_bits(i, j, coarse, probs,
-                                    quantize_probabilities(probs))
-                masks |= bits_j.astype(np.uint8) << j
-                slots.append(bits_j.astype(model.dtype))
+            masks = model.transition(model.scale_context(coarse, i), coarse,
+                                     next_bits)
         if pyramid is not None:
             level = pyramid.levels[i]
         else:
@@ -397,7 +377,8 @@ def _stage_encoder(pyramid, parts: list, records: list):
                 scale=i,
                 stage=j,
                 payload_bits=8 * len(payload),
-                estimated_bits=_estimate_bits(probs, bits_j),
+                estimated_bits=float(ad.cross_entropy_bits(
+                    probs.astype(np.float64), bits_j.astype(np.float64))),
             )
         )
         return bits_j
@@ -423,9 +404,7 @@ def _stage_decoder(payloads: list, stats: Optional[DecodeStats]):
             )
         if stats is not None and bits_j.any():
             hit = bits_j == 1
-            child = (coarse.coords[hit] << 1) + np.array(
-                [(j >> 2) & 1, (j >> 1) & 1, j & 1], dtype=np.int64
-            )
+            child = (coarse.coords[hit] << 1) + CHILD_OFFSETS[j]
             cost = -np.log2(quantized[hit] / 65536.0)
             stats.point_costs.append((child, i, cost))
         return bits_j
@@ -589,9 +568,7 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
     stats = DecodeStats() if collect_stats else None
     model = None
     if num_scales > 0:
-        model = OccupancyModel(
-            ModelConfig(num_scales=num_scales, bit_depth=header.bit_depth)
-        )
+        model = OccupancyModel(ModelConfig(num_scales=num_scales))
 
     frames = []
     for quant, side, payload, blocks in groups:

@@ -48,6 +48,11 @@ KERNEL_OFFSETS_3 = tuple(
 )
 KERNEL_OFFSETS_1 = ((0, 0, 0),)
 
+# Octant offset (dx, dy, dz) of child slot j = 4*dx + 2*dy + dz, one row per slot.
+CHILD_OFFSETS = np.array(
+    [((j >> 2) & 1, (j >> 1) & 1, j & 1) for j in range(8)], dtype=np.int64
+)
+
 
 def pack_coords(coords: np.ndarray) -> np.ndarray:
     """Pack (n, 3) integer coordinates into sorted-compatible int64 keys."""
@@ -260,11 +265,7 @@ def reconstruct_children(masks: np.ndarray, coarse: SparseVoxelSet) -> SparseVox
     slots = np.arange(8, dtype=np.uint8)
     present = (masks[:, None] >> slots[None, :]) & 1  # (n, 8)
     parent_rows, slot_cols = np.nonzero(present)
-    base = coarse.coords[parent_rows] << 1
-    delta = np.stack(
-        [(slot_cols >> 2) & 1, (slot_cols >> 1) & 1, slot_cols & 1], axis=1
-    ).astype(np.int64)
-    children = base + delta
+    children = (coarse.coords[parent_rows] << 1) + CHILD_OFFSETS[slot_cols]
     order = np.argsort(pack_coords(children))
     return SparseVoxelSet(children[order], assume_sorted=True)
 
@@ -273,15 +274,11 @@ def neighbor_occupancy(pc: SparseVoxelSet, dtype=np.float32) -> np.ndarray:
     """Seven binary channels per point probing the six face neighbors + self.
 
     Channel order follows NEIGHBOR_OFFSETS; the final "self" channel is
-    always 1.
+    always 1.  Reads the cached 3x3x3 kernel map, whose ``out_rows`` at an
+    offset are exactly the points with a neighbor there.
     """
-    n = len(pc)
-    out = np.zeros((n, 7), dtype=dtype)
-    keys = pc.keys
+    pairs = pc.kernel_pairs(3)
+    out = np.zeros((len(pc), len(NEIGHBOR_OFFSETS)), dtype=dtype)
     for ch, off in enumerate(NEIGHBOR_OFFSETS):
-        if off == (0, 0, 0):
-            out[:, ch] = 1
-            continue
-        idx = pc._lookup_keys(keys + _offset_delta(off))
-        out[idx >= 0, ch] = 1
+        out[pairs[KERNEL_OFFSETS_3.index(off)][0], ch] = 1
     return out

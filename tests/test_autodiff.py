@@ -81,6 +81,16 @@ class TestSparseConv:
         with pytest.raises(ShapeError):
             layer(ad.constant(np.ones((1, 5), dtype=np.float32)), pc)
 
+    @pytest.mark.parametrize("kernel_size", [1, 3])
+    @pytest.mark.parametrize("extra_rows", [-1, 17])
+    def test_row_count_mismatch(self, kernel_size, extra_rows):
+        rng = np.random.default_rng(17)
+        pc = random_voxels(rng, 40)
+        layer = ad.SparseConvLayer(rng, "c", 4, 4, kernel_size=kernel_size)
+        x = np.ones((len(pc) + extra_rows, 4), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            layer(ad.constant(x), pc)
+
     def test_gradients_every_weight(self):
         rng = np.random.default_rng(3)
         pc = random_voxels(rng, 20)
@@ -309,7 +319,7 @@ class TestCompositeOps:
         rng = np.random.default_rng(15)
         pc = random_voxels(rng, 30)
         layer = ad.SparseConvLayer(rng, "c", 4, 4, kernel_size=3)
-        x = rng.normal(size=(30, 4)).astype(np.float32)
+        x = rng.normal(size=(len(pc), 4)).astype(np.float32)
         out1 = layer(ad.constant(x), pc).data.tobytes()
         out2 = layer(ad.constant(x), pc).data.tobytes()
         assert out1 == out2

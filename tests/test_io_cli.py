@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from linr.cli import build_parser, main, _build_config
+from linr.cli import build_parser, main, _build_config, _settings
 from linr.errors import DepthError, ParseError
 from linr.plyio import (
     generate_fixture,
@@ -247,20 +247,33 @@ class TestCli:
             "--config", str(cfg), "--gop", "9",
         ])
         monkeypatch.delenv("LINR_SEED", raising=False)
-        config = _build_config(args)
+        config = _build_config(_settings(args))
         assert config.gop_size == 9          # flag beats file
         assert config.seed == 5              # file beats default
         assert config.epochs_first == 3
         assert config.epochs_rest == 1       # default
         monkeypatch.setenv("LINR_SEED", "11")
-        config = _build_config(args)
+        config = _build_config(_settings(args))
         assert config.seed == 11             # env beats file
         args2 = parser.parse_args([
             "encode", "--input", "x", "--out", "y",
             "--config", str(cfg), "--seed", "2",
         ])
-        config = _build_config(args2)
+        config = _build_config(_settings(args2))
         assert config.seed == 2              # flag beats env
+
+    def test_fixture_seed_precedence(self, tmp_path, monkeypatch):
+        def written(*seed_args):
+            out = tmp_path / "r.ply"
+            assert main(["fixture", "--kind", "random", "--size", "200",
+                         "--out", str(out), *seed_args]) == 0
+            return read_cloud(out)
+
+        monkeypatch.delenv("LINR_SEED", raising=False)
+        assert written() == generate_fixture("random", 200, seed=0)
+        monkeypatch.setenv("LINR_SEED", "5")
+        assert written() == generate_fixture("random", 200, seed=5)
+        assert written("--seed", "2") == generate_fixture("random", 200, seed=2)
 
     def test_fixture_single_file(self, tmp_path):
         out = tmp_path / "ball.ply"

@@ -211,6 +211,13 @@ class TestParameterFlattening:
         with pytest.raises(ShapeError):
             model.load_flat(np.zeros(model.num_parameters() + 1))
 
+    @pytest.mark.parametrize("num_scales", range(9))
+    def test_architecture_pinned(self, num_scales):
+        # The decoder rebuilds the network from the scale count alone; a
+        # width change must fail here and come with a new container VERSION.
+        model = OccupancyModel(ModelConfig(num_scales=num_scales))
+        assert model.num_parameters() == 36588 + 992 * num_scales
+
     def test_same_seed_same_init(self):
         a = OccupancyModel(ModelConfig(num_scales=3), seed=19)
         b = OccupancyModel(ModelConfig(num_scales=3), seed=19)

@@ -258,6 +258,27 @@ class TestLosslessness:
             pass
         assert level == frame
 
+    def test_coding_pass_probabilities_match_training_pass(self):
+        rng = np.random.default_rng(12)
+        trained = train_gop([random_frame(rng, n=300)], GopConfig(epochs_first=1))
+        model, pyr = trained.model, trained.pyramids[0]
+        pipeline.reload_dequantized(model, *pipeline.quantize(model.flatten(), 8))
+        coded = {}
+
+        def record(i, j, coarse, probs, quantized):
+            coded[i, j] = probs.tobytes()
+            return ((pyr.masks(i) >> j) & 1).astype(np.int64)
+
+        for _ in _coding_pass(model, pyr.levels[-1], pyr.num_scales, record, pyr):
+            pass
+        assert len(coded) == NUM_STAGES * pyr.num_scales
+        for i in range(pyr.num_scales):
+            coarse = pyr.levels[i + 1]
+            probs, _ = model.predict_children(model.scale_context(coarse, i),
+                                              coarse, pyr.masks(i))
+            for j in range(NUM_STAGES):
+                assert probs[j].data[:, 0].tobytes() == coded[i, j]
+
 
 class TestPayloadVsEstimate:
     def test_measured_bits_track_estimates(self):

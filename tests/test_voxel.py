@@ -200,6 +200,20 @@ class TestNeighborOccupancy:
                       for dx, dy, dz in offsets]
             assert nb[row].tolist() == expect
 
+    def test_against_lookup_on_sparse_set(self):
+        # Mostly isolated points plus a dense corner, so both empty and
+        # occupied neighbors occur at every offset.  No coordinate is 0, so
+        # no probe leaves the grid.
+        rng = np.random.default_rng(24)
+        pc = SparseVoxelSet(np.concatenate([rng.integers(1, 1024, size=(500, 3)),
+                                           rng.integers(1, 7, size=(150, 3))]))
+        offsets = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                            (0, 0, 1), (0, 0, -1), (0, 0, 0)])
+        expect = np.stack([pc.lookup(pc.coords + off) >= 0 for off in offsets],
+                          axis=1)
+        assert expect.any(axis=0).all() and not expect[:, :6].all(axis=0).any()
+        assert np.array_equal(neighbor_occupancy(pc), expect.astype(np.float32))
+
     def test_zero_boundary(self):
         nb = neighbor_occupancy(make_set([(0, 0, 0)]))
         assert nb.tolist() == [[0, 0, 0, 0, 0, 0, 1]]
