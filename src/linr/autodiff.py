@@ -85,9 +85,16 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Release each interior node once it has propagated, so the tape's
+        # gradients and closures do not live as long as the root.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = node._backward = None
+            node._prev = ()
 
 
 class Parameter(Tensor):
@@ -242,11 +249,11 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     ``weight`` is (num_offsets, c_in, c_out); ``pairs[k]`` gives the
     (out_rows, in_rows) index arrays for kernel offset k, each free of
     repeats (see ``SparseVoxelSet.kernel_pairs``).  Offsets are accumulated
-    in fixed order, points in row order.  An offset whose ``out_rows``
-    covers all n points lists them in order and needs no scatter; when its
-    ``in_rows`` is the same array (the centre offset, every 1x1 conv) it
-    needs no gather either.  That identity offset also fixes the point
-    count, which ``x`` must match row for row.
+    in fixed order, points in row order.  The identity offset (the centre,
+    every 1x1 conv) gives ``in_rows`` as the same array as ``out_rows``; it
+    needs no gather and no scatter, and it fixes the point count, which
+    ``x`` must match row for row.  No other offset covers every point: the
+    point furthest along it has no neighbour there.
     """
     if x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(
@@ -266,12 +273,10 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     for k, (out_rows, in_rows) in enumerate(pairs):
         if out_rows.shape[0] == 0:
             continue
-        full = out_rows.shape[0] == n
-        same = full and in_rows is out_rows
-        xk = x.data if same else np.take(x.data, in_rows, axis=0)
-        if full:
-            out += xk @ weight.data[k]
+        if in_rows is out_rows:
+            out += x.data @ weight.data[k]
         else:
+            xk = np.take(x.data, in_rows, axis=0)
             _add_rows(out, out_rows, xk @ weight.data[k])
 
     def backward(g):
@@ -286,9 +291,8 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
         for k, (out_rows, in_rows) in enumerate(pairs):
             if out_rows.shape[0] == 0:
                 continue
-            full = out_rows.shape[0] == n
-            same = full and in_rows is out_rows
-            gk = g if full else np.take(g, out_rows, axis=0)
+            same = in_rows is out_rows
+            gk = g if same else np.take(g, out_rows, axis=0)
             if need_w:
                 xk = x.data if same else np.take(x.data, in_rows, axis=0)
                 weight.grad[k] += xk.T @ gk

@@ -1,10 +1,10 @@
 """The overfitted occupancy-prediction network.
 
-One model serves every scale of every frame in a group: per-scale context
-MLPs and a learned scale embedding distinguish the pyramid levels, while
-the feature extractors and the eight stage heads are shared.  Each stage
-head predicts, per parent voxel, the probability that one child slot is
-occupied, conditioned on the slots already coded.
+One model serves every scale of every frame in a group: one row per scale
+of a learned scale embedding is all that tells the pyramid levels apart,
+while the context MLP, the feature extractors and the eight stage heads
+are shared.  Each stage head predicts, per parent voxel, the probability
+that one child slot is occupied, conditioned on the slots already coded.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ NEIGHBOR_CHANNELS = 7
 NUM_STAGES = 8
 
 # Layer widths.  A container records only the scale count, and the decoder
-# rebuilds the network from it, so these are part of the codec version:
-# changing one needs a new container VERSION.
+# rebuilds the network from it, so these and the layer layout are part of
+# the codec version: changing either needs a new container VERSION.
 MLP_HIDDEN = 24
 CONV_CHANNELS = 8
 EMBED_CHANNELS = 8
@@ -120,11 +120,9 @@ class OccupancyModel:
         c = CONV_CHANNELS
         self.embedding = ad.ScaleEmbedding(rng, "embed", config.num_scales,
                                            EMBED_CHANNELS, dtype)
-        self.context_mlps = [
-            ad.Mlp(rng, f"scale_mlp.{i:02d}", NEIGHBOR_CHANNELS + EMBED_CHANNELS,
-                   MLP_HIDDEN, MLP_HIDDEN, dtype)
-            for i in range(config.num_scales)
-        ]
+        self.context_mlp = ad.Mlp(rng, "scale_mlp",
+                                  NEIGHBOR_CHANNELS + EMBED_CHANNELS,
+                                  MLP_HIDDEN, MLP_HIDDEN, dtype)
         self.global_net = GlobalExtractor(rng, "global", MLP_HIDDEN, c, dtype)
         # Stage k conditions on the k slots before it; stage 0 on none.
         self.local_nets = {
@@ -135,10 +133,8 @@ class OccupancyModel:
             StageHead(rng, f"head.{k}", c, MLP_HIDDEN, dtype)
             for k in range(NUM_STAGES)
         ]
-        params = self.embedding.parameters()
-        for mlp in self.context_mlps:
-            params += mlp.parameters()
-        params += self.global_net.parameters()
+        params = (self.embedding.parameters() + self.context_mlp.parameters()
+                  + self.global_net.parameters())
         for j in sorted(self.local_nets):
             params += self.local_nets[j].parameters()
         for head in self.heads:
@@ -184,14 +180,14 @@ class OccupancyModel:
 
     def scale_context(self, coarse: SparseVoxelSet, scale_index: int) -> ad.Tensor:
         """Per-point context of one pyramid level: neighbor occupancy plus
-        the broadcast scale embedding, merged by that scale's MLP."""
+        the level's broadcast embedding row, merged by the shared MLP."""
         if not 0 <= scale_index < self.config.num_scales:
             raise IndexError(
                 f"scale {scale_index} out of range 0..{self.config.num_scales - 1}"
             )
         nb = ad.constant(neighbor_occupancy(coarse, dtype=self.dtype))
         emb = self.embedding(scale_index, len(coarse))
-        return self.context_mlps[scale_index](ad.concat_channels([nb, emb]))
+        return self.context_mlp(ad.concat_channels([nb, emb]))
 
     def global_features(self, context: ad.Tensor, coarse: SparseVoxelSet) -> ad.Tensor:
         return self.global_net(context, coarse)

@@ -62,7 +62,7 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 1
+VERSION = 2
 FILE_EXTENSION = ".linr"
 
 _HEADER_FMT = "<4sBBBHIB"
@@ -88,8 +88,8 @@ class GopConfig:
     l2_coeff: float = 1e-4
 
     def __post_init__(self):
-        if self.gop_size < 1:
-            raise ValueError("gop_size must be >= 1")
+        if not 1 <= self.gop_size <= 0xFFFF:  # the header's u16
+            raise ValueError("gop_size must be in [1, 65535]")
         if self.epochs_first < 0 or self.epochs_rest < 0:
             raise ValueError("epoch counts must be >= 0")
         if not 1 <= self.bits <= 16:

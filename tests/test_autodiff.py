@@ -182,8 +182,9 @@ class TestSparseConvExact:
 
     @pytest.mark.parametrize("x_grad_exists", [False, True])
     def test_matches_reference_on_full_shifted_offset(self, x_grad_exists):
-        # A full-length offset whose in_rows is not the identity is gathered
-        # but not scattered.
+        # A full-length offset whose in_rows is not the identity cannot come
+        # from kernel_pairs; built by hand, it is gathered and scattered like
+        # any other non-identity offset.
         n = 7
         identity = np.arange(n, dtype=np.int64)
         pairs = [
@@ -330,6 +331,19 @@ class TestCompositeOps:
         with ad.no_grad():
             out = ad.relu(p)
         assert out._backward is None and not out.requires_grad
+
+    def test_backward_releases_interior_nodes(self):
+        rng = np.random.default_rng(17)
+        mlp = ad.Mlp(rng, "m", 3, 5, 2, dtype=np.float64)
+        x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        hidden = ad.relu(mlp.inner(x))
+        loss = ad.square_sum(mlp.outer(hidden))
+        loss.backward()
+        assert hidden.grad is None and hidden._backward is None
+        assert hidden._prev == () and loss._prev == ()
+        assert x.grad is not None and x.grad.shape == (4, 3)
+        for p in mlp.parameters():
+            assert np.any(p.grad != 0)
 
 
 class TestAdam:

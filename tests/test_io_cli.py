@@ -238,6 +238,22 @@ class TestCli:
         assert main(["encode", "--input", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o.linr")]) == 1
 
+    @pytest.mark.parametrize("flags, config_line", [
+        (["--gop", "0"], None),
+        ([], "gop = x"),
+        (["--bits", "17"], None),
+    ])
+    def test_invalid_option_exit_one(self, tmp_path, sequence, capsys,
+                                     flags, config_line):
+        args = self.encode_args(sequence, tmp_path / "o.linr")[:5] + flags
+        if config_line is not None:
+            cfg = tmp_path / "bad.conf"
+            cfg.write_text(config_line + "\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o.linr").exists()
+
     def test_config_precedence(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.conf"
         cfg.write_text("seed = 5\ngop = 7\n# comment\nepochs-first = 3\n")

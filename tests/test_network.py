@@ -32,7 +32,7 @@ def bce_oracle(probs, bits):
 class TestScaleContext:
     def test_zeroed_mlp_outputs_bias(self):
         model = OccupancyModel(ModelConfig(num_scales=2), seed=0)
-        mlp = model.context_mlps[1]
+        mlp = model.context_mlp
         for layer in (mlp.inner, mlp.outer):
             layer.weight.data[...] = 0
         mlp.inner.bias.data[...] = 0
@@ -48,6 +48,15 @@ class TestScaleContext:
         b = model.scale_context(coarse, 2).data
         assert not np.array_equal(model.embedding.table.data[0],
                                   model.embedding.table.data[2])
+        assert not np.array_equal(a, b)
+
+    def test_embedding_row_is_the_only_scale_state(self):
+        model = OccupancyModel(ModelConfig(num_scales=3), seed=4)
+        table = model.embedding.table.data
+        table[2] = table[0]
+        coarse = SparseVoxelSet(np.array([[1, 1, 1], [5, 1, 2], [2, 1, 1]]))
+        a, b, c = (model.scale_context(coarse, i).data for i in (0, 1, 2))
+        assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
 
     def test_scale_out_of_range(self):
@@ -215,8 +224,9 @@ class TestParameterFlattening:
     def test_architecture_pinned(self, num_scales):
         # The decoder rebuilds the network from the scale count alone; a
         # width change must fail here and come with a new container VERSION.
+        # One embedding row of 8 values is the only per-scale parameter.
         model = OccupancyModel(ModelConfig(num_scales=num_scales))
-        assert model.num_parameters() == 36588 + 992 * num_scales
+        assert model.num_parameters() == 37572 + 8 * num_scales
 
     def test_same_seed_same_init(self):
         a = OccupancyModel(ModelConfig(num_scales=3), seed=19)

@@ -148,6 +148,12 @@ class TestContainerStructure:
         assert len(blocks) == 2  # two groups: 2 + 1 frames
         assert len(spans) == 3
 
+    def test_gop_size_fits_header(self):
+        assert GopConfig(gop_size=0xFFFF).gop_size == 0xFFFF
+        for bad in (0, 0x10000, 70000):
+            with pytest.raises(ValueError, match="gop_size"):
+                GopConfig(gop_size=bad)
+
     def test_total_size_accounting(self):
         rng = np.random.default_rng(4)
         frames = [random_frame(rng, n=200)]
@@ -329,12 +335,13 @@ class TestDecodeRobustness:
 
     def test_summary_rejects_unsupported_version(self):
         data, _ = self.make_container()
-        corrupt = bytearray(data)
-        corrupt[4] = 9  # the version byte follows the 4-byte magic
-        with pytest.raises(DecodeError):
-            decode_sequence(bytes(corrupt))
-        with pytest.raises(DecodeError):
-            container_summary(bytes(corrupt))
+        for version in (1, 9):  # 1: the per-scale context MLPs
+            corrupt = bytearray(data)
+            corrupt[4] = version  # the version byte follows the 4-byte magic
+            with pytest.raises(DecodeError):
+                decode_sequence(bytes(corrupt))
+            with pytest.raises(DecodeError):
+                container_summary(bytes(corrupt))
 
     def test_more_scales_than_bit_depth_rejected(self):
         data, _ = self.make_container()
