@@ -22,8 +22,7 @@ probs = quantize_probabilities(rng.uniform(0.05, 0.95, size=n))
 bits = (rng.uniform(size=n) < probs / PROB_ONE).astype(int)
 
 enc = RangeEncoder()
-for p, b in zip(probs.tolist(), bits.tolist()):
-    enc.encode_bit(p, b)
+enc.encode_bits(probs, bits)
 payload = enc.finish()
 
 p1 = probs / PROB_ONE
@@ -33,13 +32,12 @@ print(f"{n} bits coded into {8 * len(payload)} bits; "
       f"(overhead {100 * (8 * len(payload) / ideal - 1):.3f}%)")
 
 dec = RangeDecoder(payload)
-decoded = [dec.decode_bit(p) for p in probs.tolist()]
-print(f"roundtrip exact: {decoded == bits.tolist()}")
+decoded = dec.decode_bits(probs)
+print(f"roundtrip exact: {np.array_equal(decoded, bits)}")
 
 # Near-certain bits cost almost nothing.
 enc = RangeEncoder()
-for _ in range(10_000):
-    enc.encode_bit(PROB_ONE - 1, 1)
+enc.encode_bits([PROB_ONE - 1] * 10_000, [1] * 10_000)
 print(f"\n10k near-certain bits -> {len(enc.finish())} bytes total")
 
 # The parameter coder discretizes a Laplace density into a 2^16 frequency
@@ -49,8 +47,7 @@ print(f"\nLaplace(127.5, 9) table: peak freq {table.freq.max()}, "
       f"floor {table.freq.min()}, total {table.freq.sum()}")
 symbols = rng.choice(256, size=5000, p=table.freq / PROB_ONE)
 enc = RangeEncoder()
-for s in symbols:
-    enc.encode_symbol(table.cum, int(s))
+enc.encode_symbols(table.cum, symbols)
 coded = enc.finish()
 print(f"5000 symbols: {8 * len(coded)} bits vs table entropy "
       f"{table.ideal_bits(symbols):.0f} bits "

@@ -18,7 +18,6 @@ from pathlib import Path
 from .errors import LinrError
 from .pipeline import (
     FILE_EXTENSION,
-    WARM_START_MODES,
     GopConfig,
     container_summary,
     decode_sequence,
@@ -36,7 +35,6 @@ _CODING_OPTIONS = {
     "seed": "seed",
     "bit_depth": "bit_depth",
     "stop_at": "stop_at",
-    "warm_start": "warm_start",
 }
 
 _CLOUD_SUFFIXES = (".ply", ".xyz", ".txt")
@@ -70,8 +68,7 @@ def _settings(args) -> dict:
         elif key == "seed" and "LINR_SEED" in os.environ:
             out[key] = int(os.environ["LINR_SEED"])
         elif file_cfg.get(key, "none") != "none":
-            raw = file_cfg[key]
-            out[key] = raw if key == "warm_start" else int(raw)
+            out[key] = int(file_cfg[key])
     return out
 
 
@@ -246,8 +243,6 @@ def _add_config_args(sub, with_coding=True):
         sub.add_argument("--bits", type=int, help="parameter quantization width")
         sub.add_argument("--seed", type=int)
         sub.add_argument("--stop-at", dest="stop_at", type=int)
-        sub.add_argument("--warm-start", dest="warm_start",
-                         choices=WARM_START_MODES)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -107,22 +107,16 @@ def fit_laplace(q: np.ndarray) -> LaplaceSideInfo:
 
 
 def compress_params(q: np.ndarray, side: LaplaceSideInfo, bits: int) -> bytes:
-    table = LaplaceTable(side.mu, side.b, bits)
     enc = RangeEncoder()
-    cum = table.cum
-    for s in np.asarray(q, dtype=np.int64):
-        enc.encode_symbol(cum, int(s))
+    enc.encode_symbols(LaplaceTable(side.mu, side.b, bits).cum, q)
     return enc.finish()
 
 
 def decompress_params(payload: bytes, header: QuantHeader,
                       side: LaplaceSideInfo) -> np.ndarray:
-    table = LaplaceTable(side.mu, side.b, header.bits)
     dec = RangeDecoder(payload)
-    cum = table.cum
-    q = np.empty(header.count, dtype=np.int64)
-    for i in range(header.count):
-        q[i] = dec.decode_symbol(cum)
+    q = dec.decode_symbols(LaplaceTable(side.mu, side.b, header.bits).cum,
+                           header.count)
     if dec.bits_consumed > len(payload) * 8 + 32:
         raise DecodeError("parameter payload truncated")
     return q

@@ -70,8 +70,6 @@ HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 _Header = namedtuple("_Header", "magic version bit_depth num_scales gop_size "
                                 "frame_count param_bits")
 
-WARM_START_MODES = ("random", "previous_gop")
-
 
 @dataclass
 class GopConfig:
@@ -82,7 +80,6 @@ class GopConfig:
     epochs_rest: int = 1
     bits: int = 8
     seed: int = 0
-    warm_start: str = "previous_gop"
     bit_depth: int = 10
     stop_at: int = 64
     l2_coeff: float = 1e-4
@@ -94,8 +91,6 @@ class GopConfig:
             raise ValueError("epoch counts must be >= 0")
         if not 1 <= self.bits <= 16:
             raise ValueError("bits must be in [1, 16]")
-        if self.warm_start not in WARM_START_MODES:
-            raise ValueError(f"warm_start must be one of {WARM_START_MODES}")
 
 
 @dataclass
@@ -271,9 +266,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
 
 def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
               num_scales: Optional[int] = None,
@@ -367,8 +359,7 @@ def _stage_encoder(pyramid, parts: list, records: list):
     def encode_stage(i, j, coarse, probs, quantized):
         bits_j = ((pyramid.masks(i) >> j) & 1).astype(np.int64)
         enc = RangeEncoder()
-        for p1, bit in zip(quantized.tolist(), bits_j.tolist()):
-            enc.encode_bit(p1, bit)
+        enc.encode_bits(quantized, bits_j)
         payload = enc.finish()
         parts.append(struct.pack("<I", len(payload)))
         parts.append(payload)
@@ -393,11 +384,7 @@ def _stage_decoder(payloads: list, stats: Optional[DecodeStats]):
     def decode_stage(i, j, coarse, probs, quantized):
         payload = next(payloads)
         dec = RangeDecoder(payload)
-        bits_j = np.fromiter(
-            (dec.decode_bit(p1) for p1 in quantized.tolist()),
-            dtype=np.int64,
-            count=len(quantized),
-        )
+        bits_j = dec.decode_bits(quantized)
         if dec.bits_consumed > 8 * len(payload) + 32:
             raise DecodeError(
                 f"occupancy payload truncated at scale {i} stage {j}"
@@ -446,9 +433,8 @@ def encode_sequence(frames, config: GopConfig):
     for gop_index, gop_frames in enumerate(groups):
         epochs = config.epochs_first if gop_index == 0 else config.epochs_rest
         if num_scales > 0:
-            init = prev_params if config.warm_start == "previous_gop" else None
             t0 = time.perf_counter()
-            trained = train_gop(gop_frames, config, init=init,
+            trained = train_gop(gop_frames, config, init=prev_params,
                                 num_scales=num_scales, epochs=epochs)
             training_seconds += time.perf_counter() - t0
             model, pyramids = trained.model, trained.pyramids
@@ -521,6 +507,7 @@ def _walk(data: bytes):
 
     The only reader of the container format.  Checks the header (magic,
     version, frame and group counts, no more scales than bits of depth),
+    that every parameter block has the header's width ``param_bits``,
     bounds every block and payload length by the bytes present, and rejects
     trailing bytes; decodes no parameters and no geometry.  Returns
     ``(header, groups)``: each group is ``(QuantHeader, LaplaceSideInfo,
@@ -543,6 +530,9 @@ def _walk(data: bytes):
     remaining = header.frame_count
     while remaining > 0:
         quant, side, payload, reader.pos = unpack_param_block(data, reader.pos)
+        if quant.bits != header.param_bits:
+            raise DecodeError(f"parameter block width {quant.bits} differs "
+                              f"from the header's {header.param_bits}")
         if header.num_scales == 0 and quant.count != 0:
             raise DecodeError("parameter block present but no scales to decode")
         frames = []
@@ -553,7 +543,7 @@ def _walk(data: bytes):
             frames.append((coords, payloads))
         groups.append((quant, side, payload, frames))
         remaining -= len(frames)
-    if not reader.done():
+    if reader.pos != len(data):
         raise DecodeError(
             f"{len(data) - reader.pos} trailing bytes after the last frame"
         )

@@ -235,8 +235,7 @@ class TestLosslessness:
     def test_roundtrip_multi_gop_warm_start(self):
         rng = np.random.default_rng(9)
         frames = [cube_frame(4, offset=k) for k in range(4)]
-        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1,
-                        warm_start="previous_gop", seed=5)
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1, seed=5)
         data, report = encode_sequence(frames, cfg)
         assert report.epochs_used == [2, 1]
         res = verify(data, frames)
@@ -349,6 +348,14 @@ class TestDecodeRobustness:
         corrupt[6] = corrupt[5] + 1  # num_scales follows the bit_depth byte
         for read in (decode_sequence, container_summary):
             with pytest.raises(DecodeError, match="exceed bit depth"):
+                read(bytes(corrupt))
+
+    def test_param_width_must_match_header(self):
+        data, _ = self.make_container()
+        corrupt = bytearray(data)
+        corrupt[HEADER_SIZE - 1] = 3  # param_bits closes the header
+        for read in (decode_sequence, container_summary):
+            with pytest.raises(DecodeError, match="width 8 differs"):
                 read(bytes(corrupt))
 
     def test_inflated_param_count_rejected_before_decoding(self):

@@ -3,10 +3,12 @@
 The length oracle is the empirical cross-entropy of the coded sequence,
 computed directly from the probabilities fed to the coder.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
-from linr.errors import NumericError
+from linr.errors import DecodeError, LinrError, NumericError
 from linr.rangecoder import (
     PROB_ONE,
     LaplaceTable,
@@ -141,34 +143,30 @@ class TestSymbolCoding:
         for mu in (-50.0, 0.0, 255.0, 500.0):
             table = LaplaceTable(mu, 2.0, bits=8)
             enc = RangeEncoder()
-            enc.encode_symbol(table.cum, 0)
-            enc.encode_symbol(table.cum, 255)
+            enc.encode_symbols(table.cum, [0, 255])
             payload = enc.finish()
             dec = RangeDecoder(payload)
-            assert dec.decode_symbol(table.cum) == 0
-            assert dec.decode_symbol(table.cum) == 255
+            assert dec.decode_symbols(table.cum, 2).tolist() == [0, 255]
 
     def test_degenerate_scale_roundtrips(self):
         table = LaplaceTable(128.0, 0.0, bits=8)
         assert table.freq[128] == PROB_ONE - 255
         enc = RangeEncoder()
-        for s in [128, 0, 255, 128, 7]:
-            enc.encode_symbol(table.cum, s)
+        enc.encode_symbols(table.cum, [128, 0, 255, 128, 7])
         dec = RangeDecoder(enc.finish())
-        assert [dec.decode_symbol(table.cum) for _ in range(5)] == [128, 0, 255, 128, 7]
+        assert dec.decode_symbols(table.cum, 5).tolist() == [128, 0, 255, 128, 7]
 
     def test_sampled_distribution_near_ideal(self):
         rng = np.random.default_rng(6)
         table = LaplaceTable(127.5, 9.0, bits=8)
         symbols = rng.choice(256, size=3000, p=table.freq / PROB_ONE)
         enc = RangeEncoder()
-        for s in symbols:
-            enc.encode_symbol(table.cum, int(s))
+        enc.encode_symbols(table.cum, symbols)
         payload = enc.finish()
         ideal = table.ideal_bits(symbols)
         assert len(payload) * 8 <= 1.02 * ideal + 32
         dec = RangeDecoder(payload)
-        decoded = [dec.decode_symbol(table.cum) for _ in range(3000)]
+        decoded = dec.decode_symbols(table.cum, 3000).tolist()
         assert decoded == symbols.tolist()
 
     def test_symbol_roundtrip_bulk(self):
@@ -178,10 +176,116 @@ class TestSymbolCoding:
             table = LaplaceTable((n_sym - 1) / 2.0, n_sym / 5.0, bits=bits)
             symbols = rng.integers(0, n_sym, size=2000)
             enc = RangeEncoder()
-            for s in symbols:
-                enc.encode_symbol(table.cum, int(s))
+            enc.encode_symbols(table.cum, symbols)
             dec = RangeDecoder(enc.finish())
-            assert [dec.decode_symbol(table.cum) for _ in range(2000)] == symbols.tolist()
+            assert dec.decode_symbols(table.cum, 2000).tolist() == symbols.tolist()
+
+
+def golden_runs():
+    """A seeded event sequence: runs of binary events at p1 in {1, 2^15,
+    65535} and at random values, each followed by Laplace symbols of width
+    1, 8 or 16 (first three symbols: both ends and the middle)."""
+    rng = np.random.default_rng(20261018)
+    runs = []
+    for width in (1, 8, 16):
+        n = 600
+        p1 = rng.choice([1, 1 << 15, 65535], size=n)
+        p1[::2] = rng.integers(1, 65536, size=(n + 1) // 2)
+        bits = rng.integers(0, 2, size=n)
+        runs.append(("bits", p1, bits))
+        levels = 1 << width
+        table = LaplaceTable(rng.uniform(0, levels - 1), levels / 7.0, width)
+        symbols = rng.choice(levels, size=300, p=table.freq / table.freq.sum())
+        symbols[:3] = (0, levels - 1, levels // 2)
+        runs.append(("symbols", table.cum, symbols))
+    return runs
+
+
+def encode_per_event(runs):
+    enc = RangeEncoder()
+    for kind, model, values in runs:
+        if kind == "bits":
+            for p1, bit in zip(model.tolist(), values.tolist()):
+                enc.encode_bit(p1, bit)
+        else:
+            for s in values.tolist():
+                enc.encode_symbols(model, [s])
+    return enc.finish()
+
+
+def encode_batch(runs):
+    enc = RangeEncoder()
+    for kind, model, values in runs:
+        if kind == "bits":
+            enc.encode_bits(model, values)
+        else:
+            enc.encode_symbols(model, values)
+    return enc.finish()
+
+
+def decode_per_event(payload, runs):
+    """Every run decoded one event per call; stops at the first error."""
+    dec = RangeDecoder(payload)
+    got = []
+    try:
+        for kind, model, values in runs:
+            for k in range(len(values)):
+                if kind == "bits":
+                    got.append(dec.decode_bit(int(model[k])))
+                else:
+                    got.extend(dec.decode_symbols(model, 1).tolist())
+    except LinrError:
+        pass
+    return got, dec.bits_consumed
+
+
+def decode_batch(payload, runs):
+    dec = RangeDecoder(payload)
+    got = []
+    for kind, model, values in runs:
+        if kind == "bits":
+            got.extend(dec.decode_bits(model).tolist())
+        else:
+            got.extend(dec.decode_symbols(model, len(values)).tolist())
+    return got, dec.bits_consumed
+
+
+class TestGoldenStream:
+    # The coder is pure integer arithmetic, so these bytes hold on every CPU.
+    SHA256 = "ca86d9ee7eb27e3cd7277654b7af508f8f2d6efdea94bc203c811ff5111569ba"
+
+    def test_payload_pinned(self):
+        payload = encode_per_event(golden_runs())
+        assert len(payload) == 1711
+        assert hashlib.sha256(payload).hexdigest() == self.SHA256
+
+    def test_batch_calls_give_identical_bytes(self):
+        runs = golden_runs()
+        assert encode_batch(runs) == encode_per_event(runs)
+
+    def test_roundtrip(self):
+        runs = golden_runs()
+        payload = encode_batch(runs)
+        want = [v for _, _, values in runs for v in values.tolist()]
+        for decode in (decode_per_event, decode_batch):
+            got, consumed = decode(payload, runs)
+            assert got == want
+            assert consumed <= 8 * len(payload) + 32
+
+    def test_junk_payloads_decode_alike(self):
+        rng = np.random.default_rng(11)
+        runs = golden_runs()
+        for n in (0, 1, 7, 64, 400, 3000):
+            junk = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+            batch, consumed = decode_batch(junk, runs)
+            assert decode_per_event(junk, runs) == (batch, consumed)
+
+    def test_truncated_payload_stops_at_once(self):
+        dec = RangeDecoder(b"")
+        assert len(dec.decode_bits([32768] * 10**6)) == 0
+        assert dec.bits_consumed == 33
+        with pytest.raises(DecodeError):
+            dec.decode_bit(32768)
 
 
 class TestLaplaceTable:
