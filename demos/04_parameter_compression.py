@@ -1,11 +1,14 @@
 """What happens to the network weights on their way into the bitstream:
-8-bit adaptive quantization, the Laplace fit, and entropy coding.
+8-bit adaptive quantization, the Laplace fit, entropy coding, and the
+delta block of a warm-started group.
 
 Run:  python3 demos/04_parameter_compression.py
 """
 import numpy as np
 
 from linr.params import (
+    BLOCK_HEADER_SIZE,
+    KIND_NAMES,
     compress_params,
     decompress_params,
     dequantize,
@@ -54,3 +57,17 @@ after = trained.model.flatten()
 print(f"reloaded model differs from the full-precision one by at most "
       f"{np.abs(after - before).max():.2e}, and re-quantizing reproduces "
       f"the same integers: {np.array_equal(quantize(after, 8)[1], q)}")
+
+# A warm group starts from the vector the decoder now holds and ships only
+# its change from it: a delta block, in steps of the group's own range.
+held = trained.model.flatten()
+warm = train_gop([generate_fixture("random", 400, seed=1, offset=1)],
+                 GopConfig(gop_size=1, seed=1, l2_coeff=1e-4), init=held,
+                 num_scales=trained.num_scales, epochs=1).model.flatten()
+for reference in (None, held):
+    h, q = quantize(warm, bits=8, reference=reference)
+    s = fit_laplace(q)
+    size = BLOCK_HEADER_SIZE + len(compress_params(q, s, bits=8))
+    err = np.abs(dequantize(h, q, reference) - warm).max()
+    print(f"warm group, {KIND_NAMES[h.kind]:>8} block: {size} bytes "
+          f"(worst error {err:.2e}, half a step {h.step / 2:.2e})")

@@ -36,6 +36,8 @@ _CODING_OPTIONS = {
     "bit_depth": "bit_depth",
     "stop_at": "stop_at",
 }
+# Every key a config file may set.
+_FILE_KEYS = (*_CODING_OPTIONS, "voxelize")
 
 _CLOUD_SUFFIXES = (".ply", ".xyz", ".txt")
 
@@ -49,7 +51,10 @@ def _parse_config_file(path: Path) -> dict:
         if "=" not in body:
             raise LinrError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in body.split("=", 1))
-        out[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key not in _FILE_KEYS:
+            raise LinrError(f"{path}:{lineno}: unknown option '{key}'")
+        out[key] = value
     return out
 
 
@@ -61,7 +66,7 @@ def _settings(args) -> dict:
     if getattr(args, "config", None):
         file_cfg = _parse_config_file(Path(args.config))
     out = {}
-    for key in (*_CODING_OPTIONS, "voxelize"):
+    for key in _FILE_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
@@ -198,6 +203,10 @@ def _cmd_stats(args) -> int:
         print(f"{name:<22}{nbytes:>10}{100 * nbytes / body:>8.2f}%"
               f"{100 * t / t_total:>9.2f}%")
     print(f"decode time {stats.total_seconds:.3f}s")
+    print(f"{'group':<8}{'param block':<14}{'bytes':>10}")
+    for k, (kind, nbytes) in enumerate(zip(summary["gop_param_kinds"],
+                                           summary["gop_param_bytes"])):
+        print(f"{k:<8}{kind:<14}{nbytes:>10}")
     if args.per_point_csv:
         rows = ["x,y,z,scale,bits"]
         for coords, scale, costs in stats.point_costs:

@@ -1,10 +1,12 @@
 """Group-of-frames orchestration and the bitstream container.
 
 Encoding a sequence: freeze the scale count from the first frame, split the
-frames into groups, overfit one network per group (warm-started from the
-previous group's pre-quantization parameters), quantize and reload the
+frames into groups, overfit one network per group, quantize and reload the
 network so both sides run identical arithmetic, then range-code every
-child-occupancy bit under the network's predictions.
+child-occupancy bit under the network's predictions.  Every group after the
+first warm-starts from the previous group's transmitted (dequantized)
+parameters, which the decoder holds too, and ships its parameters as a
+delta block against them when every change fits the symbol table.
 
 Encoder and decoder share one coding loop, :func:`_coding_pass`: per scale
 transition, coarse to fine, it computes the scale context and the global
@@ -18,7 +20,9 @@ Container layout (`.linr`, all integers little-endian):
 
     magic "LNRP", version u8, bit_depth u8, num_scales u8, gop_size u16,
     frame_count u32, param_bits u8
-    per group:  parameter block (see params.pack_param_block)
+    per group:  parameter block (see params.pack_param_block): absolute,
+                or delta against the previous group's parameters (never in
+                the first group)
     per frame:  lowest-scale block (point_count u32, then 3 x u16 per point)
                 per scale transition, coarse to fine, per stage 0..7:
                 a u32 length prefix plus the occupancy payload
@@ -41,6 +45,8 @@ from .errors import CountMismatchError, DecodeError, LinrError
 from .network import ModelConfig, NUM_STAGES, OccupancyModel
 from .params import (
     BLOCK_HEADER_SIZE,
+    DELTA,
+    KIND_NAMES,
     LaplaceSideInfo,
     QuantHeader,
     compress_params,
@@ -62,7 +68,7 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 2
+VERSION = 3
 FILE_EXTENSION = ".linr"
 
 _HEADER_FMT = "<4sBBBHIB"
@@ -142,6 +148,7 @@ class EncodeReport:
     num_scales: int
     header_bits: int
     gop_param_bits: list
+    gop_param_kinds: list  # per group, "absolute" or "delta"
     gop_frame_counts: list
     epochs_used: list
     # Per group, the training loss of every optimizer step in bits: one per
@@ -196,6 +203,7 @@ class EncodeReport:
             "allocation": self.allocation(),
             "occupancy_bits_by_scale": self.occupancy_by_scale(),
             "gop_param_bits": list(self.gop_param_bits),
+            "gop_param_kinds": list(self.gop_param_kinds),
             "gop_frame_counts": list(self.gop_frame_counts),
             "epochs_used": list(self.epochs_used),
             "gop_losses": [list(curve) for curve in self.gop_losses],
@@ -418,6 +426,7 @@ def encode_sequence(frames, config: GopConfig):
     parts = [header]
 
     gop_param_bits = []
+    gop_param_kinds = []
     gop_frame_counts = []
     epochs_used = []
     gop_losses = []
@@ -439,25 +448,25 @@ def encode_sequence(frames, config: GopConfig):
             training_seconds += time.perf_counter() - t0
             model, pyramids = trained.model, trained.pyramids
             gop_losses.append(trained.losses)
-            # Warm starts continue from the full-precision parameters, but
-            # coding always runs on the reloaded transmitted values.
-            prev_params = model.flatten()
-            q_header, q = quantize(prev_params, config.bits)
+            # The previous group's transmitted values are both this group's
+            # warm start and the reference of its delta block.
+            q_header, q = quantize(model.flatten(), config.bits,
+                                   reference=prev_params)
             side = fit_laplace(q)
             payload = compress_params(q, side, config.bits)
-            reload_dequantized(model, q_header, q)
+            reload_dequantized(model, q_header, q, prev_params)
+            prev_params = model.flatten()
             block = pack_param_block(q_header, side, payload)
         else:
             model = None
             gop_losses.append([])
             pyramids = [_pyramid(f, num_scales=0) for f in gop_frames]
-            block = pack_param_block(
-                QuantHeader(min=0.0, max=0.0, bits=config.bits, count=0),
-                LaplaceSideInfo(mu=0.0, b=0.0),
-                b"",
-            )
+            q_header = QuantHeader(min=0.0, max=0.0, bits=config.bits, count=0)
+            block = pack_param_block(q_header, LaplaceSideInfo(mu=0.0, b=0.0),
+                                     b"")
         parts.append(block)
         gop_param_bits.append(8 * len(block))
+        gop_param_kinds.append(KIND_NAMES[q_header.kind])
         gop_frame_counts.append(len(gop_frames))
         epochs_used.append(epochs)
 
@@ -488,6 +497,7 @@ def encode_sequence(frames, config: GopConfig):
         num_scales=num_scales,
         header_bits=8 * HEADER_SIZE,
         gop_param_bits=gop_param_bits,
+        gop_param_kinds=gop_param_kinds,
         gop_frame_counts=gop_frame_counts,
         epochs_used=epochs_used,
         gop_losses=gop_losses,
@@ -507,9 +517,10 @@ def _walk(data: bytes):
 
     The only reader of the container format.  Checks the header (magic,
     version, frame and group counts, no more scales than bits of depth),
-    that every parameter block has the header's width ``param_bits``,
-    bounds every block and payload length by the bytes present, and rejects
-    trailing bytes; decodes no parameters and no geometry.  Returns
+    that every parameter block has the header's width ``param_bits`` and a
+    known kind, and that the first is not a delta block, bounds every block
+    and payload length by the bytes present, and rejects trailing bytes;
+    decodes no parameters and no geometry.  Returns
     ``(header, groups)``: each group is ``(QuantHeader, LaplaceSideInfo,
     parameter payload, frames)``, each frame ``(lowest-scale coordinate
     bytes, occupancy payloads)`` with the payloads in container order.
@@ -533,6 +544,8 @@ def _walk(data: bytes):
         if quant.bits != header.param_bits:
             raise DecodeError(f"parameter block width {quant.bits} differs "
                               f"from the header's {header.param_bits}")
+        if quant.kind == DELTA and not groups:
+            raise DecodeError("delta parameter block in the first group")
         if header.num_scales == 0 and quant.count != 0:
             raise DecodeError("parameter block present but no scales to decode")
         frames = []
@@ -572,7 +585,8 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
                     f"model has {model.num_parameters()}"
                 )
             q = decompress_params(payload, quant, side)
-            reload_dequantized(model, quant, q)
+            reference = model.flatten() if quant.kind == DELTA else None
+            reload_dequantized(model, quant, q, reference)
         if stats is not None:
             stats.param_seconds += time.perf_counter() - t0
         for coords, payloads in blocks:
@@ -600,20 +614,24 @@ def container_summary(data: bytes) -> dict:
 
     Rejects every container whose layout :func:`decode_sequence` rejects.
     Returns totals per section plus per-scale occupancy bytes (length
-    prefixes included in their sections).
+    prefixes included in their sections) and each group's parameter block
+    bytes and kind.
     """
     header, groups = _walk(data)
     num_scales = header.num_scales
     blocks = [block for *_, frames in groups for block in frames]
     scale_bytes = {i: 0 for i in range(num_scales)}
+    gop_param_bytes = [BLOCK_HEADER_SIZE + len(payload)
+                       for _, _, payload, _ in groups]
     for _, payloads in blocks:
         for k, payload in enumerate(payloads):
             scale_bytes[num_scales - 1 - k // NUM_STAGES] += 4 + len(payload)
     return {
         "file_bytes": len(data),
         "header_bytes": HEADER_SIZE,
-        "param_bytes": sum(BLOCK_HEADER_SIZE + len(payload)
-                           for _, _, payload, _ in groups),
+        "param_bytes": sum(gop_param_bytes),
+        "gop_param_bytes": gop_param_bytes,
+        "gop_param_kinds": [KIND_NAMES[quant.kind] for quant, *_ in groups],
         "lowest_bytes": sum(4 + len(coords) for coords, _ in blocks),
         "scale_bytes": scale_bytes,
         "num_scales": num_scales,

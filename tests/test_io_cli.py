@@ -219,6 +219,18 @@ class TestCli:
         assert len(section_shares) == 3  # params, lowest, one scale
         assert sum(section_shares) == pytest.approx(100.0, abs=1e-6)
 
+    def test_stats_lists_each_group_block(self, tmp_path, sequence, capsys):
+        out = tmp_path / "s.linr"
+        args = self.encode_args(sequence, out)
+        args[args.index("--gop") + 1] = "2"  # groups of 2 + 1 frames
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["stats", "--input", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        top = next(k for k, line in enumerate(lines) if line.startswith("group"))
+        assert [row.split()[:2] for row in lines[top + 1:]] == [
+            ["0", "absolute"], ["1", "delta"]]
+
     def test_stats_csv(self, tmp_path, sequence):
         out = tmp_path / "s.linr"
         csv = tmp_path / "pp.csv"
@@ -253,6 +265,22 @@ class TestCli:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o.linr").exists()
+
+    @pytest.mark.parametrize("config_line", [
+        "warm_start = random",  # an option that no longer exists
+        "epoch_first = 0",      # a typo of epochs_first
+    ])
+    def test_unknown_config_key_exit_one(self, tmp_path, sequence, capsys,
+                                         config_line):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("seed = 3\n" + config_line + "\n")
+        out = tmp_path / "o.linr"
+        args = self.encode_args(sequence, out) + ["--config", str(cfg)]
+        assert main(args) == 1
+        key = config_line.split()[0]
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: unknown option '{key}'\n")
+        assert not out.exists()
 
     def test_config_precedence(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.conf"

@@ -9,7 +9,9 @@ import pytest
 
 from linr.errors import DecodeError, NumericError
 from linr.params import (
+    ABSOLUTE,
     BLOCK_HEADER_SIZE,
+    DELTA,
     LaplaceSideInfo,
     compress_params,
     decompress_params,
@@ -80,6 +82,60 @@ class TestDequantize:
             err = np.abs(dequantize(header, q) - v)
             assert err.max() <= (header.max - header.min) / 510
             total += n
+
+
+class TestDeltaQuantize:
+    def test_worked_example(self):
+        # Range [0, 2.55] at 8 bits: step 0.01, symbols offset by 128.
+        v = np.array([0.0, 1.0, 2.55])
+        ref = np.array([0.02, 1.0, 2.5])
+        header, q = quantize(v, bits=8, reference=ref)
+        assert header.kind == DELTA
+        assert header.step == pytest.approx(0.01, rel=1e-6)
+        assert q.tolist() == [126, 128, 133]
+        assert np.allclose(dequantize(header, q, ref), v, atol=header.step / 2)
+
+    def test_error_bound_random_vectors(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            v = rng.normal(scale=rng.uniform(0.01, 10), size=5000)
+            ref = v + rng.normal(scale=np.ptp(v) / 200, size=v.size)
+            header, q = quantize(v, bits=8, reference=ref)
+            assert header.kind == DELTA
+            err = np.abs(dequantize(header, q, ref) - v)
+            assert err.max() <= header.step / 2 * (1 + 1e-9)
+
+    def test_far_reference_falls_back_to_absolute(self):
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=1000)
+        header, q = quantize(v, bits=8, reference=v + 1000.0)
+        assert header.kind == ABSOLUTE
+        plain_header, plain_q = quantize(v, bits=8)
+        assert header == plain_header and np.array_equal(q, plain_q)
+        # One value out of reach is enough.
+        ref = v.copy()
+        ref[17] += 200 * (np.ptp(v) / 255)
+        assert quantize(v, bits=8, reference=ref)[0].kind == ABSOLUTE
+
+    def test_delta_needs_reference(self):
+        v = np.array([0.0, 1.0])
+        header, q = quantize(v, bits=8, reference=v)
+        assert q.tolist() == [128, 128]
+        assert np.array_equal(dequantize(header, q, v), v)
+        with pytest.raises(DecodeError):
+            dequantize(header, q)
+
+    def test_kind_survives_block_roundtrip(self):
+        v = np.linspace(-1, 1, 50)
+        header, q = quantize(v, bits=8, reference=v)
+        side = fit_laplace(q)
+        blob = pack_param_block(header, side, compress_params(q, side, 8))
+        h2, _, _, end = unpack_param_block(blob)
+        assert end == len(blob) and h2.kind == DELTA
+        bad = bytearray(blob)
+        bad[BLOCK_HEADER_SIZE - 1] = 2
+        with pytest.raises(DecodeError, match="kind"):
+            unpack_param_block(bytes(bad))
 
 
 class TestFitLaplace:

@@ -13,7 +13,7 @@ import pytest
 from linr import pipeline
 from linr.errors import CountMismatchError, DecodeError, LinrError
 from linr.network import NUM_STAGES, ModelConfig, OccupancyModel
-from linr.params import BLOCK_HEADER_SIZE, unpack_param_block
+from linr.params import BLOCK_HEADER_SIZE, quantize, unpack_param_block
 from linr.pipeline import (
     GopConfig,
     HEADER_SIZE,
@@ -206,6 +206,9 @@ class TestContainerStructure:
         assert summary["scale_bytes"] == {
             i: bits / 8 + 4 * NUM_STAGES * len(frames)
             for i, bits in report.occupancy_by_scale().items()}
+        assert [8 * b for b in summary["gop_param_bytes"]] == report.gop_param_bits
+        assert (summary["gop_param_kinds"] == report.to_dict()["gop_param_kinds"]
+                == ["absolute", "delta", "delta"])
 
     def test_single_point_frame_minimal_container(self):
         frame = SparseVoxelSet(np.array([[0, 0, 0]]))
@@ -238,6 +241,52 @@ class TestLosslessness:
         cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1, seed=5)
         data, report = encode_sequence(frames, cfg)
         assert report.epochs_used == [2, 1]
+        res = verify(data, frames)
+        assert res.ok, res.message
+
+    def test_multi_group_reload_handshake(self, monkeypatch):
+        # Per group: the trained vector and the one the encoder reloads,
+        # then the one the decoder reloads, each seen at the reload.
+        seen = {"encode": [], "decode": []}
+        reload = pipeline.reload_dequantized
+
+        def recording_reload(model, header, q, reference=None):
+            before = model.flatten()
+            reload(model, header, q, reference)
+            seen[side].append((before, model.flatten(), header))
+
+        monkeypatch.setattr(pipeline, "reload_dequantized", recording_reload)
+        rng = np.random.default_rng(23)
+        frames = [random_frame(rng, n=200) for _ in range(6)]
+        cfg = GopConfig(gop_size=2, epochs_first=1, epochs_rest=1, seed=3)
+        side = "encode"
+        data, report = encode_sequence(frames, cfg)
+        side = "decode"
+        decoded, _ = decode_sequence(data)
+        assert all(got == want for got, want in zip(decoded, frames))
+        assert report.gop_param_kinds == ["absolute", "delta", "delta"]
+        assert len(seen["encode"]) == len(seen["decode"]) == 3
+        for (trained, sent, header), (_, held, _) in zip(seen["encode"],
+                                                         seen["decode"]):
+            assert sent.tobytes() == held.tobytes()
+            # Half a step, plus the float32 rounding of the reloaded value.
+            err = np.abs(sent.astype(np.float64) - trained)
+            assert np.all(err <= header.step / 2 + np.spacing(np.abs(sent)))
+
+    def test_warm_group_falls_back_to_absolute_block(self, monkeypatch):
+        # Against a reference 1000 away no delta fits the 8-bit table.
+        def far_reference(v, bits, reference=None):
+            far = None if reference is None else reference + 1000.0
+            return quantize(v, bits, reference=far)
+
+        monkeypatch.setattr(pipeline, "quantize", far_reference)
+        rng = np.random.default_rng(24)
+        frames = [random_frame(rng, n=150) for _ in range(4)]
+        cfg = GopConfig(gop_size=2, epochs_first=1, epochs_rest=1, seed=5)
+        data, report = encode_sequence(frames, cfg)
+        assert report.num_scales > 0
+        assert report.gop_param_kinds == ["absolute", "absolute"]
+        assert container_summary(data)["gop_param_kinds"] == ["absolute"] * 2
         res = verify(data, frames)
         assert res.ok, res.message
 
@@ -334,7 +383,8 @@ class TestDecodeRobustness:
 
     def test_summary_rejects_unsupported_version(self):
         data, _ = self.make_container()
-        for version in (1, 9):  # 1: the per-scale context MLPs
+        # 1: the per-scale context MLPs; 2: no parameter block kind.
+        for version in (1, 2, 9):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):
@@ -356,6 +406,23 @@ class TestDecodeRobustness:
         corrupt[HEADER_SIZE - 1] = 3  # param_bits closes the header
         for read in (decode_sequence, container_summary):
             with pytest.raises(DecodeError, match="width 8 differs"):
+                read(bytes(corrupt))
+
+    def test_unknown_param_block_kind_rejected(self):
+        data, _ = self.make_container()
+        for kind in (2, 255):
+            corrupt = bytearray(data)
+            corrupt[HEADER_SIZE + BLOCK_HEADER_SIZE - 1] = kind  # closes the block header
+            for read in (decode_sequence, container_summary):
+                with pytest.raises(DecodeError, match="unknown parameter block kind"):
+                    read(bytes(corrupt))
+
+    def test_delta_block_in_first_group_rejected(self):
+        data, _ = self.make_container()
+        corrupt = bytearray(data)
+        corrupt[HEADER_SIZE + BLOCK_HEADER_SIZE - 1] = 1  # delta
+        for read in (decode_sequence, container_summary):
+            with pytest.raises(DecodeError, match="delta parameter block in the first"):
                 read(bytes(corrupt))
 
     def test_inflated_param_count_rejected_before_decoding(self):
