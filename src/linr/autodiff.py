@@ -5,12 +5,19 @@ accumulator.  Ops record backward closures micrograd-style; calling
 ``backward()`` on a scalar walks the graph in reverse topological order.
 Only the handful of ops the occupancy network needs exist here.
 
-Reductions run in a fixed order (offset-major, then point order), so a
-forward pass is bit-reproducible for identical inputs and parameters.
+Reductions run in a fixed order (offset-major, then point order), and the
+codec runs every BLAS call on one thread (:func:`one_blas_thread`), so a
+forward pass and a training step are bit-reproducible for identical inputs
+and parameters whatever the caller's BLAS thread count.  Float32 results
+still depend on the CPU kernel the BLAS picks.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import sys
+import threading
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +42,68 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """``(get, set)`` of the thread count of the OpenBLAS numpy calls, or ``()``.
+
+    Looked up in numpy's own extension module, whose symbol search also
+    covers the libraries it links, so this finds the OpenBLAS numpy loaded
+    and nothing else; once, at the first codec call.
+    """
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):
+        return ()
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return ()
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 0
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run BLAS on one thread inside; restore the caller's count on exit.
+
+    The codec's matmuls are at most 24 channels wide, too small to gain from
+    a second thread, whose worker spins a core and stalls some calls for
+    milliseconds; the thread count also changes float32 sums, and with them
+    the container bytes.  Nested and concurrent uses share one saved count,
+    which the last to leave restores, also when an exception is raised.  A
+    no-op where numpy's BLAS is not OpenBLAS.  Usable as a decorator.
+    """
+    global _blas_users, _blas_saved
+    fns = _openblas_threads()
+    if not fns:
+        yield
+        return
+    get, set_ = fns
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
 
 
 class Tensor:
@@ -234,7 +303,7 @@ def _add_rows(dst: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
     would keep only one of its sums, so callers pass the rows of one kernel
     offset, which never repeat.
     """
-    acc = np.take(dst, rows, axis=0)
+    acc = dst.take(rows, axis=0)
     acc += src
     if not dst.flags.c_contiguous:
         dst[rows] = acc
@@ -276,7 +345,7 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
         if in_rows is out_rows:
             out += x.data @ weight.data[k]
         else:
-            xk = np.take(x.data, in_rows, axis=0)
+            xk = x.data.take(in_rows, axis=0)
             _add_rows(out, out_rows, xk @ weight.data[k])
 
     def backward(g):
@@ -292,9 +361,9 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
             if out_rows.shape[0] == 0:
                 continue
             same = in_rows is out_rows
-            gk = g if same else np.take(g, out_rows, axis=0)
+            gk = g if same else g.take(out_rows, axis=0)
             if need_w:
-                xk = x.data if same else np.take(x.data, in_rows, axis=0)
+                xk = x.data if same else x.data.take(in_rows, axis=0)
                 weight.grad[k] += xk.T @ gk
             if need_x:
                 dx = gk @ weight.data[k].T

@@ -275,6 +275,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
+@ad.one_blas_thread()
 def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
               num_scales: Optional[int] = None,
               epochs: Optional[int] = None) -> TrainResult:
@@ -407,6 +408,7 @@ def _stage_decoder(payloads: list, stats: Optional[DecodeStats]):
     return decode_stage
 
 
+@ad.one_blas_thread()
 def encode_sequence(frames, config: GopConfig):
     """Encode a frame sequence; returns (container bytes, EncodeReport)."""
     if not frames:
@@ -563,6 +565,7 @@ def _walk(data: bytes):
     return header, groups
 
 
+@ad.one_blas_thread()
 def decode_sequence(data: bytes, collect_stats: bool = False):
     """Decode a container; returns (frames, DecodeStats or None)."""
     t_begin = time.perf_counter()

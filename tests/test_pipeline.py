@@ -4,12 +4,18 @@ The cardinal oracle is the roundtrip itself: decode(encode(x)) must equal x
 coordinate-exactly.  Structural cases parse the container with an
 independent walker built from the documented layout.
 """
+import os
 import struct
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linr import autodiff as ad
 from linr import pipeline
 from linr.errors import CountMismatchError, DecodeError, LinrError
 from linr.network import NUM_STAGES, ModelConfig, OccupancyModel
@@ -236,11 +242,22 @@ class TestLosslessness:
             assert got == want
 
     def test_roundtrip_multi_gop_warm_start(self):
-        rng = np.random.default_rng(9)
-        frames = [cube_frame(4, offset=k) for k in range(4)]
+        # 512 points per frame: one scale above the default stop_at, so each
+        # group trains and sends a network.
+        frames = [cube_frame(8, offset=k) for k in range(4)]
         cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1, seed=5)
         data, report = encode_sequence(frames, cfg)
+        assert report.num_scales >= 1
+        assert report.gop_param_kinds == ["absolute", "delta"]
         assert report.epochs_used == [2, 1]
+        res = verify(data, frames)
+        assert res.ok, res.message
+
+    def test_roundtrip_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(ad, "_openblas_threads", lambda: ())
+        rng = np.random.default_rng(25)
+        frames = [random_frame(rng, n=200)]
+        data, _ = encode_sequence(frames, GopConfig(gop_size=1, epochs_first=1))
         res = verify(data, frames)
         assert res.ok, res.message
 
@@ -486,6 +503,97 @@ class TestDeterminism:
         a, _ = encode_sequence(frames, GopConfig(gop_size=1, epochs_first=1, seed=1))
         b, _ = encode_sequence(frames, GopConfig(gop_size=1, epochs_first=1, seed=2))
         assert a != b
+
+
+# Two frames of an r=24 sphere shell, three epochs: run on the caller's two
+# BLAS threads, training splits some 24-channel weight gradients across
+# them, which changes float32 sums and the container bytes.
+_ENCODE_SCRIPT = """
+import hashlib
+from linr import GopConfig, encode_sequence, generate_fixture
+frames = [generate_fixture("sphere-shell", 24, offset=1 + k) for k in range(2)]
+data, _ = encode_sequence(frames, GopConfig(gop_size=2, epochs_first=3))
+print(hashlib.sha256(data).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not ad._openblas_threads(),
+                    reason="numpy's BLAS is not OpenBLAS")
+class TestBlasThreads:
+    @pytest.fixture
+    def two_threads(self):
+        """Set the process's BLAS thread count to 2 for the test."""
+        get, set_ = ad._openblas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_bytes_independent_of_caller_thread_count(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", _ENCODE_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
+
+    def test_public_calls_run_on_one_thread_and_restore(self, two_threads,
+                                                        monkeypatch):
+        get = two_threads
+        inside = []
+        coding_pass, adam_step = pipeline._coding_pass, ad.Adam.step
+
+        def recording_pass(*args):
+            inside.append(get())
+            return coding_pass(*args)
+
+        def recording_step(opt):
+            inside.append(get())
+            adam_step(opt)
+
+        monkeypatch.setattr(pipeline, "_coding_pass", recording_pass)
+        monkeypatch.setattr(ad.Adam, "step", recording_step)
+        rng = np.random.default_rng(24)
+        frames = [random_frame(rng, n=200)]
+        cfg = GopConfig(gop_size=1, epochs_first=1)
+        data, _ = encode_sequence(frames, cfg)
+        assert get() == 2
+        decoded, _ = decode_sequence(data)
+        assert get() == 2 and decoded[0] == frames[0]
+        train_gop(frames, cfg)
+        assert get() == 2
+        with pytest.raises(DecodeError):
+            decode_sequence(data[:-5])
+        assert get() == 2
+        assert inside and set(inside) == {1}
+
+    def test_concurrent_uses_restore_the_caller_count(self, two_threads):
+        get = two_threads
+        inside = []
+        interval = sys.getswitchinterval()
+
+        def worker():
+            for _ in range(2000):
+                with ad.one_blas_thread():
+                    with ad.one_blas_thread():
+                        inside.append(get())
+
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(inside) == 8000 and set(inside) == {1}
+        assert get() == 2
 
 
 class TestParameterWidth:
