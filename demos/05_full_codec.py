@@ -41,7 +41,7 @@ for f in report.frames:
 
 summary = container_summary(data)
 assert summary["file_bytes"] == len(data)
-decoded, stats = decode_sequence(data, collect_stats=True)
+decoded, stats = decode_sequence(data)
 print(f"\ndecode {stats.total_seconds:.2f}s "
       f"(parameters {stats.param_seconds:.3f}s)")
 result = verify(data, frames)

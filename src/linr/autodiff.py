@@ -29,19 +29,24 @@ BCE_EPS = 2.0 ** -20
 
 _LN2 = float(np.log(2.0))
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True  # the default of every thread
+
+
+_grad = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction (coding passes need no gradients)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction in this thread (coding passes need no
+    gradients); other threads keep training."""
+    prev = _grad.enabled
+    _grad.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad.enabled = prev
 
 
 @functools.cache
@@ -119,10 +124,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
@@ -130,9 +131,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph."""
@@ -182,16 +180,15 @@ class Parameter(Tensor):
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = tuple(parents)
         out._backward = backward
     return out
 
 
-def constant(data, dtype=None) -> Tensor:
-    arr = np.asarray(data, dtype=dtype)
-    return Tensor(arr)
+def constant(data) -> Tensor:
+    return Tensor(data)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

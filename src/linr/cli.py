@@ -178,14 +178,17 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     data = Path(args.input).read_bytes()
     summary = container_summary(data)
-    frames, stats = decode_sequence(data, collect_stats=True)
+    frames, stats = decode_sequence(data,
+                                    collect_stats=bool(args.per_point_csv))
     points = sum(len(f) for f in frames)
-    sections = [("decoder params", summary["param_bytes"]),
-                ("lowest scale", summary["lowest_bytes"])]
+    # (name, bytes, decode seconds) per section.
+    sections = [("decoder params", summary["param_bytes"], stats.param_seconds),
+                ("lowest scale", summary["lowest_bytes"], stats.lowest_seconds)]
     for scale in sorted(summary["scale_bytes"], reverse=True):
         sections.append((f"scale {scale} occupancy",
-                         summary["scale_bytes"][scale]))
-    body = sum(b for _, b in sections)
+                         summary["scale_bytes"][scale],
+                         stats.scale_seconds.get(scale, 0.0)))
+    body = sum(b for _, b, _ in sections)
     print(f"{summary['frame_count']} frames, {points} points, "
           f"{summary['file_bytes']} bytes "
           f"({8 * summary['file_bytes'] / points:.3f} bpp), "
@@ -193,13 +196,7 @@ def _cmd_stats(args) -> int:
           f"container header {summary['header_bytes']} bytes")
     print(f"{'section':<22}{'bytes':>10}{'share':>9}{'dec time':>10}")
     t_total = max(stats.total_seconds, 1e-9)
-    for name, nbytes in sections:
-        if name == "decoder params":
-            t = stats.param_seconds
-        elif name == "lowest scale":
-            t = stats.lowest_seconds
-        else:
-            t = stats.scale_seconds.get(int(name.split()[1]), 0.0)
+    for name, nbytes, t in sections:
         print(f"{name:<22}{nbytes:>10}{100 * nbytes / body:>8.2f}%"
               f"{100 * t / t_total:>9.2f}%")
     print(f"decode time {stats.total_seconds:.3f}s")

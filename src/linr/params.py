@@ -146,7 +146,7 @@ def decompress_params(payload: bytes, header: QuantHeader,
     dec = RangeDecoder(payload)
     q = dec.decode_symbols(LaplaceTable(side.mu, side.b, header.bits).cum,
                            header.count)
-    if dec.bits_consumed > len(payload) * 8 + 32:
+    if dec.truncated:
         raise DecodeError("parameter payload truncated")
     return q
 

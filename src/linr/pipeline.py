@@ -28,14 +28,16 @@ Container layout (`.linr`, all integers little-endian):
                 a u32 length prefix plus the occupancy payload
 
 One walker, :func:`_walk`, reads and validates this layout for both
-:func:`decode_sequence` and :func:`container_summary`.
+:func:`decode_sequence` and :func:`container_summary`.  Every decode times
+its parameter, lowest-scale and per-scale work (:class:`DecodeStats`); only
+the per-point bit costs are collected on request.
 """
 from __future__ import annotations
 
 import struct
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,9 +59,10 @@ from .params import (
     reload_dequantized,
     unpack_param_block,
 )
-from .rangecoder import RangeDecoder, RangeEncoder, quantize_probabilities
+from .rangecoder import PROB_ONE, RangeDecoder, RangeEncoder, quantize_probabilities
 from .voxel import (
     CHILD_OFFSETS,
+    MAX_BIT_DEPTH,
     ScalePyramid,
     SparseVoxelSet,
     build_pyramid,
@@ -106,10 +109,6 @@ class TrainResult:
     num_scales: int
     pyramids: list  # one per frame, in order: the training data
 
-    @property
-    def steps(self) -> int:
-        return len(self.losses)
-
 
 @dataclass
 class StageRecord:
@@ -135,12 +134,6 @@ class FrameRecord:
     def bpp(self) -> float:
         total = self.lowest_bits + self.occupancy_bits + self.param_bits_amortized
         return total / self.point_count
-
-    def occupancy_bits_by_scale(self) -> dict:
-        out: dict = {}
-        for rec in self.stages:
-            out[rec.scale] = out.get(rec.scale, 0) + rec.payload_bits
-        return out
 
 
 @dataclass
@@ -190,8 +183,8 @@ class EncodeReport:
     def occupancy_by_scale(self) -> dict:
         out: dict = {}
         for f in self.frames:
-            for scale, bits in f.occupancy_bits_by_scale().items():
-                out[scale] = out.get(scale, 0) + bits
+            for rec in f.stages:
+                out[rec.scale] = out.get(rec.scale, 0) + rec.payload_bits
         return dict(sorted(out.items()))
 
     def to_dict(self) -> dict:
@@ -219,15 +212,7 @@ class EncodeReport:
                     "lowest_bits": f.lowest_bits,
                     "occupancy_bits": f.occupancy_bits,
                     "param_bits_amortized": f.param_bits_amortized,
-                    "stages": [
-                        {
-                            "scale": s.scale,
-                            "stage": s.stage,
-                            "payload_bits": s.payload_bits,
-                            "estimated_bits": s.estimated_bits,
-                        }
-                        for s in f.stages
-                    ],
+                    "stages": [asdict(s) for s in f.stages],
                 }
                 for f in self.frames
             ],
@@ -236,6 +221,8 @@ class EncodeReport:
 
 @dataclass
 class DecodeStats:
+    """Where a decode spent its time; the per-point costs on request."""
+
     param_seconds: float = 0.0
     lowest_seconds: float = 0.0
     scale_seconds: dict = field(default_factory=dict)
@@ -248,7 +235,6 @@ class DecodeStats:
 class VerifyResult:
     ok: bool
     message: str
-    decode_seconds: float = 0.0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -386,23 +372,22 @@ def _stage_encoder(pyramid, parts: list, records: list):
     return encode_stage
 
 
-def _stage_decoder(payloads: list, stats: Optional[DecodeStats]):
-    """Stage callback of the decoder: range-decodes the next payload."""
+def _stage_decoder(payloads: list, point_costs: Optional[list]):
+    """Stage callback of the decoder: range-decodes the next payload, and
+    appends each decoded child's coded bits to ``point_costs`` if given."""
     payloads = iter(payloads)
 
     def decode_stage(i, j, coarse, probs, quantized):
-        payload = next(payloads)
-        dec = RangeDecoder(payload)
+        dec = RangeDecoder(next(payloads))
         bits_j = dec.decode_bits(quantized)
-        if dec.bits_consumed > 8 * len(payload) + 32:
+        if dec.truncated:
             raise DecodeError(
                 f"occupancy payload truncated at scale {i} stage {j}"
             )
-        if stats is not None and bits_j.any():
+        if point_costs is not None and bits_j.any():
             hit = bits_j == 1
             child = (coarse.coords[hit] << 1) + CHILD_OFFSETS[j]
-            cost = -np.log2(quantized[hit] / 65536.0)
-            stats.point_costs.append((child, i, cost))
+            point_costs.append((child, i, -np.log2(quantized[hit] / PROB_ONE)))
         return bits_j
 
     return decode_stage
@@ -518,14 +503,15 @@ def _walk(data: bytes):
     """Split a container into its sections, validating the layout.
 
     The only reader of the container format.  Checks the header (magic,
-    version, frame and group counts, no more scales than bits of depth),
-    that every parameter block has the header's width ``param_bits`` and a
-    known kind, and that the first is not a delta block, bounds every block
-    and payload length by the bytes present, and rejects trailing bytes;
-    decodes no parameters and no geometry.  Returns
-    ``(header, groups)``: each group is ``(QuantHeader, LaplaceSideInfo,
-    parameter payload, frames)``, each frame ``(lowest-scale coordinate
-    bytes, occupancy payloads)`` with the payloads in container order.
+    version, frame and group counts, a bit depth in [1, 16] as the encoder
+    writes, no more scales than bits of depth), that every parameter block
+    has the header's width ``param_bits`` and a known kind, and that the
+    first is not a delta block, bounds every block and payload length by
+    the bytes present, and rejects trailing bytes; decodes no parameters
+    and no geometry.  Returns ``(header, groups)``: each group is
+    ``(QuantHeader, LaplaceSideInfo, parameter payload, frames)``, each
+    frame ``(lowest-scale coordinate bytes, occupancy payloads)`` with the
+    payloads in container order.
     """
     reader = _Reader(data)
     header = _Header._make(struct.unpack(_HEADER_FMT, reader.take(HEADER_SIZE)))
@@ -535,6 +521,8 @@ def _walk(data: bytes):
         raise DecodeError(f"unsupported container version {header.version}")
     if header.frame_count < 1 or header.gop_size < 1:
         raise DecodeError("invalid frame or group count")
+    if not 1 <= header.bit_depth <= MAX_BIT_DEPTH:
+        raise DecodeError(f"invalid bit depth {header.bit_depth}")
     if header.num_scales > header.bit_depth:
         raise DecodeError(
             f"{header.num_scales} scales exceed bit depth {header.bit_depth}"
@@ -567,11 +555,16 @@ def _walk(data: bytes):
 
 @ad.one_blas_thread()
 def decode_sequence(data: bytes, collect_stats: bool = False):
-    """Decode a container; returns (frames, DecodeStats or None)."""
+    """Decode a container; returns (frames, DecodeStats).
+
+    The stats always carry the timings; ``collect_stats`` also fills
+    ``point_costs``.
+    """
     t_begin = time.perf_counter()
     header, groups = _walk(data)
     num_scales = header.num_scales
-    stats = DecodeStats() if collect_stats else None
+    stats = DecodeStats()
+    point_costs = stats.point_costs if collect_stats else None
     model = None
     if num_scales > 0:
         model = OccupancyModel(ModelConfig(num_scales=num_scales))
@@ -590,25 +583,18 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
             q = decompress_params(payload, quant, side)
             reference = model.flatten() if quant.kind == DELTA else None
             reload_dequantized(model, quant, q, reference)
-        if stats is not None:
-            stats.param_seconds += time.perf_counter() - t0
+        stats.param_seconds += time.perf_counter() - t0
         for coords, payloads in blocks:
             t0 = time.perf_counter()
             level = _coords_from_wire(coords, header.bit_depth)
-            if stats is not None:
-                stats.lowest_seconds += time.perf_counter() - t0
-            decode_stage = _stage_decoder(payloads, stats)
-            t_scale = time.perf_counter()
+            t1 = time.perf_counter()
+            stats.lowest_seconds += t1 - t0
+            decode_stage = _stage_decoder(payloads, point_costs)
             for i, level in _coding_pass(model, level, num_scales, decode_stage):
-                if stats is not None:
-                    now = time.perf_counter()
-                    stats.scale_seconds[i] = (
-                        stats.scale_seconds.get(i, 0.0) + now - t_scale
-                    )
-                    t_scale = now
+                t0, t1 = t1, time.perf_counter()
+                stats.scale_seconds[i] = stats.scale_seconds.get(i, 0.0) + t1 - t0
             frames.append(level)
-    if stats is not None:
-        stats.total_seconds = time.perf_counter() - t_begin
+    stats.total_seconds = time.perf_counter() - t_begin
     return frames, stats
 
 
@@ -648,25 +634,21 @@ def container_summary(data: bytes) -> dict:
 
 def verify(data: bytes, original_frames) -> VerifyResult:
     """Decode and compare against the originals, coordinate-exact."""
-    t0 = time.perf_counter()
     try:
         decoded, _ = decode_sequence(data)
     except LinrError as exc:
         return VerifyResult(False, f"decode failed: {exc}")
-    elapsed = time.perf_counter() - t0
     if len(decoded) != len(original_frames):
         return VerifyResult(
             False,
             f"frame count differs: container {len(decoded)}, "
             f"input {len(original_frames)}",
-            elapsed,
         )
     for k, (got, want) in enumerate(zip(decoded, original_frames)):
         if len(got) != len(want):
             return VerifyResult(
                 False,
                 f"frame {k}: {len(got)} points decoded, {len(want)} expected",
-                elapsed,
             )
         if not np.array_equal(got.coords, want.coords):
             row = int(np.nonzero(np.any(got.coords != want.coords, axis=1))[0][0])
@@ -674,6 +656,5 @@ def verify(data: bytes, original_frames) -> VerifyResult:
                 False,
                 f"frame {k}: first mismatch at row {row}: "
                 f"{got.coords[row].tolist()} != {want.coords[row].tolist()}",
-                elapsed,
             )
-    return VerifyResult(True, f"{len(decoded)} frames bit-exact", elapsed)
+    return VerifyResult(True, f"{len(decoded)} frames bit-exact")

@@ -29,8 +29,6 @@ _PLY_DTYPES = {
 
 @dataclass
 class ReadReport:
-    path: str
-    vertex_count: int
     duplicates: int
     skipped_properties: list
 
@@ -68,17 +66,12 @@ def read_cloud_report(path, bit_depth: int = 10, voxelize=None):
                 path=path,
             )
         coords = coords.astype(np.int64)
-    if coords.size and coords.min() < 0:
-        raise DepthError(f"{path}: negative voxel coordinates")
-    if coords.size and coords.max() >= (1 << bit_depth):
-        raise DepthError(
-            f"{path}: coordinates exceed {bit_depth}-bit range "
-            f"(max {int(coords.max())})"
-        )
-    pc = SparseVoxelSet(coords)
+    try:
+        pc = SparseVoxelSet(coords)
+        pc.check_bit_depth(bit_depth)
+    except DepthError as exc:
+        raise DepthError(f"{path}: {exc}") from None
     report = ReadReport(
-        path=str(path),
-        vertex_count=raw.shape[0],
         duplicates=raw.shape[0] - len(pc),
         skipped_properties=skipped,
     )
@@ -217,29 +210,22 @@ def write_cloud(pc: SparseVoxelSet, path, fmt: str = None) -> None:
         fmt = "xyz" if path.suffix.lower() in (".xyz", ".txt") else "binary"
     if fmt not in ("binary", "ascii", "xyz"):
         raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "xyz":
-        with open(path, "w") as fh:
-            for x, y, z in pc.coords:
-                fh.write(f"{x} {y} {z}\n")
-        return
-    header = (
-        "ply\n"
-        f"format {'binary_little_endian' if fmt == 'binary' else 'ascii'} 1.0\n"
-        f"element vertex {len(pc)}\n"
-        "property float x\n"
-        "property float y\n"
-        "property float z\n"
-        "end_header\n"
-    )
     if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(pc.coords.astype("<f4").tobytes())
+        body = pc.coords.astype("<f4").tobytes()
     else:
-        with open(path, "w") as fh:
-            fh.write(header)
-            for x, y, z in pc.coords:
-                fh.write(f"{x} {y} {z}\n")
+        body = "".join(f"{x} {y} {z}\n" for x, y, z in pc.coords.tolist()).encode()
+    if fmt != "xyz":
+        header = (
+            "ply\n"
+            f"format {'binary_little_endian' if fmt == 'binary' else 'ascii'} 1.0\n"
+            f"element vertex {len(pc)}\n"
+            "property float x\n"
+            "property float y\n"
+            "property float z\n"
+            "end_header\n"
+        )
+        body = header.encode() + body
+    path.write_bytes(body)
 
 
 def generate_fixture(kind: str, size: int, seed: int = 0,

@@ -12,7 +12,7 @@ the batch calls ``encode_bits`` / ``decode_bits`` and ``encode_symbols`` /
 Streams are not self-delimiting: the container records each payload's byte
 length, and the event count is known from the geometry.  The decoder reads
 zero bits past the end, as the terminator needs, but at most 32: at the
-33rd it stops and leaves the verdict to the caller's ``bits_consumed``.
+33rd it stops, and its ``truncated`` property gives the caller the verdict.
 """
 from __future__ import annotations
 
@@ -139,6 +139,12 @@ class RangeDecoder:
         lookahead); decoding stops at the first bit beyond them."""
         return self._bitpos
 
+    @property
+    def truncated(self) -> bool:
+        """True once decoding has read past the 32 padding bits: the
+        stream ended before its events did."""
+        return self.bits_consumed > len(self._bits)
+
     def _decode(self, cuts, cum=None, symbol_of=None) -> list:
         """Decode one event per cut, as :meth:`RangeEncoder._encode` coded
         it; a table symbol is ``symbol_of[target]``.  Returns the symbols,
@@ -223,11 +229,8 @@ class LaplaceTable:
     def __init__(self, mu: float, b: float, bits: int):
         if not 1 <= bits <= 16:
             raise ValueError("symbol width must be between 1 and 16 bits")
-        self.mu = float(mu)
-        self.b = float(b)
-        self.bits = bits
         n = 1 << bits
-        mass = self._bin_masses(self.mu, self.b, n)
+        mass = self._bin_masses(float(mu), float(b), n)
         freq = np.ones(n, dtype=np.int64)
         budget = PROB_ONE - n
         if budget > 0:

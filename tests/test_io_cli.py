@@ -1,5 +1,6 @@
 """File I/O, fixture, and command-line tests."""
 import os
+import re
 import struct
 
 import numpy as np
@@ -89,9 +90,14 @@ class TestPlyRead:
     def test_depth_error(self, tmp_path):
         p = tmp_path / "deep.xyz"
         p.write_text("2000 0 0\n")
-        with pytest.raises(DepthError):
+        with pytest.raises(DepthError, match=re.escape(f"{p}: ")):
             read_cloud(p, bit_depth=10)
         assert len(read_cloud(p, bit_depth=11)) == 1
+        with pytest.raises(DepthError, match="bit depth must be in"):
+            read_cloud(p, bit_depth=17)  # beyond what the encoder writes
+        p.write_text("-1 0 0\n")
+        with pytest.raises(DepthError, match=re.escape(f"{p}: negative")):
+            read_cloud(p)
 
     def test_unknown_extension(self, tmp_path):
         p = tmp_path / "c.pcd"
@@ -110,6 +116,17 @@ class TestWriteRead:
         path = tmp_path / f"cloud{suffix}"
         write_cloud(pc, path, fmt=fmt)
         assert read_cloud(path) == pc
+
+    def test_text_formats_exact_bytes(self, tmp_path):
+        pc = make_set([(0, 1, 2), (3, 40, 500)])
+        write_cloud(pc, tmp_path / "c.xyz", fmt="xyz")
+        write_cloud(pc, tmp_path / "c.ply", fmt="ascii")
+        rows = b"0 1 2\n3 40 500\n"
+        assert (tmp_path / "c.xyz").read_bytes() == rows
+        assert (tmp_path / "c.ply").read_bytes() == (
+            b"ply\nformat ascii 1.0\nelement vertex 2\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"end_header\n" + rows)
 
     def test_empty_set(self, tmp_path):
         pc = SparseVoxelSet(np.zeros((0, 3), dtype=np.int64))

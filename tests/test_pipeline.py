@@ -92,7 +92,7 @@ class TestTrainGop:
         out = train_gop(frames, cfg, init=init, epochs=0)
         np.testing.assert_array_equal(out.model.flatten(),
                                       init.astype(np.float32))
-        assert out.steps == 0
+        assert len(out.losses) == 0
 
     def test_deterministic_training(self):
         rng = np.random.default_rng(1)
@@ -107,7 +107,7 @@ class TestTrainGop:
         rng = np.random.default_rng(2)
         frames = [random_frame(rng, n=100) for _ in range(3)]
         out = train_gop(frames, GopConfig(gop_size=4, seed=0), epochs=2)
-        assert out.steps == 6  # one step per frame per epoch
+        assert len(out.losses) == 6  # one step per frame per epoch
 
     def test_one_pyramid_per_frame(self, monkeypatch):
         calls = []
@@ -125,6 +125,29 @@ class TestTrainGop:
         encode_sequence(frames, GopConfig(gop_size=2, epochs_first=0,
                                           epochs_rest=0))
         assert len(calls) == 3
+
+    def test_no_grad_in_another_thread_does_not_stop_training(self):
+        rng = np.random.default_rng(6)
+        frames = [random_frame(rng, n=150) for _ in range(2)]
+        cfg = GopConfig(gop_size=2, seed=0)
+        alone = train_gop(frames, cfg, epochs=3).losses
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with ad.no_grad():
+                entered.set()
+                release.wait(60)
+
+        holder = threading.Thread(target=hold_no_grad)
+        holder.start()
+        try:
+            assert entered.wait(60)
+            beside = train_gop(frames, cfg, epochs=3).losses
+        finally:
+            release.set()
+            holder.join(60)
+        assert not holder.is_alive()
+        assert beside == alone
 
     def test_report_carries_loss_curves(self):
         rng = np.random.default_rng(5)
@@ -215,6 +238,33 @@ class TestContainerStructure:
         assert [8 * b for b in summary["gop_param_bytes"]] == report.gop_param_bits
         assert (summary["gop_param_kinds"] == report.to_dict()["gop_param_kinds"]
                 == ["absolute", "delta", "delta"])
+
+    def test_report_and_summary_keys(self):
+        rng = np.random.default_rng(4)
+        frames = [random_frame(rng, n=120) for _ in range(2)]
+        data, report = encode_sequence(frames, GopConfig(gop_size=1,
+                                                         epochs_first=0,
+                                                         epochs_rest=0))
+        out = report.to_dict()
+        assert list(out) == [
+            "num_scales", "total_bits", "total_points", "bpp", "allocation",
+            "occupancy_bits_by_scale", "gop_param_bits", "gop_param_kinds",
+            "gop_frame_counts", "epochs_used", "gop_losses",
+            "training_seconds", "coding_seconds", "encode_seconds", "frames",
+        ]
+        assert list(out["frames"][0]) == [
+            "frame", "gop", "points", "bpp", "lowest_bits", "occupancy_bits",
+            "param_bits_amortized", "stages",
+        ]
+        assert list(out["frames"][0]["stages"][0]) == [
+            "scale", "stage", "payload_bits", "estimated_bits",
+        ]
+        assert list(container_summary(data)) == [
+            "file_bytes", "header_bytes", "param_bytes", "gop_param_bytes",
+            "gop_param_kinds", "lowest_bytes", "scale_bytes", "num_scales",
+            "frame_count", "gop_count", "gop_size", "bit_depth",
+            "param_bits_width",
+        ]
 
     def test_single_point_frame_minimal_container(self):
         frame = SparseVoxelSet(np.array([[0, 0, 0]]))
@@ -416,6 +466,16 @@ class TestDecodeRobustness:
         for read in (decode_sequence, container_summary):
             with pytest.raises(DecodeError, match="exceed bit depth"):
                 read(bytes(corrupt))
+
+    def test_bit_depth_outside_encoder_range_rejected(self):
+        data, _ = encode_sequence([cube_frame(3)],
+                                  GopConfig(gop_size=1, epochs_first=0))
+        for depth in (0, 17, 255):
+            corrupt = bytearray(data)
+            corrupt[5] = depth  # the bit_depth byte follows magic and version
+            for read in (decode_sequence, container_summary):
+                with pytest.raises(DecodeError, match="bit depth"):
+                    read(bytes(corrupt))
 
     def test_param_width_must_match_header(self):
         data, _ = self.make_container()
@@ -633,3 +693,16 @@ class TestDecodeStats:
             for lv in build_pyramid(frames[0], stop_at=64).levels[:-1]
         )
         assert total_listed == expected
+
+    def test_timings_without_point_costs(self):
+        rng = np.random.default_rng(19)
+        frames = [random_frame(rng, n=200)]
+        data, report = encode_sequence(frames, GopConfig(gop_size=1,
+                                                         epochs_first=0))
+        decoded, stats = decode_sequence(data)
+        assert decoded[0] == frames[0]
+        assert sorted(stats.scale_seconds) == list(range(report.num_scales))
+        assert stats.param_seconds > 0 and stats.lowest_seconds > 0
+        assert stats.total_seconds >= (stats.param_seconds + stats.lowest_seconds
+                                       + sum(stats.scale_seconds.values()))
+        assert stats.point_costs == []

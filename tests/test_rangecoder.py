@@ -284,8 +284,17 @@ class TestGoldenStream:
         dec = RangeDecoder(b"")
         assert len(dec.decode_bits([32768] * 10**6)) == 0
         assert dec.bits_consumed == 33
+        assert dec.truncated
         with pytest.raises(DecodeError):
             dec.decode_bit(32768)
+        # A healthy stream may read into the padding, but not past it.
+        enc = RangeEncoder()
+        enc.encode_bits([65535] * 100, [1] * 100)
+        payload = enc.finish()
+        dec = RangeDecoder(payload)
+        assert dec.decode_bits([65535] * 100).tolist() == [1] * 100
+        assert dec.bits_consumed > 8 * len(payload)
+        assert not dec.truncated
 
 
 class TestLaplaceTable:
