@@ -58,12 +58,14 @@ print(f"reloaded model differs from the full-precision one by at most "
       f"{np.abs(after - before).max():.2e}, and re-quantizing reproduces "
       f"the same integers: {np.array_equal(quantize(after, 8)[1], q)}")
 
-# A warm group starts from the vector the decoder now holds and ships only
-# its change from it: a delta block, in steps of the group's own range.
+# A warm group continues training from the vector the decoder now holds,
+# with the first group's optimizer state, as encode_sequence does, and
+# ships only its change from it: a delta block, in steps of the group's own
+# range.
 held = trained.model.flatten()
 warm = train_gop([generate_fixture("random", 400, seed=1, offset=1)],
-                 GopConfig(gop_size=1, seed=1, l2_coeff=1e-4), init=held,
-                 num_scales=trained.num_scales, epochs=1).model.flatten()
+                 GopConfig(gop_size=1, seed=1, l2_coeff=1e-4),
+                 epochs=1, resume=trained).model.flatten()
 for reference in (None, held):
     h, q = quantize(warm, bits=8, reference=reference)
     s = fit_laplace(q)

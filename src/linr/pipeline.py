@@ -1,12 +1,14 @@
 """Group-of-frames orchestration and the bitstream container.
 
 Encoding a sequence: freeze the scale count from the first frame, split the
-frames into groups, overfit one network per group, quantize and reload the
-network so both sides run identical arithmetic, then range-code every
-child-occupancy bit under the network's predictions.  Every group after the
-first warm-starts from the previous group's transmitted (dequantized)
-parameters, which the decoder holds too, and ships its parameters as a
-delta block against them when every change fits the symbol table.
+frames into groups, overfit the network to each group, quantize and reload
+the network so both sides run identical arithmetic, then range-code every
+child-occupancy bit under the network's predictions.  One model and one
+Adam run serve the whole sequence: every group after the first continues
+training from the previous group's transmitted (dequantized) parameters,
+which the decoder holds too, with the optimizer's moments and step count
+carried over, and ships its parameters as a delta block against them when
+every change fits the symbol table.
 
 Encoder and decoder share one coding loop, :func:`_coding_pass`: per scale
 transition, coarse to fine, it computes the scale context and the global
@@ -105,6 +107,7 @@ class GopConfig:
 @dataclass
 class TrainResult:
     model: OccupancyModel
+    optimizer: ad.Adam  # steps ``model``; ``train_gop(resume=...)`` continues it
     losses: list
     num_scales: int
     pyramids: list  # one per frame, in order: the training data
@@ -264,27 +267,42 @@ class _Reader:
 @ad.one_blas_thread()
 def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
               num_scales: Optional[int] = None,
-              epochs: Optional[int] = None) -> TrainResult:
+              epochs: Optional[int] = None,
+              resume: Optional[TrainResult] = None) -> TrainResult:
     """Overfit one network to a group of frames.
 
     A frame is a voxel set, or its pyramid when the caller has built it
     already with ``num_scales`` transitions.  One epoch is one optimizer
     step per frame, in container order.  When ``init`` is given it is
     loaded verbatim before training (the warm start); ``epochs=0`` returns
-    it untouched.
+    it untouched.  ``resume`` continues an earlier result instead: its
+    model, with whatever values it holds now, and its optimizer, whose
+    moments and step count carry on.  That result's model is trained in
+    place and shared with the one returned.
     """
     if not frames:
         raise ValueError("train_gop needs at least one frame")
+    if resume is not None:
+        if init is not None:
+            raise ValueError("train_gop takes init or resume, not both")
+        if num_scales not in (None, resume.num_scales):
+            raise ValueError(f"resume has {resume.num_scales} scales, "
+                             f"not {num_scales}")
+        num_scales = resume.num_scales
     if num_scales is None:
         frames = [build_pyramid(frames[0], stop_at=config.stop_at), *frames[1:]]
         num_scales = frames[0].num_scales
     pyramids = [_pyramid(f, num_scales=num_scales) for f in frames]
-    model = OccupancyModel(ModelConfig(num_scales=num_scales), seed=config.seed)
-    if init is not None:
-        model.load_flat(init)
+    if resume is not None:
+        model, opt = resume.model, resume.optimizer
+    else:
+        model = OccupancyModel(ModelConfig(num_scales=num_scales),
+                               seed=config.seed)
+        if init is not None:
+            model.load_flat(init)
+        opt = ad.Adam(model.parameters())
     if epochs is None:
         epochs = config.epochs_first
-    opt = ad.Adam(model.parameters())
     losses = []
     for _ in range(epochs):
         for pyr in pyramids:
@@ -293,8 +311,8 @@ def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
             loss.backward()
             opt.step()
             losses.append(loss.item())
-    return TrainResult(model=model, losses=losses, num_scales=num_scales,
-                       pyramids=pyramids)
+    return TrainResult(model=model, optimizer=opt, losses=losses,
+                       num_scales=num_scales, pyramids=pyramids)
 
 
 def _pyramid(frame, **how) -> ScalePyramid:
@@ -420,6 +438,7 @@ def encode_sequence(frames, config: GopConfig):
     frame_records = []
     training_seconds = 0.0
     coding_seconds = 0.0
+    trained = None  # the sequence's one model and optimizer, once built
     prev_params = None
 
     groups = [
@@ -430,13 +449,14 @@ def encode_sequence(frames, config: GopConfig):
         epochs = config.epochs_first if gop_index == 0 else config.epochs_rest
         if num_scales > 0:
             t0 = time.perf_counter()
-            trained = train_gop(gop_frames, config, init=prev_params,
-                                num_scales=num_scales, epochs=epochs)
+            trained = train_gop(gop_frames, config, num_scales=num_scales,
+                                epochs=epochs, resume=trained)
             training_seconds += time.perf_counter() - t0
             model, pyramids = trained.model, trained.pyramids
             gop_losses.append(trained.losses)
-            # The previous group's transmitted values are both this group's
-            # warm start and the reference of its delta block.
+            # The previous group's transmitted values, which the model held
+            # when this group's training began, are the reference of its
+            # delta block.
             q_header, q = quantize(model.flatten(), config.bits,
                                    reference=prev_params)
             side = fit_laplace(q)

@@ -2,7 +2,8 @@
 
 Supported formats: ascii PLY, binary little-endian PLY, and plain xyz text.
 Only the vertex x/y/z properties are used; other vertex properties are
-strided over and non-vertex elements are ignored with a warning.
+strided over, and elements declared after the vertex element are ignored
+with a warning.  An element before it is rejected.
 """
 from __future__ import annotations
 
@@ -116,9 +117,20 @@ def _read_ply(path: Path):
                 raise ParseError(f"unsupported format {tokens[1]!r}",
                                  path=path, location=f"line {lineno}")
         elif tokens[0] == "element":
+            # A count like "-1" or "3.0" would reach numpy as a row count.
+            if len(tokens) != 3 or not tokens[2].isdigit():
+                raise ParseError("element needs a name and a non-negative "
+                                 f"integer count: {line.strip()!r}",
+                                 path=path, location=f"line {lineno}")
             current_element = tokens[1]
             if current_element == "vertex":
                 vertex_count = int(tokens[2])
+            elif vertex_count is None:
+                # Its rows would come first in the body and be read as
+                # vertices.
+                raise ParseError(f"element {current_element!r} precedes "
+                                 "the vertex element",
+                                 path=path, location=f"line {lineno}")
             else:
                 skipped_elements.append(current_element)
         elif tokens[0] == "property" and current_element == "vertex":
@@ -258,6 +270,9 @@ def generate_fixture(kind: str, size: int, seed: int = 0,
         coords = np.concatenate([xy, np.zeros((len(xy), 1), dtype=np.int64)],
                                 axis=1)
     elif kind == "random":
+        if size > 1 << 30:
+            raise ValueError(f"a random fixture holds at most {1 << 30} "
+                             "points, the cells of the 10-bit cube")
         rng = np.random.default_rng((seed, offset))
         keys = np.empty(0, dtype=np.int64)
         while keys.size < size:

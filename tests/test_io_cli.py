@@ -99,6 +99,42 @@ class TestPlyRead:
         with pytest.raises(DepthError, match=re.escape(f"{p}: negative")):
             read_cloud(p)
 
+    @staticmethod
+    def three_point_ply(path, fmt, elements):
+        """A 3-point PLY whose header declares ``elements`` (header lines)."""
+        header = f"ply\nformat {fmt} 1.0\n{elements}end_header\n"
+        if fmt == "ascii":
+            body = b"1 2 3\n4 5 6\n7 8 9\n"
+        else:
+            body = struct.pack("<9f", 1, 2, 3, 4, 5, 6, 7, 8, 9)
+        path.write_bytes(header.encode() + body)
+
+    XYZ = "property float x\nproperty float y\nproperty float z\n"
+    FACE = "element face 1\nproperty list uchar int vertex_indices\n"
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize("elements, complaint", [
+        ("element vertex -1\n" + XYZ, "non-negative integer count"),
+        ("element vertex 3.0\n" + XYZ, "non-negative integer count"),
+        (FACE + "element vertex 3\n" + XYZ, "'face' precedes the vertex"),
+    ], ids=["negative-count", "float-count", "face-first"])
+    def test_bad_element_header(self, tmp_path, fmt, elements, complaint):
+        p = tmp_path / "bad.ply"
+        self.three_point_ply(p, fmt, elements)
+        with pytest.raises(ParseError, match=re.escape(complaint)) as err:
+            read_cloud(p)
+        assert str(err.value).startswith(f"{p}: ")
+        assert str(err.value).endswith("(at line 3)")
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_element_after_vertex_skipped(self, tmp_path, fmt):
+        p = tmp_path / "mesh.ply"
+        self.three_point_ply(p, fmt,
+                             "element vertex 3\n" + self.XYZ + self.FACE)
+        with pytest.warns(UserWarning, match="non-vertex elements"):
+            pc = read_cloud(p)
+        assert [tuple(r) for r in pc.coords] == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+
     def test_unknown_extension(self, tmp_path):
         p = tmp_path / "c.pcd"
         p.write_text("hi")
@@ -151,6 +187,17 @@ class TestFixtures:
         assert a == b and len(a) == 500
         c = generate_fixture("random", 500, seed=8)
         assert a != c
+
+    def test_random_beyond_the_cube_rejected(self, tmp_path, capsys):
+        # Raised before anything of that size is allocated.
+        size = (1 << 30) + 1
+        with pytest.raises(ValueError, match="10-bit cube"):
+            generate_fixture("random", size)
+        out = tmp_path / "r.ply"
+        assert main(["fixture", "--kind", "random", "--size", str(size),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_sphere_shell_matches_brute_force(self):
         r = 20

@@ -20,6 +20,7 @@ from linr import pipeline
 from linr.errors import CountMismatchError, DecodeError, LinrError
 from linr.network import NUM_STAGES, ModelConfig, OccupancyModel
 from linr.params import BLOCK_HEADER_SIZE, quantize, unpack_param_block
+from linr.plyio import generate_fixture
 from linr.pipeline import (
     GopConfig,
     HEADER_SIZE,
@@ -148,6 +149,62 @@ class TestTrainGop:
             holder.join(60)
         assert not holder.is_alive()
         assert beside == alone
+
+    @staticmethod
+    def record_adam_steps(monkeypatch):
+        """Patch Adam.step to log (optimizer, step count before the step)."""
+        seen = []
+        step = ad.Adam.step
+
+        def logged(opt):
+            seen.append((opt, opt.steps))
+            step(opt)
+
+        monkeypatch.setattr(ad.Adam, "step", logged)
+        return seen
+
+    def test_sequence_keeps_one_optimizer(self, monkeypatch):
+        seen = self.record_adam_steps(monkeypatch)
+        rng = np.random.default_rng(7)
+        frames = [random_frame(rng, n=80) for _ in range(5)]
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1)
+        _, report = encode_sequence(frames, cfg)
+        assert len(report.gop_losses) == 3
+        assert len(seen) == 4 + 2 + 1
+        assert all(opt is seen[0][0] for opt, _ in seen)
+        assert [steps for _, steps in seen] == list(range(len(seen)))
+
+    def test_resume_matches_encoder(self):
+        rng = np.random.default_rng(8)
+        frames = [random_frame(rng, n=120) for _ in range(4)]
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=2)
+        _, report = encode_sequence(frames, cfg)
+        first = train_gop(frames[:2], cfg, epochs=cfg.epochs_first)
+        header, q = quantize(first.model.flatten(), cfg.bits)
+        pipeline.reload_dequantized(first.model, header, q)
+        second = train_gop(frames[2:], cfg, epochs=cfg.epochs_rest,
+                           resume=first)
+        assert first.losses == report.gop_losses[0]
+        assert second.losses == report.gop_losses[1]
+        assert second.model is first.model
+        assert second.optimizer is first.optimizer
+        with pytest.raises(ValueError, match="not both"):
+            train_gop(frames[2:], cfg, init=q, resume=first)
+        with pytest.raises(ValueError, match="scales"):
+            train_gop(frames[2:], cfg, num_scales=first.num_scales + 1,
+                      resume=first)
+
+    def test_init_starts_a_fresh_optimizer(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        frames = [random_frame(rng, n=100)]
+        cfg = GopConfig(gop_size=1, seed=0)
+        first = train_gop(frames, cfg, epochs=2)
+        seen = self.record_adam_steps(monkeypatch)
+        warm = train_gop(frames, cfg, init=first.model.flatten(),
+                         num_scales=first.num_scales, epochs=2)
+        assert [steps for _, steps in seen] == [0, 1]
+        assert seen[0][0] is seen[1][0]
+        assert warm.model is not first.model
 
     def test_report_carries_loss_curves(self):
         rng = np.random.default_rng(5)
@@ -522,6 +579,49 @@ class TestDecodeRobustness:
             corrupt[pos] ^= 1 << bit
             res = verify(bytes(corrupt), frames)
             assert not res.ok
+
+
+class TestMutationFuzz:
+    """Seeded mutations of a real two-group container: every case must be
+    rejected with a codec error or decode to some frames, and quickly."""
+
+    BUDGET_S = 5.0
+
+    @staticmethod
+    def mutations(data, seed=20, per_kind=20):
+        rng = np.random.default_rng(seed)
+        for k in range(per_kind):
+            corrupt = bytearray(data)
+            for _ in range(int(rng.integers(1, 4))):
+                corrupt[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+            yield f"flip {k}", bytes(corrupt)
+            corrupt = bytearray(data)
+            struct.pack_into("<I", corrupt, int(rng.integers(len(data) - 3)),
+                             int(rng.integers(1 << 32)))
+            yield f"u32 {k}", bytes(corrupt)
+            yield f"cut {k}", data[:int(rng.integers(len(data)))]
+
+    def test_mutated_containers_fail_cleanly(self):
+        frames = [generate_fixture("sphere-shell", 6, offset=k) for k in range(3)]
+        data, report = encode_sequence(
+            frames, GopConfig(gop_size=2, epochs_first=1, epochs_rest=1))
+        assert report.gop_param_kinds == ["absolute", "delta"]
+        assert report.num_scales == 2
+        cases = list(self.mutations(data))
+        assert len(cases) == 60
+        for name, corrupt in cases:
+            for read in (decode_sequence, container_summary):
+                t0 = time.perf_counter()
+                try:
+                    out = read(corrupt)
+                except LinrError:
+                    pass
+                else:
+                    if read is decode_sequence:
+                        assert all(isinstance(f, SparseVoxelSet)
+                                   for f in out[0]), name
+                elapsed = time.perf_counter() - t0
+                assert elapsed < self.BUDGET_S, (name, read.__name__, elapsed)
 
 
 class TestVerify:
