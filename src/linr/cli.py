@@ -226,13 +226,15 @@ def _cmd_fixture(args) -> int:
         print(f"wrote {args.out} ({len(pc)} points)")
         return 0
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write([
+    # Generate first: a rejected --size must not leave an empty directory.
+    outputs = [
         (out_dir / f"frame_{k:04d}.ply",
          _cloud_writer(generate_fixture(args.kind, args.size, seed=seed, offset=k),
                        "binary"))
         for k in range(args.frames)
-    ])
+    ]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _atomic_write(outputs)
     print(f"wrote {args.frames} frames into {out_dir}")
     return 0
 

@@ -2,9 +2,17 @@
 
 One model serves every scale of every frame in a group: one row per scale
 of a learned scale embedding is all that tells the pyramid levels apart,
-while the context MLP, the feature extractors and the eight stage heads
-are shared.  Each stage head predicts, per parent voxel, the probability
-that one child slot is occupied, conditioned on the slots already coded.
+while the context MLP and the global feature extractor are shared.  Each
+of the eight stages predicts, per parent voxel, the probability that one
+child slot is occupied, conditioned on the slots already coded.
+
+The stages also share their convolutions: one local conv serves stages
+1-7 and one head conv serves all eight.  What is per stage is cheap and
+pointwise: the lift of the k coded slot columns to conv width (stage k
+reads k columns; stage 0 reads the global features alone) and the MLP
+that turns the head conv's features into a probability.  The 3x3x3
+convs dominate the parameter count, and the parameters travel in the
+bitstream, so sharing them is what keeps the transmitted network small.
 """
 from __future__ import annotations
 
@@ -77,34 +85,6 @@ class GlobalExtractor:
                 + self.block.parameters())
 
 
-class LocalExtractor:
-    """Features of the already-coded child slots feeding one stage."""
-
-    def __init__(self, rng, name, c_in, channels, dtype):
-        self.lift = ad.AffineLayer(rng, f"{name}.lift", c_in, channels, dtype)
-        self.conv = ad.SparseConvLayer(rng, f"{name}.conv", channels, channels, 3, dtype)
-
-    def __call__(self, x, voxels):
-        return self.conv(ad.relu(self.lift(x)), voxels)
-
-    def parameters(self):
-        return self.lift.parameters() + self.conv.parameters()
-
-
-class StageHead:
-    """Per-stage classifier: conv, pointwise MLP, sigmoid."""
-
-    def __init__(self, rng, name, channels, hidden, dtype):
-        self.conv = ad.SparseConvLayer(rng, f"{name}.conv", channels, channels, 3, dtype)
-        self.mlp = ad.Mlp(rng, f"{name}.mlp", channels, hidden, 1, dtype)
-
-    def __call__(self, merged, voxels):
-        return ad.sigmoid(self.mlp(self.conv(merged, voxels)))
-
-    def parameters(self):
-        return self.conv.parameters() + self.mlp.parameters()
-
-
 class OccupancyModel:
     """All learned parameters plus the forward passes of the codec.
 
@@ -125,20 +105,23 @@ class OccupancyModel:
                                   MLP_HIDDEN, MLP_HIDDEN, dtype)
         self.global_net = GlobalExtractor(rng, "global", MLP_HIDDEN, c, dtype)
         # Stage k conditions on the k slots before it; stage 0 on none.
-        self.local_nets = {
-            k: LocalExtractor(rng, f"local.{k}", k, c, dtype)
+        self.local_lifts = {
+            k: ad.AffineLayer(rng, f"local.lift.{k}", k, c, dtype)
             for k in range(1, NUM_STAGES)
         }
-        self.heads = [
-            StageHead(rng, f"head.{k}", c, MLP_HIDDEN, dtype)
+        self.local_conv = ad.SparseConvLayer(rng, "local.conv", c, c, 3, dtype)
+        self.head_conv = ad.SparseConvLayer(rng, "head.conv", c, c, 3, dtype)
+        self.head_mlps = [
+            ad.Mlp(rng, f"head.mlp.{k}", c, MLP_HIDDEN, 1, dtype)
             for k in range(NUM_STAGES)
         ]
         params = (self.embedding.parameters() + self.context_mlp.parameters()
-                  + self.global_net.parameters())
-        for j in sorted(self.local_nets):
-            params += self.local_nets[j].parameters()
-        for head in self.heads:
-            params += head.parameters()
+                  + self.global_net.parameters() + self.local_conv.parameters()
+                  + self.head_conv.parameters())
+        for k in sorted(self.local_lifts):
+            params += self.local_lifts[k].parameters()
+        for mlp in self.head_mlps:
+            params += mlp.parameters()
         self._params = {p.name: p for p in params}
         if len(self._params) != len(params):
             raise ValueError("duplicate parameter names")
@@ -205,8 +188,9 @@ class OccupancyModel:
             cum = ad.constant(
                 np.stack(coded_slots, axis=1).astype(self.dtype, copy=False)
             )
-            merged = ad.add(g_feat, self.local_nets[j](cum, coarse))
-        return self.heads[j](merged, coarse)
+            local = self.local_conv(ad.relu(self.local_lifts[j](cum)), coarse)
+            merged = ad.add(g_feat, local)
+        return ad.sigmoid(self.head_mlps[j](self.head_conv(merged, coarse)))
 
     def transition(self, context: ad.Tensor, coarse: SparseVoxelSet,
                    next_bits) -> np.ndarray:

@@ -73,7 +73,7 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 3
+VERSION = 4
 FILE_EXTENSION = ".linr"
 
 _HEADER_FMT = "<4sBBBHIB"
@@ -89,7 +89,7 @@ class GopConfig:
     gop_size: int = 32
     epochs_first: int = 6
     epochs_rest: int = 1
-    bits: int = 8
+    bits: int = 4
     seed: int = 0
     bit_depth: int = 10
     stop_at: int = 64

@@ -124,6 +124,10 @@ def _read_ply(path: Path):
                                  path=path, location=f"line {lineno}")
             current_element = tokens[1]
             if current_element == "vertex":
+                if vertex_count is not None:
+                    raise ParseError("second vertex element: "
+                                     f"{line.strip()!r}",
+                                     path=path, location=f"line {lineno}")
                 vertex_count = int(tokens[2])
             elif vertex_count is None:
                 # Its rows would come first in the body and be read as
@@ -139,6 +143,9 @@ def _read_ply(path: Path):
                                  path=path, location=f"line {lineno}")
             if tokens[1] not in _PLY_DTYPES:
                 raise ParseError(f"unknown property type {tokens[1]!r}",
+                                 path=path, location=f"line {lineno}")
+            if any(name == tokens[2] for name, _ in properties):
+                raise ParseError(f"repeated vertex property: {line.strip()!r}",
                                  path=path, location=f"line {lineno}")
             properties.append((tokens[2], _PLY_DTYPES[tokens[1]]))
     if fmt is None or vertex_count is None:

@@ -8,6 +8,7 @@ import pytest
 
 from linr.cli import build_parser, main, _build_config, _settings
 from linr.errors import DepthError, ParseError
+from linr.pipeline import GopConfig, container_summary
 from linr.plyio import (
     generate_fixture,
     read_cloud,
@@ -125,6 +126,19 @@ class TestPlyRead:
             read_cloud(p)
         assert str(err.value).startswith(f"{p}: ")
         assert str(err.value).endswith("(at line 3)")
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize("extra, complaint", [
+        ("element vertex 3\n", "second vertex element: 'element vertex 3'"),
+        ("property float x\n", "repeated vertex property: 'property float x'"),
+    ], ids=["second-vertex", "repeated-property"])
+    def test_repeated_vertex_declaration(self, tmp_path, fmt, extra, complaint):
+        p = tmp_path / "twice.ply"
+        self.three_point_ply(p, fmt, "element vertex 3\n" + self.XYZ + extra)
+        with pytest.raises(ParseError, match=re.escape(complaint)) as err:
+            read_cloud(p)
+        assert str(err.value).startswith(f"{p}: ")
+        assert str(err.value).endswith("(at line 7)")
 
     @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
     def test_element_after_vertex_skipped(self, tmp_path, fmt):
@@ -382,6 +396,20 @@ class TestCli:
         monkeypatch.setenv("LINR_SEED", "5")
         assert written() == generate_fixture("random", 200, seed=5)
         assert written("--seed", "2") == generate_fixture("random", 200, seed=2)
+
+    def test_rejected_fixture_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "frames"
+        assert main(["fixture", "--kind", "cube", "--size", "0",
+                     "--frames", "3", "--out", str(out)]) == 1
+        assert "size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_bits_reach_the_container(self, tmp_path, sequence):
+        out = tmp_path / "s.linr"
+        assert main(["encode", "--input", str(sequence), "--out", str(out),
+                     "--gop", "4", "--epochs-first", "1"]) == 0
+        summary = container_summary(out.read_bytes())
+        assert summary["param_bits_width"] == GopConfig().bits == 4
 
     def test_fixture_single_file(self, tmp_path):
         out = tmp_path / "ball.ply"

@@ -226,7 +226,40 @@ class TestParameterFlattening:
         # width change must fail here and come with a new container VERSION.
         # One embedding row of 8 values is the only per-scale parameter.
         model = OccupancyModel(ModelConfig(num_scales=num_scales))
-        assert model.num_parameters() == 37572 + 8 * num_scales
+        assert model.num_parameters() == 15004 + 8 * num_scales
+
+    def test_stage_convs_are_shared(self):
+        names = OccupancyModel(ModelConfig(num_scales=2))._flat_order
+        conv_weights = [n for n in names
+                        if n.startswith(("local.conv.", "head.conv."))
+                        and n.endswith(".weight")]
+        assert conv_weights == ["head.conv.weight", "local.conv.weight"]
+
+    @pytest.mark.parametrize("conv, changed", [
+        ("head_conv", set(range(NUM_STAGES))),
+        ("local_conv", set(range(1, NUM_STAGES))),
+    ])
+    def test_shared_conv_reaches_its_stages(self, conv, changed):
+        rng = np.random.default_rng(22)
+        pyr = toy_pyramid(rng, n=60)
+        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=22)
+        # A generic parameter point: fresh zero biases park the binary slot
+        # inputs on the ReLU kink, where a weight change can vanish.
+        model.load_flat(rng.normal(scale=0.4, size=model.num_parameters()))
+        coarse = pyr.levels[1]
+
+        def stage_probs():
+            ctx = model.scale_context(coarse, 0)
+            probs, _ = model.predict_children(ctx, coarse, pyr.masks(0))
+            return [p.data.copy() for p in probs]
+
+        before = stage_probs()
+        weight = getattr(model, conv).weight.data
+        weight += rng.normal(scale=0.1, size=weight.shape).astype(weight.dtype)
+        after = stage_probs()
+        differs = {j for j in range(NUM_STAGES)
+                   if not np.array_equal(before[j], after[j])}
+        assert differs == changed
 
     def test_same_seed_same_init(self):
         a = OccupancyModel(ModelConfig(num_scales=3), seed=19)

@@ -476,10 +476,11 @@ class TestPayloadVsEstimate:
 
 
 class TestDecodeRobustness:
-    def make_container(self):
+    def make_container(self, **config):
         rng = np.random.default_rng(12)
         frames = [random_frame(rng, n=150)]
-        data, _ = encode_sequence(frames, GopConfig(gop_size=1, epochs_first=1))
+        data, _ = encode_sequence(frames, GopConfig(gop_size=1, epochs_first=1,
+                                                    **config))
         return data, frames
 
     def test_truncation_always_detected(self):
@@ -535,7 +536,7 @@ class TestDecodeRobustness:
                     read(bytes(corrupt))
 
     def test_param_width_must_match_header(self):
-        data, _ = self.make_container()
+        data, _ = self.make_container(bits=8)
         corrupt = bytearray(data)
         corrupt[HEADER_SIZE - 1] = 3  # param_bits closes the header
         for read in (decode_sequence, container_summary):
