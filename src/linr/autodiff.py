@@ -502,29 +502,25 @@ class ScaleEmbedding:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# lr(t) = max(ADAM_LR_MIN, ADAM_LR0 * ADAM_DECAY^(t // ADAM_DECAY_EVERY)),
+# with t counting completed optimizer steps.
+ADAM_LR0 = 0.01
+ADAM_LR_MIN = 0.0004
+ADAM_DECAY = 0.992
+ADAM_DECAY_EVERY = 32
 
 
 class Adam:
-    """Adam with a step-decayed learning rate.
+    """Adam with the step-decayed learning rate lr(t) above."""
 
-    lr(t) = max(lr_min, lr0 * decay^(t // decay_every)), with t counting
-    completed optimizer steps.
-    """
-
-    def __init__(self, params: Iterable[Parameter], lr0: float = 0.01,
-                 lr_min: float = 0.0004, decay: float = 0.992,
-                 decay_every: int = 32):
+    def __init__(self, params: Iterable[Parameter]):
         self.params = sorted(params, key=lambda p: p.name)
-        self.lr0 = lr0
-        self.lr_min = lr_min
-        self.decay = decay
-        self.decay_every = decay_every
         self.steps = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def lr(self) -> float:
-        return max(self.lr_min, self.lr0 * self.decay ** (self.steps // self.decay_every))
+        return max(ADAM_LR_MIN, ADAM_LR0 * ADAM_DECAY ** (self.steps // ADAM_DECAY_EVERY))
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -46,45 +46,6 @@ class ModelConfig:
             raise ValueError("num_scales must be >= 0")
 
 
-class ResidualBlock:
-    """Two parallel conv branches, channel-concatenated, fused, plus skip."""
-
-    def __init__(self, rng, name, channels, dtype):
-        half = max(channels // 2, 1)
-        self.a1 = ad.SparseConvLayer(rng, f"{name}.a1", channels, half, 1, dtype)
-        self.a2 = ad.SparseConvLayer(rng, f"{name}.a2", half, half, 3, dtype)
-        self.b = ad.SparseConvLayer(rng, f"{name}.b", channels, half, 3, dtype)
-        self.fuse = ad.SparseConvLayer(rng, f"{name}.fuse", 2 * half, channels, 1, dtype)
-
-    def __call__(self, x, voxels):
-        branches = ad.concat_channels([self.a2(self.a1(x, voxels), voxels),
-                                       self.b(x, voxels)])
-        return ad.add(self.fuse(branches, voxels), x)
-
-    def parameters(self):
-        return (self.a1.parameters() + self.a2.parameters()
-                + self.b.parameters() + self.fuse.parameters())
-
-
-class GlobalExtractor:
-    """Shared deep features of the scale-context tensor, computed once per
-    scale and reused by all eight stages."""
-
-    def __init__(self, rng, name, c_in, channels, dtype):
-        self.conv_in = ad.SparseConvLayer(rng, f"{name}.conv_in", c_in, channels, 3, dtype)
-        # "block0": parameter names fix the order of the transmitted vector.
-        self.block = ResidualBlock(rng, f"{name}.block0", channels, dtype)
-        self.conv_out = ad.SparseConvLayer(rng, f"{name}.conv_out", channels, channels, 3, dtype)
-
-    def __call__(self, x, voxels):
-        h = self.block(ad.relu(self.conv_in(x, voxels)), voxels)
-        return self.conv_out(h, voxels)
-
-    def parameters(self):
-        return (self.conv_in.parameters() + self.conv_out.parameters()
-                + self.block.parameters())
-
-
 class OccupancyModel:
     """All learned parameters plus the forward passes of the codec.
 
@@ -103,7 +64,15 @@ class OccupancyModel:
         self.context_mlp = ad.Mlp(rng, "scale_mlp",
                                   NEIGHBOR_CHANNELS + EMBED_CHANNELS,
                                   MLP_HIDDEN, MLP_HIDDEN, dtype)
-        self.global_net = GlobalExtractor(rng, "global", MLP_HIDDEN, c, dtype)
+        # The global extractor; "block0" names its one residual block, since
+        # parameter names fix the order of the transmitted vector.
+        half = c // 2
+        self.global_in = ad.SparseConvLayer(rng, "global.conv_in", MLP_HIDDEN, c, 3, dtype)
+        self.global_a1 = ad.SparseConvLayer(rng, "global.block0.a1", c, half, 1, dtype)
+        self.global_a2 = ad.SparseConvLayer(rng, "global.block0.a2", half, half, 3, dtype)
+        self.global_b = ad.SparseConvLayer(rng, "global.block0.b", c, half, 3, dtype)
+        self.global_fuse = ad.SparseConvLayer(rng, "global.block0.fuse", 2 * half, c, 1, dtype)
+        self.global_out = ad.SparseConvLayer(rng, "global.conv_out", c, c, 3, dtype)
         # Stage k conditions on the k slots before it; stage 0 on none.
         self.local_lifts = {
             k: ad.AffineLayer(rng, f"local.lift.{k}", k, c, dtype)
@@ -115,13 +84,12 @@ class OccupancyModel:
             ad.Mlp(rng, f"head.mlp.{k}", c, MLP_HIDDEN, 1, dtype)
             for k in range(NUM_STAGES)
         ]
-        params = (self.embedding.parameters() + self.context_mlp.parameters()
-                  + self.global_net.parameters() + self.local_conv.parameters()
-                  + self.head_conv.parameters())
-        for k in sorted(self.local_lifts):
-            params += self.local_lifts[k].parameters()
-        for mlp in self.head_mlps:
-            params += mlp.parameters()
+        # The order of parameters(); gradient checks draw their probes in it.
+        layers = [self.embedding, self.context_mlp, self.global_in, self.global_out,
+                  self.global_a1, self.global_a2, self.global_b, self.global_fuse,
+                  self.local_conv, self.head_conv, *self.local_lifts.values(),
+                  *self.head_mlps]
+        params = [p for layer in layers for p in layer.parameters()]
         self._params = {p.name: p for p in params}
         if len(self._params) != len(params):
             raise ValueError("duplicate parameter names")
@@ -154,11 +122,6 @@ class OccupancyModel:
             p.data[...] = vec[pos:nxt].reshape(p.data.shape).astype(self.dtype)
             pos = nxt
 
-    def zero_(self) -> None:
-        """Set every parameter to zero (test anchor: all probabilities 0.5)."""
-        for p in self._params.values():
-            p.data[...] = 0
-
     # -- forward passes -----------------------------------------------------
 
     def scale_context(self, coarse: SparseVoxelSet, scale_index: int) -> ad.Tensor:
@@ -173,7 +136,14 @@ class OccupancyModel:
         return self.context_mlp(ad.concat_channels([nb, emb]))
 
     def global_features(self, context: ad.Tensor, coarse: SparseVoxelSet) -> ad.Tensor:
-        return self.global_net(context, coarse)
+        """Shared deep features of one scale, computed once for all eight
+        stages: conv_in, then a residual block of two parallel conv branches,
+        channel-concatenated and fused, then conv_out."""
+        x = ad.relu(self.global_in(context, coarse))
+        branches = ad.concat_channels([self.global_a2(self.global_a1(x, coarse), coarse),
+                                       self.global_b(x, coarse)])
+        h = ad.add(self.global_fuse(branches, coarse), x)
+        return self.global_out(h, coarse)
 
     def stage_probability(self, j: int, g_feat: ad.Tensor, coded_slots,
                           coarse: SparseVoxelSet) -> ad.Tensor:

@@ -142,7 +142,6 @@ class FrameRecord:
 @dataclass
 class EncodeReport:
     num_scales: int
-    header_bits: int
     gop_param_bits: list
     gop_param_kinds: list  # per group, "absolute" or "delta"
     gop_frame_counts: list
@@ -162,7 +161,7 @@ class EncodeReport:
     @property
     def total_bits(self) -> int:
         return (
-            self.header_bits
+            8 * HEADER_SIZE
             + sum(self.gop_param_bits)
             + sum(f.lowest_bits + f.occupancy_bits for f in self.frames)
         )
@@ -238,9 +237,6 @@ class DecodeStats:
 class VerifyResult:
     ok: bool
     message: str
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class _Reader:
@@ -502,7 +498,6 @@ def encode_sequence(frames, config: GopConfig):
 
     report = EncodeReport(
         num_scales=num_scales,
-        header_bits=8 * HEADER_SIZE,
         gop_param_bits=gop_param_bits,
         gop_param_kinds=gop_param_kinds,
         gop_frame_counts=gop_frame_counts,
@@ -525,11 +520,14 @@ def _walk(data: bytes):
     The only reader of the container format.  Checks the header (magic,
     version, frame and group counts, a bit depth in [1, 16] as the encoder
     writes, no more scales than bits of depth), that every parameter block
-    has the header's width ``param_bits`` and a known kind, and that the
-    first is not a delta block, bounds every block and payload length by
-    the bytes present, and rejects trailing bytes; decodes no parameters
-    and no geometry.  Returns ``(header, groups)``: each group is
-    ``(QuantHeader, LaplaceSideInfo, parameter payload, frames)``, each
+    has the header's width ``param_bits`` and a known kind, that the first
+    is not a delta block, and that each carries exactly as many parameters
+    as the model the header's scale count builds (none without scales);
+    rejects an empty lowest-scale block, bounds every block and payload
+    length by the bytes present, and rejects trailing bytes; decodes no
+    parameters and no geometry.  Returns ``(header, model, groups)``: the
+    model is that freshly built network (None without scales), each group
+    is ``(QuantHeader, LaplaceSideInfo, parameter payload, frames)``, each
     frame ``(lowest-scale coordinate bytes, occupancy payloads)`` with the
     payloads in container order.
     """
@@ -547,6 +545,12 @@ def _walk(data: bytes):
         raise DecodeError(
             f"{header.num_scales} scales exceed bit depth {header.bit_depth}"
         )
+    model = None
+    if header.num_scales > 0:
+        model = OccupancyModel(ModelConfig(num_scales=header.num_scales))
+    # The decoder's symbol loop runs ``count`` times, so the untrusted count
+    # is checked before any block is decoded.
+    count = model.num_parameters() if model is not None else 0
     groups = []
     remaining = header.frame_count
     while remaining > 0:
@@ -556,11 +560,15 @@ def _walk(data: bytes):
                               f"from the header's {header.param_bits}")
         if quant.kind == DELTA and not groups:
             raise DecodeError("delta parameter block in the first group")
-        if header.num_scales == 0 and quant.count != 0:
-            raise DecodeError("parameter block present but no scales to decode")
+        if quant.count != count:
+            raise CountMismatchError(f"block carries {quant.count} "
+                                     f"parameters, model has {count}")
         frames = []
         for _ in range(min(header.gop_size, remaining)):
-            coords = reader.take(6 * reader.u32())
+            num_points = reader.u32()
+            if num_points == 0:
+                raise DecodeError("empty lowest-scale block")
+            coords = reader.take(6 * num_points)
             payloads = [reader.take(reader.u32())
                         for _ in range(header.num_scales * NUM_STAGES)]
             frames.append((coords, payloads))
@@ -570,7 +578,7 @@ def _walk(data: bytes):
         raise DecodeError(
             f"{len(data) - reader.pos} trailing bytes after the last frame"
         )
-    return header, groups
+    return header, model, groups
 
 
 @ad.one_blas_thread()
@@ -581,25 +589,15 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
     ``point_costs``.
     """
     t_begin = time.perf_counter()
-    header, groups = _walk(data)
+    header, model, groups = _walk(data)
     num_scales = header.num_scales
     stats = DecodeStats()
     point_costs = stats.point_costs if collect_stats else None
-    model = None
-    if num_scales > 0:
-        model = OccupancyModel(ModelConfig(num_scales=num_scales))
 
     frames = []
     for quant, side, payload, blocks in groups:
         t0 = time.perf_counter()
         if model is not None:
-            # The symbol loop runs ``count`` times, so check the untrusted
-            # count before it starts.
-            if quant.count != model.num_parameters():
-                raise CountMismatchError(
-                    f"block carries {quant.count} parameters, "
-                    f"model has {model.num_parameters()}"
-                )
             q = decompress_params(payload, quant, side)
             reference = model.flatten() if quant.kind == DELTA else None
             reload_dequantized(model, quant, q, reference)
@@ -626,7 +624,7 @@ def container_summary(data: bytes) -> dict:
     prefixes included in their sections) and each group's parameter block
     bytes and kind.
     """
-    header, groups = _walk(data)
+    header, _, groups = _walk(data)
     num_scales = header.num_scales
     blocks = [block for *_, frames in groups for block in frames]
     scale_bytes = {i: 0 for i in range(num_scales)}

@@ -31,7 +31,6 @@ _PLY_DTYPES = {
 @dataclass
 class ReadReport:
     duplicates: int
-    skipped_properties: list
 
 
 def read_cloud(path, bit_depth: int = 10, voxelize=None) -> SparseVoxelSet:
@@ -41,7 +40,7 @@ def read_cloud(path, bit_depth: int = 10, voxelize=None) -> SparseVoxelSet:
 
 
 def read_cloud_report(path, bit_depth: int = 10, voxelize=None):
-    """Load a cloud plus a report of duplicates and skipped properties.
+    """Load a cloud plus a report of the duplicates it collapsed.
 
     Input coordinates must already be integer voxel positions unless
     ``voxelize`` gives a grid bit width, in which case the cloud is scaled
@@ -50,9 +49,9 @@ def read_cloud_report(path, bit_depth: int = 10, voxelize=None):
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ply":
-        raw, skipped = _read_ply(path)
+        raw = _read_ply(path)
     elif suffix in (".xyz", ".txt"):
-        raw, skipped = _read_xyz(path), []
+        raw = _read_xyz(path)
     else:
         raise ParseError(f"unsupported file extension {suffix!r}", path=path)
     if not np.all(np.isfinite(raw)):
@@ -72,11 +71,7 @@ def read_cloud_report(path, bit_depth: int = 10, voxelize=None):
         pc.check_bit_depth(bit_depth)
     except DepthError as exc:
         raise DepthError(f"{path}: {exc}") from None
-    report = ReadReport(
-        duplicates=raw.shape[0] - len(pc),
-        skipped_properties=skipped,
-    )
-    return pc, report
+    return pc, ReadReport(duplicates=raw.shape[0] - len(pc))
 
 
 def _voxelize(raw: np.ndarray, grid_bits: int) -> np.ndarray:
@@ -96,7 +91,11 @@ def _read_ply(path: Path):
     end = blob.find(b"end_header")
     if not blob.startswith(b"ply") or end < 0:
         raise ParseError("missing ply/end_header framing", path=path)
-    body_start = blob.index(b"\n", end) + 1
+    body_start = blob.find(b"\n", end) + 1
+    if body_start == 0:
+        end_line = blob.count(b"\n", 0, end) + 1
+        raise ParseError("end_header is not followed by a newline", path=path,
+                         location=f"line {end_line}")
     header_lines = blob[:end].decode("ascii", errors="replace").splitlines()
 
     fmt = None
@@ -109,6 +108,9 @@ def _read_ply(path: Path):
         if not tokens or tokens[0] == "comment" or tokens[0] == "ply":
             continue
         if tokens[0] == "format":
+            if len(tokens) < 2:
+                raise ParseError("format line names no format",
+                                 path=path, location=f"line {lineno}")
             if tokens[1] == "ascii":
                 fmt = "ascii"
             elif tokens[1] == "binary_little_endian":
@@ -138,6 +140,10 @@ def _read_ply(path: Path):
             else:
                 skipped_elements.append(current_element)
         elif tokens[0] == "property" and current_element == "vertex":
+            if len(tokens) < 3:
+                raise ParseError("property needs a type and a name: "
+                                 f"{line.strip()!r}",
+                                 path=path, location=f"line {lineno}")
             if tokens[1] == "list":
                 raise ParseError("list property in vertex element",
                                  path=path, location=f"line {lineno}")
@@ -196,7 +202,7 @@ def _read_ply(path: Path):
             except ValueError as exc:
                 raise ParseError(str(exc), path=path,
                                  location=f"vertex {k}") from exc
-    return out, skipped
+    return out
 
 
 def _read_xyz(path: Path) -> np.ndarray:

@@ -8,7 +8,8 @@ import pytest
 
 from linr.cli import build_parser, main, _build_config, _settings
 from linr.errors import DepthError, ParseError
-from linr.pipeline import GopConfig, container_summary
+from linr.params import unpack_param_block
+from linr.pipeline import HEADER_SIZE, GopConfig, container_summary
 from linr.plyio import (
     generate_fixture,
     read_cloud,
@@ -51,9 +52,8 @@ class TestPlyRead:
             "property float x\nproperty float y\nproperty float z\n"
             "property uchar red\nend_header\n1 2 3 255\n"
         )
-        with pytest.warns(UserWarning):
-            pc, report = read_cloud_report(p)
-        assert report.skipped_properties == ["red"]
+        with pytest.warns(UserWarning, match="red"):
+            pc = read_cloud(p)
         assert [tuple(r) for r in pc.coords] == [(1, 2, 3)]
 
     def test_binary_little_endian(self, tmp_path):
@@ -148,6 +148,22 @@ class TestPlyRead:
         with pytest.warns(UserWarning, match="non-vertex elements"):
             pc = read_cloud(p)
         assert [tuple(r) for r in pc.coords] == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+
+    @pytest.mark.parametrize("header, complaint, line", [
+        ("ply\nformat\nelement vertex 0\n" + XYZ + "end_header\n",
+         "format line names no format", 2),
+        ("ply\nformat ascii 1.0\nelement vertex 0\nproperty float\n" + XYZ
+         + "end_header\n", "property needs a type and a name", 4),
+        ("ply\nformat ascii 1.0\nelement vertex 0\n" + XYZ + "end_header",
+         "end_header is not followed by a newline", 7),
+    ], ids=["format-without-value", "short-property", "end-header-at-eof"])
+    def test_malformed_header_line(self, tmp_path, header, complaint, line):
+        p = tmp_path / "bad.ply"
+        p.write_text(header)
+        with pytest.raises(ParseError, match=re.escape(complaint)) as err:
+            read_cloud(p)
+        assert str(err.value).startswith(f"{p}: ")
+        assert str(err.value).endswith(f"(at line {line})")
 
     def test_unknown_extension(self, tmp_path):
         p = tmp_path / "c.pcd"
@@ -308,6 +324,18 @@ class TestCli:
         top = next(k for k, line in enumerate(lines) if line.startswith("group"))
         assert [row.split()[:2] for row in lines[top + 1:]] == [
             ["0", "absolute"], ["1", "delta"]]
+
+    def test_stats_rejects_empty_lowest_block(self, tmp_path, sequence, capsys):
+        out = tmp_path / "s.linr"
+        main(self.encode_args(sequence, out))
+        data = out.read_bytes()
+        pos = unpack_param_block(data, HEADER_SIZE)[-1]
+        (points,) = struct.unpack_from("<I", data, pos)
+        out.write_bytes(data[:pos] + struct.pack("<I", 0)
+                        + data[pos + 4 + 6 * points:])
+        capsys.readouterr()
+        assert main(["stats", "--input", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_stats_csv(self, tmp_path, sequence):
         out = tmp_path / "s.linr"

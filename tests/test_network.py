@@ -4,6 +4,8 @@ The staged-loss oracle recomputes the estimated bits outside the autodiff
 tape (plain numpy on the probability values); finite differences provide
 the gradient oracle for the full context + prediction composite.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ class TestStagedPrediction:
         rng = np.random.default_rng(3)
         pyr = toy_pyramid(rng, n=40)
         model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=3)
-        model.zero_()
+        model.load_flat(np.zeros(model.num_parameters()))
         coarse = pyr.levels[1]
         ctx = model.scale_context(coarse, 0)
         probs, loss = model.predict_children(ctx, coarse, pyr.masks(0))
@@ -148,7 +150,7 @@ class TestFrameLoss:
         rng = np.random.default_rng(10)
         pyr = toy_pyramid(rng, n=70)
         model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=10)
-        model.zero_()
+        model.load_flat(np.zeros(model.num_parameters()))
         parents = sum(len(pyr.levels[i + 1]) for i in range(pyr.num_scales))
         assert model.frame_loss(pyr).item() == 8.0 * parents
 
@@ -156,7 +158,7 @@ class TestFrameLoss:
         rng = np.random.default_rng(11)
         pyr = toy_pyramid(rng, n=30)
         model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=11)
-        model.zero_()
+        model.load_flat(np.zeros(model.num_parameters()))
         plain = model.frame_loss(pyr).item()
         with_l2 = model.frame_loss(pyr, l2_coeff=0.5).item()
         assert with_l2 == plain
@@ -260,6 +262,37 @@ class TestParameterFlattening:
         differs = {j for j in range(NUM_STAGES)
                    if not np.array_equal(before[j], after[j])}
         assert differs == changed
+
+    def test_wire_layout_pinned(self):
+        # The parameters() order fixes the finite-difference probe draws of
+        # c07, the names fix the order of the transmitted vector, and the
+        # hash fixes the seeded init (numpy's generator alone, no BLAS, so
+        # it is the same on every CPU).
+        def layer(name, weight):  # the bias takes the weight's last width
+            return [(f"{name}.weight", weight), (f"{name}.bias", weight[-1:])]
+
+        def mlp(name, c_in, hidden, c_out):
+            return (layer(f"{name}.inner", (c_in, hidden))
+                    + layer(f"{name}.outer", (hidden, c_out)))
+
+        expected = (
+            [("embed.table", (5, 8))] + mlp("scale_mlp", 15, 24, 24)
+            + layer("global.conv_in", (27, 24, 8))
+            + layer("global.conv_out", (27, 8, 8))
+            + layer("global.block0.a1", (1, 8, 4))
+            + layer("global.block0.a2", (27, 4, 4))
+            + layer("global.block0.b", (27, 8, 4))
+            + layer("global.block0.fuse", (1, 8, 8))
+            + layer("local.conv", (27, 8, 8)) + layer("head.conv", (27, 8, 8))
+            + [pair for k in range(1, 8) for pair in layer(f"local.lift.{k}", (k, 8))]
+            + [pair for k in range(8) for pair in mlp(f"head.mlp.{k}", 8, 24, 1)]
+        )
+        model = OccupancyModel(ModelConfig(num_scales=5), seed=0)
+        params = model.parameters()
+        assert [p.name for p in params] == [name for name, _ in expected]
+        assert {p.name: p.data.shape for p in params} == dict(expected)
+        assert hashlib.sha256(model.flatten().tobytes()).hexdigest() == (
+            "686a0559fbabdc08093d52020cea4bd2b0ea4f729c9ce8e72bfa87f7fcb5783c")
 
     def test_same_seed_same_init(self):
         a = OccupancyModel(ModelConfig(num_scales=3), seed=19)

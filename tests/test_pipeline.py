@@ -419,7 +419,7 @@ class TestLosslessness:
         frame = random_frame(rng, n=300)
         pyr = build_pyramid(frame, stop_at=64)
         model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales))
-        model.zero_()
+        model.load_flat(np.zeros(model.num_parameters()))
         base = pyr.levels[-1]
         parts, stages = [], []
         encode_stage = _stage_encoder(pyr, parts, stages)
@@ -562,13 +562,29 @@ class TestDecodeRobustness:
 
     def test_inflated_param_count_rejected_before_decoding(self):
         data, _ = self.make_container()
-        corrupt = bytearray(data)
+        no_scales, _ = encode_sequence([cube_frame(1)], GopConfig(gop_size=1))
         # count follows min, max, mu, b (f32 each) and bits (u8).
-        struct.pack_into("<I", corrupt, HEADER_SIZE + 17, 1_000_000)
-        t0 = time.perf_counter()
-        with pytest.raises(CountMismatchError):
-            decode_sequence(bytes(corrupt))
-        assert time.perf_counter() - t0 < 1.0
+        at = HEADER_SIZE + 17
+        (count,) = struct.unpack_from("<I", data, at)
+        for container, inflated in ((data, count + 1), (data, 1_000_000),
+                                    (no_scales, 1)):
+            corrupt = bytearray(container)
+            struct.pack_into("<I", corrupt, at, inflated)
+            for read in (decode_sequence, container_summary):
+                t0 = time.perf_counter()
+                with pytest.raises(CountMismatchError):
+                    read(bytes(corrupt))
+                assert time.perf_counter() - t0 < 1.0
+
+    def test_empty_lowest_scale_block_rejected(self):
+        # The encoder never writes one: build_pyramid rejects empty clouds.
+        data, _ = self.make_container()
+        pos = unpack_param_block(data, HEADER_SIZE)[-1]
+        (points,) = struct.unpack_from("<I", data, pos)
+        corrupt = data[:pos] + struct.pack("<I", 0) + data[pos + 4 + 6 * points:]
+        for read in (decode_sequence, container_summary):
+            with pytest.raises(DecodeError, match="empty lowest-scale block"):
+                read(corrupt)
 
     def test_bit_flip_never_verifies(self):
         data, frames = self.make_container()
