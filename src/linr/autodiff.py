@@ -508,6 +508,13 @@ ADAM_LR0 = 0.01
 ADAM_LR_MIN = 0.0004
 ADAM_DECAY = 0.992
 ADAM_DECAY_EVERY = 32
+# Relative slack of Adam.max_displacement for the float32 rounding of the
+# moments and the update; that rounding is a few ulps per step.
+ADAM_BOUND_MARGIN = 1e-3
+
+
+def _adam_lr(steps: int) -> float:
+    return max(ADAM_LR_MIN, ADAM_LR0 * ADAM_DECAY ** (steps // ADAM_DECAY_EVERY))
 
 
 class Adam:
@@ -520,7 +527,30 @@ class Adam:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def lr(self) -> float:
-        return max(ADAM_LR_MIN, ADAM_LR0 * ADAM_DECAY ** (self.steps // ADAM_DECAY_EVERY))
+        return _adam_lr(self.steps)
+
+    def max_displacement(self, steps: int) -> float:
+        """The largest total move of any parameter over the next ``steps``
+        steps, whatever the gradients, past and future.
+
+        m_t and v_t weigh the same gradients, so by Cauchy-Schwarz
+        |m_t| <= (1 - b1) sqrt(sum_{j<t} (b1^2/b2)^j) sqrt(v_t / (1 - b2)),
+        and the step that brings the count to t moves a parameter by at
+        most lr(t-1) |m_t| / (1 - b1^t) / sqrt(v_t / (1 - b2^t)) (Kingma &
+        Ba, ICLR 2015, section 2.1); ADAM_EPS only shrinks it.  On top come
+        ADAM_BOUND_MARGIN and, per step, the rounding of the subtraction:
+        one ulp of the largest magnitude a parameter can reach.
+        """
+        r = ADAM_BETA1 ** 2 / ADAM_BETA2
+        scale = (1.0 - ADAM_BETA1) / np.sqrt((1.0 - ADAM_BETA2) * (1.0 - r))
+        move = 0.0
+        for t in range(self.steps + 1, self.steps + steps + 1):
+            move += (_adam_lr(t - 1) * scale * np.sqrt(1.0 - r ** t)
+                     * np.sqrt(1.0 - ADAM_BETA2 ** t) / (1.0 - ADAM_BETA1 ** t))
+        move *= 1.0 + ADAM_BOUND_MARGIN
+        ulp = max((np.finfo(p.data.dtype).eps * (np.abs(p.data).max() + move)
+                   for p in self.params if p.data.size), default=0.0)
+        return float(move + steps * ulp)
 
     def zero_grad(self) -> None:
         for p in self.params:

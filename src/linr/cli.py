@@ -42,7 +42,16 @@ _FILE_KEYS = (*_CODING_OPTIONS, "voxelize")
 _CLOUD_SUFFIXES = (".ply", ".xyz", ".txt")
 
 
+def _integer(text: str, where: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise LinrError(f"{where}: option '{key}' needs an integer, "
+                        f"not {text!r}") from None
+
+
 def _parse_config_file(path: Path) -> dict:
+    """The file's options; the value ``none`` leaves an option unset."""
     out = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -54,7 +63,8 @@ def _parse_config_file(path: Path) -> dict:
         key = key.replace("-", "_")
         if key not in _FILE_KEYS:
             raise LinrError(f"{path}:{lineno}: unknown option '{key}'")
-        out[key] = value
+        out[key] = (None if value == "none"
+                    else _integer(value, f"{path}:{lineno}", key))
     return out
 
 
@@ -71,9 +81,9 @@ def _settings(args) -> dict:
         if flag is not None:
             out[key] = flag
         elif key == "seed" and "LINR_SEED" in os.environ:
-            out[key] = int(os.environ["LINR_SEED"])
-        elif file_cfg.get(key, "none") != "none":
-            out[key] = int(file_cfg[key])
+            out[key] = _integer(os.environ["LINR_SEED"], "LINR_SEED", key)
+        elif file_cfg.get(key) is not None:
+            out[key] = file_cfg[key]
     return out
 
 
@@ -247,7 +257,10 @@ def _add_config_args(sub, with_coding=True):
     if with_coding:
         sub.add_argument("--gop", type=int, help="frames per group")
         sub.add_argument("--epochs-first", dest="epochs_first", type=int)
-        sub.add_argument("--epochs-rest", dest="epochs_rest", type=int)
+        sub.add_argument("--epochs-rest", dest="epochs_rest", type=int,
+                         help="epoch budget of each later (warm) group; a "
+                              "group that provably cannot change the "
+                              "transmitted parameters runs none")
         sub.add_argument("--bits", type=int, help="parameter quantization width")
         sub.add_argument("--seed", type=int)
         sub.add_argument("--stop-at", dest="stop_at", type=int)

@@ -106,6 +106,19 @@ def quantize(params: np.ndarray, bits: int = 8,
     return header, np.clip(q, 0, levels).astype(np.int64)
 
 
+def zero_delta_within(reference: np.ndarray, radius: float, bits: int) -> bool:
+    """Whether every vector within ``radius`` of ``reference``, in every
+    coordinate, quantizes against it to an all-zero delta at ``bits``.
+
+    Such a vector spans at least range(reference) - 2 radius, and the
+    float32 bounds of its range only widen that, so its step is at least
+    (range(reference) - 2 radius) / (2^bits - 1); every distance rounds to
+    zero steps when the radius is under half of that.
+    """
+    span = float(np.max(reference) - np.min(reference))
+    return radius < (span - 2.0 * radius) / (2.0 * ((1 << bits) - 1))
+
+
 def dequantize(header: QuantHeader, q: np.ndarray,
                reference: Optional[np.ndarray] = None) -> np.ndarray:
     """Map quantized integers back to reals; an absolute block is exact at

@@ -8,7 +8,9 @@ Adam run serve the whole sequence: every group after the first continues
 training from the previous group's transmitted (dequantized) parameters,
 which the decoder holds too, with the optimizer's moments and step count
 carried over, and ships its parameters as a delta block against them when
-every change fits the symbol table.
+every change fits the symbol table.  A warm group whose step budget
+provably cannot move any parameter by half a quantization step
+(:meth:`Adam.max_displacement`) runs no epoch and ships the all-zero delta.
 
 Encoder and decoder share one coding loop, :func:`_coding_pass`: per scale
 transition, coarse to fine, it computes the scale context and the global
@@ -60,6 +62,7 @@ from .params import (
     quantize,
     reload_dequantized,
     unpack_param_block,
+    zero_delta_within,
 )
 from .rangecoder import PROB_ONE, RangeDecoder, RangeEncoder, quantize_probabilities
 from .voxel import (
@@ -145,9 +148,9 @@ class EncodeReport:
     gop_param_bits: list
     gop_param_kinds: list  # per group, "absolute" or "delta"
     gop_frame_counts: list
-    epochs_used: list
+    epochs_used: list  # per group, the epochs it ran: 0 for a skipped warm group
     # Per group, the training loss of every optimizer step in bits: one per
-    # frame per epoch, in training order (empty when there are no scales).
+    # frame per epoch, in training order (empty without scales or epochs).
     gop_losses: list
     frames: list
     training_seconds: float
@@ -444,6 +447,14 @@ def encode_sequence(frames, config: GopConfig):
     for gop_index, gop_frames in enumerate(groups):
         epochs = config.epochs_first if gop_index == 0 else config.epochs_rest
         if num_scales > 0:
+            # A warm group whose step budget cannot move any parameter by
+            # half a step of its delta block would code R unchanged: it
+            # skips training, keeping Adam's moments, and codes that delta.
+            if prev_params is not None and zero_delta_within(
+                    prev_params,
+                    trained.optimizer.max_displacement(epochs * len(gop_frames)),
+                    config.bits):
+                epochs = 0
             t0 = time.perf_counter()
             trained = train_gop(gop_frames, config, num_scales=num_scales,
                                 epochs=epochs, resume=trained)

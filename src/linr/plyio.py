@@ -7,6 +7,7 @@ with a warning.  An element before it is rejected.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,14 +86,20 @@ def _voxelize(raw: np.ndarray, grid_bits: int) -> np.ndarray:
     return np.rint((raw - lo) * scale).astype(np.int64)
 
 
+_END_HEADER = re.compile(rb"^[^\S\n]*end_header[^\S\n]*$", re.MULTILINE)
+
+
 def _read_ply(path: Path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    end = blob.find(b"end_header")
-    if not blob.startswith(b"ply") or end < 0:
+    # The header ends at the first line whose only token is end_header; a
+    # comment may mention the word.
+    end_match = _END_HEADER.search(blob)
+    if not blob.startswith(b"ply") or end_match is None:
         raise ParseError("missing ply/end_header framing", path=path)
-    body_start = blob.find(b"\n", end) + 1
-    if body_start == 0:
+    end = end_match.start()
+    body_start = end_match.end() + 1
+    if body_start > len(blob):
         end_line = blob.count(b"\n", 0, end) + 1
         raise ParseError("end_header is not followed by a newline", path=path,
                          location=f"line {end_line}")

@@ -4,6 +4,8 @@ Every differentiable op is checked against central finite differences at
 64-bit precision; the finite-difference probe is the oracle and never calls
 into the backward pass it verifies.
 """
+import copy
+
 import numpy as np
 import pytest
 
@@ -389,3 +391,76 @@ class TestAdam:
         for k in range(0, 20000, 640):
             opt.steps = k
             assert opt.lr() >= 0.0004
+
+    # Gradient magnitudes 1e-8 to 1e3, one per parameter.
+    MAGNITUDES = 10.0 ** np.linspace(-8, 3, 12)
+    # Growth per step that makes the Cauchy-Schwarz step bound tight.
+    RISE = ad.ADAM_BETA2 / ad.ADAM_BETA1
+
+    @classmethod
+    def gradient(cls, kind, rng, k, start):
+        """Step ``k``'s gradient of a seeded stream; ``start`` is the step
+        count at which the bound is taken."""
+        mags = cls.MAGNITUDES
+        if kind == "constant":
+            return mags * rng.uniform(0.5, 1.5, mags.size)
+        if kind == "alternating":
+            return (-1) ** k * mags * rng.uniform(0.5, 1.5, mags.size)
+        if kind == "random":
+            return mags * rng.standard_normal(mags.size)
+        if kind == "spikes":  # 1e-8 everywhere, every seventh step the full size
+            size = mags if k % 7 == 6 else np.full(mags.size, 1e-8)
+            return size * rng.choice([-1.0, 1.0], mags.size)
+        if kind == "zeros":
+            return np.zeros(mags.size)
+        # "rising": positive, growing by RISE from 60 steps before ``start``
+        if k < start - 60:
+            return np.zeros(mags.size)
+        return mags * cls.RISE ** (k - start)
+
+    @classmethod
+    def moves(cls, kind, start, budgets):
+        """Per budget s: (max_displacement(s) at step count ``start``, each
+        parameter's move over the next s steps of the stream)."""
+        rng = np.random.default_rng(23)
+        values = rng.uniform(-2, 2, cls.MAGNITUDES.size)
+        values[::2] *= 1000  # where float32 rounds each update by ~1e-4
+        p = ad.Parameter("p", values.astype(np.float32))
+        opt = ad.Adam([p])
+        for k in range(start):
+            p.grad[...] = cls.gradient(kind, rng, k, start)
+            opt.step()
+        out = []
+        for s in budgets:
+            run = copy.deepcopy(opt)
+            param = run.params[0]
+            bound = run.max_displacement(s)
+            before = param.data.astype(np.float64)
+            stream = copy.deepcopy(rng)
+            for k in range(start, start + s):
+                param.grad[...] = cls.gradient(kind, stream, k, start)
+                run.step()
+            assert run.steps == start + s
+            out.append((bound, np.abs(param.data - before)))
+        return out
+
+    @pytest.mark.parametrize("start", [0, 31, 32, 33, 1000, 4096])
+    @pytest.mark.parametrize("kind", ["constant", "alternating", "random",
+                                      "spikes", "zeros", "rising"])
+    def test_max_displacement_bounds_every_stream(self, kind, start):
+        for bound, move in self.moves(kind, start, (1, 2, 5, 64)):
+            assert np.all(move <= bound), (move.max(), bound)
+
+    @pytest.mark.parametrize("kind, start", [
+        ("constant", 0), ("rising", 0), ("rising", 31), ("rising", 32),
+        ("rising", 33), ("rising", 1000), ("rising", 4096),
+    ])
+    def test_max_displacement_is_reached(self, kind, start):
+        # Constant-sign gradients come within a factor of two of the bound
+        # wherever ADAM_EPS is small against them.
+        for bound, move in self.moves(kind, start, (1, 2, 5, 64)):
+            assert np.all(move[self.MAGNITUDES >= 1e-5] >= 0.5 * bound)
+
+    def test_max_displacement_of_no_steps_is_zero(self):
+        p = ad.Parameter("p", np.ones(3, dtype=np.float32))
+        assert ad.Adam([p]).max_displacement(0) == 0.0

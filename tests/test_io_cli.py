@@ -165,6 +165,15 @@ class TestPlyRead:
         assert str(err.value).startswith(f"{p}: ")
         assert str(err.value).endswith(f"(at line {line})")
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_comment_mentioning_end_header(self, tmp_path, fmt):
+        p = tmp_path / "commented.ply"
+        header = (f"ply\nformat {fmt} 1.0\ncomment written by end_header-tool\n"
+                  "element vertex 1\n" + self.XYZ + "end_header\n")
+        body = b"1 2 3\n" if fmt == "ascii" else struct.pack("<3f", 1, 2, 3)
+        p.write_bytes(header.encode() + body)
+        assert [tuple(r) for r in read_cloud(p).coords] == [(1, 2, 3)]
+
     def test_unknown_extension(self, tmp_path):
         p = tmp_path / "c.pcd"
         p.write_text("hi")
@@ -386,6 +395,22 @@ class TestCli:
         key = config_line.split()[0]
         assert capsys.readouterr().err == (
             f"error: {cfg}:2: unknown option '{key}'\n")
+        assert not out.exists()
+
+    def test_non_integer_value_named(self, tmp_path, sequence, capsys,
+                                     monkeypatch):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("seed = 3\nbits = four\n")
+        out = tmp_path / "o.linr"
+        args = self.encode_args(sequence, out)[:5]
+        monkeypatch.delenv("LINR_SEED", raising=False)
+        assert main(args + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: option 'bits' needs an integer, not 'four'\n")
+        monkeypatch.setenv("LINR_SEED", "1.5")
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: LINR_SEED: option 'seed' needs an integer, not '1.5'\n")
         assert not out.exists()
 
     def test_config_precedence(self, tmp_path, monkeypatch):

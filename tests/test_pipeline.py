@@ -19,7 +19,8 @@ from linr import autodiff as ad
 from linr import pipeline
 from linr.errors import CountMismatchError, DecodeError, LinrError
 from linr.network import NUM_STAGES, ModelConfig, OccupancyModel
-from linr.params import BLOCK_HEADER_SIZE, quantize, unpack_param_block
+from linr.params import (BLOCK_HEADER_SIZE, decompress_params, quantize,
+                         unpack_param_block)
 from linr.plyio import generate_fixture
 from linr.pipeline import (
     GopConfig,
@@ -167,7 +168,7 @@ class TestTrainGop:
         seen = self.record_adam_steps(monkeypatch)
         rng = np.random.default_rng(7)
         frames = [random_frame(rng, n=80) for _ in range(5)]
-        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1)
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1, bits=8)
         _, report = encode_sequence(frames, cfg)
         assert len(report.gop_losses) == 3
         assert len(seen) == 4 + 2 + 1
@@ -177,7 +178,7 @@ class TestTrainGop:
     def test_resume_matches_encoder(self):
         rng = np.random.default_rng(8)
         frames = [random_frame(rng, n=120) for _ in range(4)]
-        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=2)
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=2, bits=8)
         _, report = encode_sequence(frames, cfg)
         first = train_gop(frames[:2], cfg, epochs=cfg.epochs_first)
         header, q = quantize(first.model.flatten(), cfg.bits)
@@ -209,7 +210,7 @@ class TestTrainGop:
     def test_report_carries_loss_curves(self):
         rng = np.random.default_rng(5)
         frames = [random_frame(rng, n=80) for _ in range(5)]
-        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1)
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1, bits=8)
         _, report = encode_sequence(frames, cfg)
         lengths = [len(curve) for curve in report.gop_losses]
         assert lengths == [e * n for e, n in zip(report.epochs_used,
@@ -217,6 +218,49 @@ class TestTrainGop:
         assert lengths == [4, 2, 1]
         assert all(np.isfinite(curve).all() for curve in report.gop_losses)
         assert report.to_dict()["gop_losses"] == report.gop_losses
+
+
+class TestWarmGroupSkip:
+    """A warm group whose step budget cannot move any parameter by half a
+    quantization step runs no epoch and codes the all-zero delta."""
+
+    FRAMES = [cube_frame(8, offset=k) for k in range(6)]
+
+    @classmethod
+    def encode(cls, **options):
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1, seed=5,
+                        **options)
+        return encode_sequence(cls.FRAMES, cfg)
+
+    def test_warm_groups_skip_at_four_bits(self):
+        data, report = self.encode()
+        assert report.epochs_used == [2, 0, 0]
+        assert [len(curve) for curve in report.gop_losses] == [4, 0, 0]
+        assert report.gop_param_kinds == ["absolute", "delta", "delta"]
+        _, _, groups = pipeline._walk(data)
+        for quant, side, payload, _ in groups[1:]:
+            q = decompress_params(payload, quant, side)
+            assert np.all(q == 1 << (quant.bits - 1))  # no parameter moves
+        res = verify(data, self.FRAMES)
+        assert res.ok, res.message
+
+    def test_skip_codes_what_training_would(self, monkeypatch):
+        data, _ = self.encode()
+        monkeypatch.setattr(pipeline, "zero_delta_within",
+                            lambda *args: False)
+        trained, report = self.encode()
+        assert report.epochs_used == [2, 1, 1]
+        assert len(trained) == len(data)
+        skipped, full = (pipeline._walk(d)[2] for d in (data, trained))
+        for (_, _, payload_a, frames_a), (_, _, payload_b, frames_b) in zip(
+                skipped, full):
+            assert payload_a == payload_b
+            assert frames_a == frames_b  # lowest-scale blocks and payloads
+
+    def test_eight_bits_train_every_group(self):
+        _, report = self.encode(bits=8)
+        assert report.epochs_used == [2, 1, 1]
+        assert [len(curve) for curve in report.gop_losses] == [4, 2, 2]
 
 
 class TestContainerStructure:
@@ -352,7 +396,8 @@ class TestLosslessness:
         # 512 points per frame: one scale above the default stop_at, so each
         # group trains and sends a network.
         frames = [cube_frame(8, offset=k) for k in range(4)]
-        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1, seed=5)
+        cfg = GopConfig(gop_size=2, epochs_first=2, epochs_rest=1, seed=5,
+                        bits=8)
         data, report = encode_sequence(frames, cfg)
         assert report.num_scales >= 1
         assert report.gop_param_kinds == ["absolute", "delta"]
