@@ -1,9 +1,10 @@
 """Command-line surface: encode, decode, verify, stats, fixture.
 
 Option precedence: command-line flag, then the LINR_SEED environment
-variable (seed only), then the ``key = value`` config file, then the
-built-in default.  Output files are written to a temporary sibling and
-renamed into place, so failures never leave partial artifacts.
+variable (seed only, for commands that take ``--seed``), then the
+``key = value`` config file, then the built-in default.  Output files are
+written to a temporary sibling and renamed into place, so failures never
+leave partial artifacts.
 
 Exit codes: 0 success, 1 failure, 2 usage error.
 """
@@ -70,18 +71,20 @@ def _parse_config_file(path: Path) -> dict:
 
 def _settings(args) -> dict:
     """Every option the user set, by precedence: flag, LINR_SEED (seed
-    only), then the ``--config`` file, read once.  Options left unset are
-    absent, so their defaults live in one place, ``GopConfig``."""
+    only, for commands with a ``--seed`` option), then the ``--config``
+    file, read once.  Options left unset are absent, so their defaults
+    live in one place, ``GopConfig``."""
     file_cfg = {}
     if getattr(args, "config", None):
         file_cfg = _parse_config_file(Path(args.config))
+    env_seed = os.environ.get("LINR_SEED") if hasattr(args, "seed") else None
     out = {}
     for key in _FILE_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
-        elif key == "seed" and "LINR_SEED" in os.environ:
-            out[key] = _integer(os.environ["LINR_SEED"], "LINR_SEED", key)
+        elif key == "seed" and env_seed is not None:
+            out[key] = _integer(env_seed, "LINR_SEED", key)
         elif file_cfg.get(key) is not None:
             out[key] = file_cfg[key]
     return out

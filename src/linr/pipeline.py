@@ -76,7 +76,7 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 4
+VERSION = 5
 FILE_EXTENSION = ".linr"
 
 _HEADER_FMT = "<4sBBBHIB"

@@ -1,18 +1,25 @@
-"""Deterministic binary/multi-symbol arithmetic coder.
+"""Deterministic binary/multi-symbol range coder.
 
-The coder of Witten, Neal & Cleary (CACM 1987): 32-bit low/high registers,
-bit-wise renormalization with pending-bit (underflow) tracking.  Every
-event narrows ``[low, high]`` to a cumulative interval ``[c_lo, c_hi)`` of
-2^16; a bit under the fixed-point probability p1 of a one is the
-two-symbol table ``[0, 2^16 - p1)`` / ``[2^16 - p1, 2^16)``.  Each side is
-one loop (``_encode``, ``_decode``) with its registers in locals, behind
-the batch calls ``encode_bits`` / ``decode_bits`` and ``encode_symbols`` /
+The range coder of G. N. N. Martin ("Range encoding", 1979) in the
+carry-in-output form of LZMA: 32-bit ``low`` and ``range`` registers.
+Every event narrows the range to a cumulative interval ``[c_lo, c_hi)`` of
+2^16, at ``(range * c) >> 16``; a bit under the fixed-point probability p1
+of a one is the two-symbol table ``[0, 2^16 - p1)`` / ``[2^16 - p1, 2^16)``.
+While ``range < 2^24`` the encoder shifts the top byte of ``low`` out, so
+it renormalizes a byte, not a bit, at a time.  A carry out of ``low`` is
+added into the bytes already emitted, walking back over their trailing
+0xFF run.  ``finish`` writes one byte: the top byte of the multiple of
+2^24 inside the final interval.  Each side is one loop (``_encode``,
+``_decode``) with its registers in locals, behind the batch calls
+``encode_bits`` / ``decode_bits`` and ``encode_symbols`` /
 ``decode_symbols`` and the one-event ``encode_bit`` / ``decode_bit``.
 
 Streams are not self-delimiting: the container records each payload's byte
-length, and the event count is known from the geometry.  The decoder reads
-zero bits past the end, as the terminator needs, but at most 32: at the
-33rd it stops, and its ``truncated`` property gives the caller the verdict.
+length, and the event count is known from the geometry.  The decoder keeps
+its code relative to ``low`` and reads payload bytes directly.  A healthy
+payload reads exactly 3 zero bytes past its end; at the first read beyond
+them the decoder stops, and its ``truncated`` property gives the caller the
+verdict.  An empty payload therefore decodes no event.
 """
 from __future__ import annotations
 
@@ -27,10 +34,10 @@ PROB_BITS = 16
 PROB_ONE = 1 << PROB_BITS
 PROB_MAX = PROB_ONE - 1
 
-_MASK = (1 << 32) - 1
-_HALF = 1 << 31
-_QUARTER = 1 << 30
-_THREE_QUARTERS = _HALF + _QUARTER
+_FULL = 1 << 32  # the whole interval [0, 1) in register units
+_MASK = _FULL - 1
+_TOP = 1 << 24  # renormalize while range is below this
+_PAD = 3  # zero bytes past the payload that a healthy decode reads
 
 
 def quantize_probability(p: float) -> int:
@@ -49,47 +56,49 @@ def quantize_probabilities(p: np.ndarray) -> np.ndarray:
     return np.clip(q, 1, PROB_MAX)
 
 
+def _carry(out: bytearray) -> None:
+    """Add one to the bytes already emitted: the 0xFF run at the end turns
+    to zeros and the byte before it grows by one.  The coded value stays
+    below 1, so the output never consists of 0xFF bytes alone."""
+    i = len(out) - 1
+    while out[i] == 0xFF:
+        out[i] = 0
+        i -= 1
+    out[i] += 1
+
+
 class RangeEncoder:
     def __init__(self):
         self.low = 0
-        self.high = _MASK
-        self.pending = 0
-        self._bits = bytearray()  # one byte per output bit
+        self.range = _FULL
+        self._out = bytearray()
         self._done = False
 
     def _encode(self, events, cum=None) -> None:
         """Code each ``(cut, symbol)``: a bit under cut 2^16 - p1, or with
         cut ``None`` a symbol of the table ``cum``."""
-        low, high, pending = self.low, self.high, self.pending
-        out = self._bits
+        low, rng = self.low, self.range
+        out = self._out
         for cut, s in events:
-            span = high - low + 1
             if cut is None:
-                lo = (span * cum[s]) >> PROB_BITS
-                hi = (span * cum[s + 1]) >> PROB_BITS
+                lo = (rng * cum[s]) >> PROB_BITS
+                low += lo
+                rng = ((rng * cum[s + 1]) >> PROB_BITS) - lo
             else:
-                split = (span * cut) >> PROB_BITS
-                lo, hi = (split, span) if s else (0, split)
-            high = low + hi - 1
-            low += lo
-            while True:
-                if high < _HALF:
-                    out += b"\x00" + b"\x01" * pending
-                    pending = 0
-                elif low >= _HALF:
-                    out += b"\x01" + bytes(pending)
-                    pending = 0
-                    low -= _HALF
-                    high -= _HALF
-                elif low >= _QUARTER and high < _THREE_QUARTERS:
-                    pending += 1
-                    low -= _QUARTER
-                    high -= _QUARTER
+                split = (rng * cut) >> PROB_BITS
+                if s:
+                    low += split
+                    rng -= split
                 else:
-                    break
-                low <<= 1
-                high = (high << 1) | 1
-        self.low, self.high, self.pending = low, high, pending
+                    rng = split
+            if low > _MASK:
+                low &= _MASK
+                _carry(out)
+            while rng < _TOP:
+                out.append(low >> 24)
+                low = (low << 8) & _MASK
+                rng <<= 8
+        self.low, self.range = low, rng
 
     def encode_bits(self, p1, bits) -> None:
         """Code ``bits[k]`` under fixed-point probability ``p1[k]`` of bit=1."""
@@ -112,85 +121,75 @@ class RangeEncoder:
         self._encode(zip(itertools.repeat(None), s.tolist()), cum.tolist())
 
     def finish(self) -> bytes:
-        """Terminate the stream; at most 2 bits plus byte padding."""
+        """Terminate the stream with one byte: the top byte of the multiple
+        of 2^24 in ``[low, low + range)``, which exists as range >= 2^24."""
         if self._done:
             raise RuntimeError("finish() called twice")
         self._done = True
-        pending = self.pending + 1
-        self._bits += (b"\x00" + b"\x01" * pending if self.low < _QUARTER
-                       else b"\x01" + bytes(pending))
-        return np.packbits(np.frombuffer(self._bits, dtype=np.uint8)).tobytes()
+        v = -(-self.low >> 24)
+        if v > 0xFF:
+            v = 0
+            _carry(self._out)
+        self._out.append(v)
+        return bytes(self._out)
 
 
 class RangeDecoder:
     def __init__(self, data: bytes):
-        # One byte per source bit, plus the 32 zero bits of lookahead.
-        padded = bytes(data) + bytes(4)
-        self._bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8)).tobytes()
-        self._bitpos = 32
-        self.low = 0
-        self.high = _MASK
-        self.code = int.from_bytes(padded[:4], "big")
+        # The payload, then the 3 zero bytes its last register fill reads.
+        self._data = bytes(data) + bytes(_PAD)
+        self._pos = 4 if data else len(self._data) + 1
+        self.range = _FULL
+        # The coded value minus the encoder's low, so 0 <= code < range.
+        self.code = int.from_bytes(self._data[:4], "big")
 
     @property
     def bits_consumed(self) -> int:
         """Source bits read so far, including zero padding past the end.
-        A healthy stream reads at most 32 bits past its end (the register
-        lookahead); decoding stops at the first bit beyond them."""
-        return self._bitpos
+        A healthy stream reads exactly its 3 padding bytes; decoding stops
+        at the first read beyond them, and then this is one bit more."""
+        return min(8 * self._pos, 8 * len(self._data) + 1)
 
     @property
     def truncated(self) -> bool:
-        """True once decoding has read past the 32 padding bits: the
-        stream ended before its events did."""
-        return self.bits_consumed > len(self._bits)
+        """True once decoding has read past the padding: the stream ended
+        before its events did."""
+        return self.bits_consumed > 8 * len(self._data)
 
     def _decode(self, cuts, cum=None, symbol_of=None) -> list:
         """Decode one event per cut, as :meth:`RangeEncoder._encode` coded
         it; a table symbol is ``symbol_of[target]``.  Returns the symbols,
         cut short if the stream proves truncated."""
-        bits, pos = self._bits, self._bitpos
-        if pos > len(bits):
+        data, pos = self._data, self._pos
+        if pos > len(data):
             return []
-        low, high, code = self.low, self.high, self.code
+        rng, code = self.range, self.code
         out = []
         try:
             for cut in cuts:
-                span = high - low + 1
                 if cut is None:
-                    # low <= code <= high holds, so 0 <= target < 2^16.
-                    s = symbol_of[(((code - low + 1) << PROB_BITS) - 1) // span]
-                    lo = (span * cum[s]) >> PROB_BITS
-                    hi = (span * cum[s + 1]) >> PROB_BITS
+                    # 0 <= code < rng holds, so 0 <= target < 2^16.
+                    s = symbol_of[(((code + 1) << PROB_BITS) - 1) // rng]
+                    lo = (rng * cum[s]) >> PROB_BITS
+                    code -= lo
+                    rng = ((rng * cum[s + 1]) >> PROB_BITS) - lo
                 else:
-                    split = (span * cut) >> PROB_BITS
-                    if code - low < split:
-                        s, lo, hi = 0, 0, split
+                    split = (rng * cut) >> PROB_BITS
+                    if code < split:
+                        s = 0
+                        rng = split
                     else:
-                        s, lo, hi = 1, split, span
-                high = low + hi - 1
-                low += lo
-                while True:
-                    if high < _HALF:
-                        pass
-                    elif low >= _HALF:
-                        low -= _HALF
-                        high -= _HALF
-                        code -= _HALF
-                    elif low >= _QUARTER and high < _THREE_QUARTERS:
-                        low -= _QUARTER
-                        high -= _QUARTER
-                        code -= _QUARTER
-                    else:
-                        break
-                    low <<= 1
-                    high = (high << 1) | 1
-                    code = (code << 1) | bits[pos]
+                        s = 1
+                        code -= split
+                        rng -= split
+                while rng < _TOP:
+                    code = (code << 8) | data[pos]
                     pos += 1
+                    rng <<= 8
                 out.append(s)
-        except IndexError:  # bits[pos] past the padding: truncated
-            pos = len(bits) + 1
-        self.low, self.high, self.code, self._bitpos = low, high, code, pos
+        except IndexError:  # data[pos] past the padding: truncated
+            pos = len(data) + 1
+        self.range, self.code, self._pos = rng, code, pos
         return out
 
     def decode_bits(self, p1) -> np.ndarray:

@@ -300,6 +300,14 @@ class TestCli:
         assert main(["decode", "--input", str(trunc), "--out", str(dec)]) == 1
         assert not dec.exists()
 
+    def test_verify_ignores_linr_seed(self, tmp_path, sequence, monkeypatch):
+        # verify takes no seed, so a seed it would not use cannot fail it.
+        out = tmp_path / "s.linr"
+        main(self.encode_args(sequence, out))
+        monkeypatch.setenv("LINR_SEED", "x")
+        assert main(["verify", "--input", str(out),
+                     "--against", str(sequence)]) == 0
+
     def test_verify_against_wrong_cloud(self, tmp_path, sequence):
         out = tmp_path / "s.linr"
         main(self.encode_args(sequence, out))

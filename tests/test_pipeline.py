@@ -553,8 +553,9 @@ class TestDecodeRobustness:
 
     def test_summary_rejects_unsupported_version(self):
         data, _ = self.make_container()
-        # 1: the per-scale context MLPs; 2: no parameter block kind.
-        for version in (1, 2, 9):
+        # 1: the per-scale context MLPs; 2: no parameter block kind;
+        # 3 and 4: payloads of the bit-wise (Witten-Neal-Cleary) coder.
+        for version in (1, 2, 3, 4, 9):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):

@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from linr import rangecoder
 from linr.errors import DecodeError, LinrError, NumericError
 from linr.rangecoder import (
     PROB_ONE,
@@ -90,6 +91,35 @@ class TestBinaryRoundtrip:
         _, decoded = roundtrip_bits(bits, probs)
         assert decoded == bits
 
+    def test_carry_through_ff_run(self, monkeypatch):
+        # Seeded events, then a 0 that leaves the interval's top one unit
+        # above a byte boundary, then unlikely 1s that climb across it.
+        rng = np.random.default_rng(8)
+        p1 = rng.integers(1, PROB_ONE, size=4000)
+        bits = (rng.integers(0, PROB_ONE, size=4000) < p1).astype(int)
+        p1 = np.concatenate((p1[:1595], [60977, 1, 1, 1, 1]))
+        bits = np.concatenate((bits[:1595], [0, 1, 1, 1, 1]))
+        carried = []
+
+        def counting_carry(out):
+            carried.append(len(out) - len(bytes(out).rstrip(b"\xff")))
+            carry(out)
+
+        carry = rangecoder._carry
+        monkeypatch.setattr(rangecoder, "_carry", counting_carry)
+        enc = RangeEncoder()
+        enc.encode_bits(p1, bits)
+        payload = enc.finish()
+        assert max(carried) >= 3
+        assert RangeDecoder(payload).decode_bits(p1).tolist() == bits.tolist()
+
+    def test_empty_payload_decodes_nothing(self):
+        dec = RangeDecoder(b"")
+        assert len(dec.decode_bits([1, 32768, 65535])) == 0
+        assert len(dec.decode_symbols(LaplaceTable(3.0, 1.0, 4).cum, 5)) == 0
+        with pytest.raises(DecodeError):
+            dec.decode_bit(32768)
+
 
 class TestStreamLength:
     def test_cross_entropy_bound(self):
@@ -128,6 +158,28 @@ class TestStreamLength:
             sizes[label] = len(enc.finish()) * 8
         # 3-sigma margin: per-bit cost gap is ~1.07 bits for this pair.
         assert sizes["true"] + 3 * np.sqrt(n) < sizes["mismatched"]
+
+    def test_payload_within_sixteen_bits_of_ideal(self):
+        # Extreme probabilities with outcomes drawn at even odds, so the
+        # unlikely outcome is coded about as often as the likely one.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(0, 401))
+            p1 = rng.choice([1, 65535, 0], size=n)
+            p1[p1 == 0] = rng.integers(1, PROB_ONE, size=int((p1 == 0).sum()))
+            bits = rng.integers(0, 2, size=n)
+            width = int(rng.choice([1, 4, 8]))
+            table = LaplaceTable(rng.uniform(0, (1 << width) - 1),
+                                 (1 << width) / 7.0, width)
+            symbols = rng.integers(0, 1 << width, size=int(rng.integers(0, 50)))
+            enc = RangeEncoder()
+            enc.encode_bits(p1, bits)
+            enc.encode_symbols(table.cum, symbols)
+            payload = enc.finish()
+            q = p1 / PROB_ONE
+            ideal = (-np.where(bits == 1, np.log2(q), np.log2(1 - q)).sum()
+                     + table.ideal_bits(symbols))
+            assert 8 * len(payload) <= ideal + 16
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(5)
@@ -252,7 +304,7 @@ def decode_batch(payload, runs):
 
 class TestGoldenStream:
     # The coder is pure integer arithmetic, so these bytes hold on every CPU.
-    SHA256 = "ca86d9ee7eb27e3cd7277654b7af508f8f2d6efdea94bc203c811ff5111569ba"
+    SHA256 = "15c6646a79993b0fed2a5852027c1dbc2942c7d355ece19524e68fe82cd67518"
 
     def test_payload_pinned(self):
         payload = encode_per_event(golden_runs())
@@ -283,7 +335,7 @@ class TestGoldenStream:
     def test_truncated_payload_stops_at_once(self):
         dec = RangeDecoder(b"")
         assert len(dec.decode_bits([32768] * 10**6)) == 0
-        assert dec.bits_consumed == 33
+        assert dec.bits_consumed == 25
         assert dec.truncated
         with pytest.raises(DecodeError):
             dec.decode_bit(32768)
