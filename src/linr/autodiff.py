@@ -242,12 +242,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
+    exp overflows; both branches share ``exp(-|x|)``, taken as the exp of
+    ``min(x, -x)`` so that a NaN keeps its sign bit as in ``exp(x)``."""
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -295,8 +295,8 @@ def _add_rows(dst: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
     """``dst[rows] += src`` for ``rows`` without repeats.
 
     The same float operations as the fancy-index form, done as one gather,
-    one in-place add and one write back of whole rows through a 1-D void
-    view of ``dst``, which numpy copies as opaque rows.  A repeated row
+    one in-place add and one ``np.put`` of whole rows into a 1-D void view
+    of ``dst``, which numpy copies as opaque rows.  A repeated row
     would keep only one of its sums, so callers pass the rows of one kernel
     offset, which never repeat.
     """
@@ -306,7 +306,7 @@ def _add_rows(dst: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
         dst[rows] = acc
         return
     row = np.dtype((np.void, dst.itemsize * dst.shape[1]))
-    dst.view(row)[:, 0][rows] = acc.view(row)[:, 0]
+    np.put(dst.view(row)[:, 0], rows, acc.view(row)[:, 0])
 
 
 def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:

@@ -212,8 +212,13 @@ class OccupancyModel:
         """Estimated occupancy bits of one frame plus the L2 penalty.
 
         Sums the eight-stage cross-entropy over every scale transition,
-        coarse to fine.  The L2 term rides the same tape, so its gradient
-        reaches the optimizer along with the data term.
+        coarse to fine, then the L2 penalty.  With gradients enabled each
+        term is backpropagated as soon as its forward pass ends: its
+        gradient lands in every parameter's ``.grad`` and its tape is freed
+        before the next transition runs.  The terms share no activations,
+        so a training step holds one transition's tape, not the frame's.
+        The returned loss is a constant, so ``backward()`` on it adds
+        nothing; under :func:`autodiff.no_grad` this only evaluates.
         """
         if pyramid.num_scales != self.config.num_scales:
             raise ScaleMismatchError(
@@ -225,13 +230,16 @@ class OccupancyModel:
             coarse = pyramid.levels[i + 1]
             context = self.scale_context(coarse, i)
             _, bits = self.predict_children(context, coarse, pyramid.masks(i))
-            total = bits if total is None else ad.add(total, bits)
+            bits.backward()
+            total = bits.data if total is None else total + bits.data
         if total is None:
-            total = ad.constant(np.asarray(0.0, dtype=self.dtype))
+            total = np.asarray(0.0, dtype=self.dtype)
         if l2_coeff > 0.0:
             penalty = None
             for name in self._flat_order:
                 sq = ad.square_sum(self._params[name])
                 penalty = sq if penalty is None else ad.add(penalty, sq)
-            total = ad.add(total, ad.scale(penalty, l2_coeff))
-        return total
+            penalty = ad.scale(penalty, l2_coeff)
+            penalty.backward()
+            total = total + penalty.data
+        return ad.constant(np.asarray(total))

@@ -307,7 +307,6 @@ def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
         for pyr in pyramids:
             opt.zero_grad()
             loss = model.frame_loss(pyr, l2_coeff=config.l2_coeff)
-            loss.backward()
             opt.step()
             losses.append(loss.item())
     return TrainResult(model=model, optimizer=opt, losses=losses,

@@ -155,6 +155,11 @@ class SparseVoxelSet:
         points.  ``sparse_conv`` relies on this to scatter each offset with
         one plain indexed write.  The centre offset is the identity, given
         as the same array twice.
+
+        Offset k and offset ``len(offsets) - 1 - k`` are mirrors (-d and d):
+        a translation keeps key order, so ``in_rows`` of d ascends too and
+        is ``out_rows`` of -d.  Only the first half of the offsets is looked
+        up; each mirror takes the same two arrays, swapped.
         """
         if kernel_size not in (1, 3):
             raise ValueError("kernel size must be 1 or 3")
@@ -163,17 +168,15 @@ class SparseVoxelSet:
             return cached
         offsets = KERNEL_OFFSETS_3 if kernel_size == 3 else KERNEL_OFFSETS_1
         keys = self.keys
-        n = len(self)
-        identity = np.arange(n, dtype=np.int64)
+        half = len(offsets) // 2
         pairs = []
-        for off in offsets:
-            if off == (0, 0, 0):
-                pairs.append((identity, identity))
-                continue
-            target = keys + _offset_delta(off)
-            idx = self._lookup_keys(target)
+        for off in offsets[:half]:
+            idx = self._lookup_keys(keys + _offset_delta(off))
             out_rows = np.nonzero(idx >= 0)[0].astype(np.int64)
             pairs.append((out_rows, idx[out_rows]))
+        identity = np.arange(len(self), dtype=np.int64)
+        pairs.append((identity, identity))
+        pairs += [(in_rows, out_rows) for out_rows, in_rows in reversed(pairs[:half])]
         self._kernel_pairs[kernel_size] = pairs
         return pairs
 

@@ -304,6 +304,31 @@ class TestBceLoss:
         check_gradients(loss, [p], rng, probes=10)
 
 
+class TestSigmoid:
+    @staticmethod
+    def masked_sigmoid(x):
+        # The two-branch form with boolean masks: exp(-x) on x >= 0, exp(x)
+        # below, so neither branch overflows.
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_masked_form(self, dtype):
+        special = [0.0, -0.0, 1e-8, -1e-8, 88.7, -88.7, 104.0, -104.0,
+                   np.inf, -np.inf, np.nan, -np.nan]
+        normals = np.random.default_rng(18).normal(size=20_000) * 6.0
+        x = np.concatenate([special, normals]).astype(dtype)
+        got = ad._sigmoid_values(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = self.masked_sigmoid(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == expect.tobytes()
+
+
 class TestCompositeOps:
     def test_sigmoid_concat_add_gradients(self):
         rng = np.random.default_rng(14)

@@ -5,6 +5,7 @@ tape (plain numpy on the probability values); finite differences provide
 the gradient oracle for the full context + prediction composite.
 """
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from linr.errors import (
     ShapeError,
 )
 from linr.network import ModelConfig, NUM_STAGES, OccupancyModel
+from linr.plyio import generate_fixture
 from linr.voxel import SparseVoxelSet, build_pyramid
 
 
@@ -204,6 +206,89 @@ class TestFrameLoss:
         assert final < 0.9 * history[0]
 
 
+def single_tape_loss(model, pyr, l2_coeff):
+    """``frame_loss`` on one tape: the transitions and the penalty summed
+    with ``ad.add``, for one ``backward()`` at the end."""
+    total = None
+    for i in range(pyr.num_scales - 1, -1, -1):
+        coarse = pyr.levels[i + 1]
+        context = model.scale_context(coarse, i)
+        _, bits = model.predict_children(context, coarse, pyr.masks(i))
+        total = bits if total is None else ad.add(total, bits)
+    penalty = None
+    for name in model._flat_order:
+        sq = ad.square_sum(model._params[name])
+        penalty = sq if penalty is None else ad.add(penalty, sq)
+    return ad.add(total, ad.scale(penalty, l2_coeff))
+
+
+def zero_grads(model):
+    for p in model.parameters():
+        p.grad[...] = 0
+
+
+class TestBackwardPerTransition:
+    """``frame_loss`` backpropagates each transition as its pass ends."""
+
+    def test_gradient_bytes_equal_single_tape(self):
+        rng = np.random.default_rng(23)
+        pyr = toy_pyramid(rng, n=300, hi=256)
+        assert pyr.num_scales >= 3
+        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=23)
+        model.load_flat(rng.normal(scale=0.4, size=model.num_parameters()))
+        zero_grads(model)
+        ref = single_tape_loss(model, pyr, 1e-4)
+        ref.backward()
+        expect = {p.name: p.grad.tobytes() for p in model.parameters()}
+        zero_grads(model)
+        loss = model.frame_loss(pyr, l2_coeff=1e-4)
+        assert loss.data.dtype == np.float32
+        assert loss.data.tobytes() == ref.data.tobytes()
+        assert {p.name: p.grad.tobytes() for p in model.parameters()} == expect
+
+    def test_holds_one_transition_tape(self):
+        pyr = build_pyramid(generate_fixture("random", 3000, seed=5))
+        assert pyr.num_scales == 8
+        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=5)
+        with ad.no_grad():
+            model.frame_loss(pyr)  # build the cached kernel maps and masks
+
+        def peak(fn):
+            zero_grads(model)
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tape = peak(lambda: single_tape_loss(model, pyr, 1e-4).backward())
+        one = peak(lambda: model.frame_loss(pyr, l2_coeff=1e-4))
+        assert one <= tape / 3, (one, tape)
+
+    def test_no_grad_only_evaluates(self):
+        rng = np.random.default_rng(24)
+        pyr = toy_pyramid(rng, n=80)
+        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=24)
+        zero_grads(model)
+        with ad.no_grad():
+            loss = model.frame_loss(pyr, l2_coeff=1e-4)
+        assert all(not p.grad.any() for p in model.parameters())
+        assert loss.item() == model.frame_loss(pyr, l2_coeff=1e-4).item()
+
+    def test_backward_on_the_loss_adds_nothing(self):
+        rng = np.random.default_rng(25)
+        pyr = toy_pyramid(rng, n=80)
+        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=25)
+        zero_grads(model)
+        loss = model.frame_loss(pyr, l2_coeff=1e-4)
+        grads = {p.name: p.grad.copy() for p in model.parameters()}
+        assert any(g.any() for g in grads.values())
+        loss.backward()
+        for p in model.parameters():
+            assert np.array_equal(p.grad, grads[p.name]), p.name
+
+
 class TestParameterFlattening:
     def test_roundtrip(self):
         model = OccupancyModel(ModelConfig(num_scales=4), seed=16)
@@ -324,6 +409,8 @@ class TestGradientIntegrity:
         # The loss is O(10^3) bits, so central differences carry about
         # eps * |loss| / h of cancellation noise; entries below the 1e-2
         # floor are held to the matching absolute bound instead.
+        # The probes only evaluate: frame_loss backpropagates unless
+        # gradients are off.
         h = 1e-5
         checked = 0
         for p in model.parameters():
@@ -331,10 +418,11 @@ class TestGradientIntegrity:
             count = min(3, flat.size)
             for i in rng.choice(flat.size, size=count, replace=False):
                 orig = flat[i]
-                flat[i] = orig + h
-                plus = loss().item()
-                flat[i] = orig - h
-                minus = loss().item()
+                with ad.no_grad():
+                    flat[i] = orig + h
+                    plus = loss().item()
+                    flat[i] = orig - h
+                    minus = loss().item()
                 flat[i] = orig
                 fd = (plus - minus) / (2 * h)
                 an = analytic[p.name].reshape(-1)[i]

@@ -12,8 +12,11 @@ from linr.errors import (
     InvalidOccupancyError,
     PyramidMismatchError,
 )
+from linr.plyio import generate_fixture
 from linr.voxel import (
+    KERNEL_OFFSETS_3,
     SparseVoxelSet,
+    _offset_delta,
     build_pyramid,
     child_occupancy,
     downsample,
@@ -243,6 +246,25 @@ class TestKernelPairs:
                     expect[i] = j
             out_rows, in_rows = pairs[k]
             assert dict(zip(out_rows.tolist(), in_rows.tolist())) == expect
+
+    @pytest.mark.parametrize("cloud", ["random", "shell"])
+    def test_mirrored_offsets_match_a_lookup_per_offset(self, cloud):
+        # Offsets past the centre are built by swapping their mirror's
+        # arrays; each must equal a direct lookup at its own offset.
+        if cloud == "random":
+            pc = random_cloud(np.random.default_rng(37), 3000, hi=32)
+        else:
+            pc = generate_fixture("sphere-shell", 12)
+        pairs = pc.kernel_pairs(3)
+        assert len(pairs) == len(KERNEL_OFFSETS_3)
+        for k, off in enumerate(KERNEL_OFFSETS_3):
+            idx = pc._lookup_keys(pc.keys + _offset_delta(off))
+            expect_out = np.nonzero(idx >= 0)[0]
+            out_rows, in_rows = pairs[k]
+            assert out_rows.dtype == in_rows.dtype == np.int64
+            assert np.array_equal(out_rows, expect_out), off
+            assert np.array_equal(in_rows, idx[expect_out]), off
+            assert 0 < len(out_rows) < len(pc) or off == (0, 0, 0)
 
     def test_kernel_one(self):
         pc = make_set([(0, 0, 0), (9, 9, 9)])
