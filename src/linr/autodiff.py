@@ -2,7 +2,8 @@
 
 A Tensor wraps a dense (points x channels) value matrix plus a gradient
 accumulator.  Ops record backward closures micrograd-style; calling
-``backward()`` on a scalar walks the graph in reverse topological order.
+``backward()`` on a scalar, or ``backward(grad)`` on a tensor of any shape,
+walks the graph in reverse topological order.
 Only the handful of ops the occupancy network needs exist here.
 
 Reductions run in a fixed order (offset-major, then point order), and the
@@ -111,6 +112,52 @@ def one_blas_thread():
                 set_(_blas_saved)
 
 
+class _FreeBuffers(threading.local):
+    stacks = None  # {(shape, dtype): [arrays]} inside recycling(), else None
+
+
+_free = _FreeBuffers()
+
+
+@contextlib.contextmanager
+def recycling():
+    """Reuse, in this thread, the gradient buffers that backward passes free.
+
+    Inside, every interior gradient a backward pass releases goes to a free
+    list instead of back to the allocator, and op outputs and first
+    gradients take a free buffer of their shape and dtype before allocating
+    a new one; on exit the list is dropped.  Released gradients are out of
+    every caller's reach, so this changes no value.  A loop of backward
+    passes over same-sized graphs thus stops freeing and faulting in the
+    same pages each time; keep the scope to graphs of one size, or the list
+    holds buffers of every size at once.
+    """
+    prev = _free.stacks
+    _free.stacks = {}
+    try:
+        yield
+    finally:
+        _free.stacks = prev
+
+
+def _empty(shape, dtype) -> np.ndarray:
+    stack = _free.stacks and _free.stacks.get((shape, dtype))
+    return stack.pop() if stack else np.empty(shape, dtype)
+
+
+def _recycle(grad: np.ndarray) -> None:
+    if _free.stacks is not None and grad.flags.c_contiguous:
+        _free.stacks.setdefault((grad.shape, grad.dtype), []).append(grad)
+
+
+def _zeros_like(a: np.ndarray) -> np.ndarray:
+    if not a.flags.c_contiguous:
+        return np.zeros_like(a)  # keeps the memory order
+    out = _empty(a.shape, a.dtype)
+    out.fill(0)
+    return out
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
@@ -129,13 +176,20 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = _zeros_like(self.data)
         self.grad += g
 
-    def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
-        if self.data.ndim != 0:
-            raise ShapeError("backward() requires a scalar root")
+    def backward(self, grad: Optional[np.ndarray] = None) -> None:
+        """Backpropagate ``grad``, the gradient of this tensor, through the
+        recorded graph; without ``grad`` the root must be a scalar, whose
+        gradient is 1."""
+        if grad is None:
+            if self.data.ndim != 0:
+                raise ShapeError("backward() without grad requires a scalar root")
+            grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ShapeError(f"gradient shape {np.shape(grad)} differs from "
+                             f"the root's {self.data.shape}")
         topo: list[Tensor] = []
         seen = set()
         stack = [(self, False)]
@@ -151,7 +205,7 @@ class Tensor:
             for p in node._prev:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(grad)
         # Release each interior node once it has propagated, so the tape's
         # gradients and closures do not live as long as the root.
         while topo:
@@ -160,6 +214,7 @@ class Tensor:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
                 node._backward(node.grad)
+                _recycle(node.grad)
             node.grad = node._backward = None
             node._prev = ()
 
@@ -201,7 +256,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g)
 
-    return _make(a.data + b.data, (a, b), backward)
+    out = _empty(a.data.shape, np.result_type(a.data, b.data))
+    return _make(np.add(a.data, b.data, out=out), (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -230,7 +286,11 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g @ weight.data.T)
 
-    return _make(x.data @ weight.data + bias.data, (x, weight, bias), backward)
+    out = np.matmul(x.data, weight.data,
+                    out=_empty((x.data.shape[0], weight.data.shape[1]),
+                               np.result_type(x.data, weight.data)))
+    out += bias.data
+    return _make(out, (x, weight, bias), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -238,7 +298,8 @@ def relu(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g * (x.data > 0))
 
-    return _make(np.maximum(x.data, 0), (x,), backward)
+    return _make(np.maximum(x.data, 0, out=_empty(x.data.shape, x.data.dtype)),
+                 (x,), backward)
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -334,7 +395,7 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
             raise ShapeError(f"conv input has {n} rows for "
                              f"{out_rows.shape[0]} points")
     c_out = weight.data.shape[2]
-    out = np.empty((n, c_out), dtype=x.data.dtype)
+    out = _empty((n, c_out), x.data.dtype)
     out[:] = bias.data
     for k, (out_rows, in_rows) in enumerate(pairs):
         if out_rows.shape[0] == 0:
@@ -353,7 +414,7 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
             weight.grad = np.zeros_like(weight.data)
         need_x = x.requires_grad
         if need_x and x.grad is None:
-            x.grad = np.zeros_like(x.data)
+            x.grad = _zeros_like(x.data)
         for k, (out_rows, in_rows) in enumerate(pairs):
             if out_rows.shape[0] == 0:
                 continue

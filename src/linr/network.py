@@ -172,11 +172,16 @@ class OccupancyModel:
         and on encode, the range-decoded bits on decode), which conditions
         every later stage and sets bit j of the masks.
         """
-        g = self.global_features(context, coarse)
+        return self._stages(self.global_features(context, coarse), coarse,
+                            next_bits)
+
+    def _stages(self, g_feat: ad.Tensor, coarse: SparseVoxelSet,
+                next_bits) -> np.ndarray:
+        """The eight stages of :meth:`transition` on given global features."""
         slots = []
         masks = np.zeros(len(coarse), dtype=np.uint8)
         for j in range(NUM_STAGES):
-            bits_j = next_bits(j, self.stage_probability(j, g, slots, coarse))
+            bits_j = next_bits(j, self.stage_probability(j, g_feat, slots, coarse))
             masks |= bits_j.astype(np.uint8) << j
             slots.append(bits_j.astype(self.dtype))
         return masks
@@ -213,12 +218,20 @@ class OccupancyModel:
 
         Sums the eight-stage cross-entropy over every scale transition,
         coarse to fine, then the L2 penalty.  With gradients enabled each
-        term is backpropagated as soon as its forward pass ends: its
-        gradient lands in every parameter's ``.grad`` and its tape is freed
-        before the next transition runs.  The terms share no activations,
-        so a training step holds one transition's tape, not the frame's.
-        The returned loss is a constant, so ``backward()`` on it adds
-        nothing; under :func:`autodiff.no_grad` this only evaluates.
+        stage is backpropagated as soon as its forward pass ends, into a
+        leaf that stands in for the transition's global features ``g``:
+        the stages share nothing else, since every other input of a stage
+        is ground truth.  After stage 7, ``g``'s own tape is backpropagated
+        once with the leaf's summed gradient, then the penalty's.  So a
+        training step holds ``g``'s tape plus one stage's, and every
+        parameter's ``.grad`` receives what one tape for the whole frame
+        would give it, byte for byte.  Each transition runs inside
+        :func:`autodiff.recycling`: its stages have the same row count, so
+        each reuses the gradient buffers the previous one's backward pass
+        freed instead of handing them back to the allocator.  The returned
+        loss is a constant, so ``backward()`` on it adds nothing; under
+        :func:`autodiff.no_grad` this only evaluates and runs no backward
+        pass.
         """
         if pyramid.num_scales != self.config.num_scales:
             raise ScaleMismatchError(
@@ -228,10 +241,25 @@ class OccupancyModel:
         total = None
         for i in range(self.config.num_scales - 1, -1, -1):
             coarse = pyramid.levels[i + 1]
-            context = self.scale_context(coarse, i)
-            _, bits = self.predict_children(context, coarse, pyramid.masks(i))
-            bits.backward()
-            total = bits.data if total is None else total + bits.data
+            masks = pyramid.masks(i)
+            g = self.global_features(self.scale_context(coarse, i), coarse)
+            leaf = ad.Tensor(g.data, requires_grad=g.requires_grad)
+            bits = None
+
+            def truth(j, p):
+                nonlocal bits
+                bits_j = (masks >> j) & 1
+                stage = ad.bce_bits(p, bits_j[:, None])
+                if stage.requires_grad:
+                    stage.backward()
+                bits = stage.data if bits is None else bits + stage.data
+                return bits_j
+
+            with ad.recycling():
+                self._stages(leaf, coarse, truth)
+                if g.requires_grad:
+                    g.backward(leaf.grad)
+            total = bits if total is None else total + bits
         if total is None:
             total = np.asarray(0.0, dtype=self.dtype)
         if l2_coeff > 0.0:
@@ -240,6 +268,7 @@ class OccupancyModel:
                 sq = ad.square_sum(self._params[name])
                 penalty = sq if penalty is None else ad.add(penalty, sq)
             penalty = ad.scale(penalty, l2_coeff)
-            penalty.backward()
+            if penalty.requires_grad:
+                penalty.backward()
             total = total + penalty.data
         return ad.constant(np.asarray(total))

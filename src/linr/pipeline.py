@@ -38,6 +38,7 @@ the per-point bit costs are collected on request.
 """
 from __future__ import annotations
 
+import math
 import struct
 import time
 from collections import namedtuple
@@ -530,9 +531,11 @@ def _walk(data: bytes):
     The only reader of the container format.  Checks the header (magic,
     version, frame and group counts, a bit depth in [1, 16] as the encoder
     writes, no more scales than bits of depth), that every parameter block
-    has the header's width ``param_bits`` and a known kind, that the first
-    is not a delta block, and that each carries exactly as many parameters
-    as the model the header's scale count builds (none without scales);
+    has the header's width ``param_bits``, a known kind and a finite
+    Laplace mean, that the first is not a delta block, and that each
+    carries exactly as many parameters as the model the header's scale
+    count builds (none without scales), with a finite range whose max is
+    above its min when it carries any;
     rejects an empty lowest-scale block, bounds every block and payload
     length by the bytes present, and rejects trailing bytes; decodes no
     parameters and no geometry.  Returns ``(header, model, groups)``: the
@@ -573,6 +576,15 @@ def _walk(data: bytes):
         if quant.count != count:
             raise CountMismatchError(f"block carries {quant.count} "
                                      f"parameters, model has {count}")
+        # What the encoder writes: a constant vector declares min + 1, and a
+        # block without parameters [0, 0]; a b that is not positive selects
+        # the point mass.
+        if count and not (math.isfinite(quant.min) and math.isfinite(quant.max)
+                          and quant.max > quant.min):
+            raise DecodeError(f"invalid parameter range "
+                              f"[{quant.min}, {quant.max}]")
+        if not math.isfinite(side.mu):
+            raise DecodeError(f"non-finite Laplace mean {side.mu}")
         frames = []
         for _ in range(min(header.gop_size, remaining)):
             num_points = reader.u32()

@@ -373,6 +373,90 @@ class TestCompositeOps:
             assert np.any(p.grad != 0)
 
 
+class TestBackwardRoot:
+    def test_scalar_root_seeds_one(self):
+        x = ad.Parameter("x", np.array([1.5, -2.0]))
+        ad.square_sum(x).backward()
+        assert np.array_equal(x.grad, 2.0 * x.data)
+
+    def test_non_scalar_root_needs_a_gradient(self):
+        with pytest.raises(ShapeError):
+            ad.relu(ad.Parameter("x", np.ones((3, 2)))).backward()
+
+    def test_given_gradient_seeds_any_shape(self):
+        rng = np.random.default_rng(30)
+        w = ad.Parameter("w", rng.normal(size=(3, 2)))
+        x = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        g = rng.normal(size=(5, 2))
+        ad.affine(x, w, ad.Parameter("b", np.zeros(2))).backward(g)
+        assert np.array_equal(w.grad, x.data.T @ g)
+        assert np.array_equal(x.grad, g @ w.data.T)
+        loss = ad.square_sum(w)
+        w.grad[...] = 0
+        loss.backward(np.asarray(3.0))
+        assert np.array_equal(w.grad, 3.0 * 2.0 * w.data)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 2), (2, 3, 1)])
+    def test_gradient_of_another_shape_raises(self, shape):
+        y = ad.relu(ad.Parameter("x", np.ones((2, 3))))
+        with pytest.raises(ShapeError):
+            y.backward(np.ones(shape))
+
+
+class TestRecycling:
+    @staticmethod
+    def step(rng, layers, x, pc):
+        """One conv + MLP pass from a fresh upstream gradient; returns the
+        gradient bytes of every parameter and of the input."""
+        conv, mlp = layers
+        params = conv.parameters() + mlp.parameters()
+        for p in params:
+            p.grad[...] = 0
+        x.grad = None
+        y = mlp(ad.relu(conv(x, pc)))
+        y.backward(rng.normal(size=y.data.shape).astype(np.float32))
+        return [p.grad.tobytes() for p in params] + [x.grad.tobytes()]
+
+    def test_same_gradients_as_fresh_buffers(self):
+        rng = np.random.default_rng(32)
+        pc = random_voxels(rng, 40)
+        layers = (ad.SparseConvLayer(rng, "c", 4, 6, kernel_size=3),
+                  ad.Mlp(rng, "m", 6, 5, 3))
+        x = ad.Tensor(rng.normal(size=(len(pc), 4)).astype(np.float32),
+                      requires_grad=True)
+        expect = [self.step(np.random.default_rng(k), layers, x, pc)
+                  for k in range(3)]
+        with ad.recycling():
+            got = [self.step(np.random.default_rng(k), layers, x, pc)
+                   for k in range(3)]
+            assert ad._free.stacks  # the later passes had buffers to reuse
+        assert got == expect
+        assert ad._free.stacks is None
+
+    def test_first_gradient_is_zero_plus_g(self):
+        # A first gradient is formed as 0 + g, in and out of recycling: x
+        # receives +0.0 * -1 = -0.0 and must hold +0.0, and the root's
+        # gradient, taken from the buffer the previous pass left behind,
+        # must hold no stale value.
+        rng = np.random.default_rng(31)
+        x = ad.Tensor(rng.normal(size=(6, 3)).astype(np.float32),
+                      requires_grad=True)
+
+        def input_grad(upstream):
+            x.grad = None
+            ad.scale(x, -1.0).backward(np.asarray(upstream, dtype=np.float32))
+            return x.grad
+
+        zeros = np.zeros((6, 3), dtype=np.float32)
+        assert np.signbit(zeros * np.float32(-1.0)).all()
+        out = input_grad(zeros)
+        with ad.recycling():
+            input_grad(rng.normal(size=(6, 3)))  # leaves its root's buffer
+            inside = input_grad(zeros)
+        assert out.tobytes() == zeros.tobytes()
+        assert inside.tobytes() == zeros.tobytes()
+
+
 class TestAdam:
     def test_zero_gradients_leave_params(self):
         p = ad.Parameter("p", np.array([1.0, -2.0]))

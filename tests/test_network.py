@@ -17,7 +17,7 @@ from linr.errors import (
     ScaleMismatchError,
     ShapeError,
 )
-from linr.network import ModelConfig, NUM_STAGES, OccupancyModel
+from linr.network import CONV_CHANNELS, ModelConfig, NUM_STAGES, OccupancyModel
 from linr.plyio import generate_fixture
 from linr.voxel import SparseVoxelSet, build_pyramid
 
@@ -222,19 +222,50 @@ def single_tape_loss(model, pyr, l2_coeff):
     return ad.add(total, ad.scale(penalty, l2_coeff))
 
 
+def per_transition_loss(model, pyr, l2_coeff):
+    """``frame_loss`` with one tape per transition: each transition's eight
+    stages backpropagated together once they have all run, then the
+    penalty."""
+    total = None
+    for i in range(pyr.num_scales - 1, -1, -1):
+        coarse = pyr.levels[i + 1]
+        context = model.scale_context(coarse, i)
+        _, bits = model.predict_children(context, coarse, pyr.masks(i))
+        bits.backward()
+        total = bits.data if total is None else total + bits.data
+    penalty = None
+    for name in model._flat_order:
+        sq = ad.square_sum(model._params[name])
+        penalty = sq if penalty is None else ad.add(penalty, sq)
+    penalty = ad.scale(penalty, l2_coeff)
+    penalty.backward()
+    return total + penalty.data
+
+
 def zero_grads(model):
     for p in model.parameters():
         p.grad[...] = 0
 
 
-class TestBackwardPerTransition:
-    """``frame_loss`` backpropagates each transition as its pass ends."""
+def traced_peak(model, fn):
+    """``tracemalloc`` peak of ``fn()`` from zeroed gradients."""
+    zero_grads(model)
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def test_gradient_bytes_equal_single_tape(self):
-        rng = np.random.default_rng(23)
-        pyr = toy_pyramid(rng, n=300, hi=256)
-        assert pyr.num_scales >= 3
-        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=23)
+
+class TestBackwardPerTransition:
+    """``frame_loss`` backpropagates each stage as its pass ends, and each
+    transition's global features once its eight stages have run."""
+
+    @staticmethod
+    def check_single_tape_bytes(pyr, seed):
+        rng = np.random.default_rng(seed)
+        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=seed)
         model.load_flat(rng.normal(scale=0.4, size=model.num_parameters()))
         zero_grads(model)
         ref = single_tape_loss(model, pyr, 1e-4)
@@ -246,25 +277,59 @@ class TestBackwardPerTransition:
         assert loss.data.tobytes() == ref.data.tobytes()
         assert {p.name: p.grad.tobytes() for p in model.parameters()} == expect
 
-    def test_holds_one_transition_tape(self):
+    def test_gradient_bytes_equal_single_tape(self):
+        pyr = toy_pyramid(np.random.default_rng(23), n=300, hi=256)
+        assert pyr.num_scales >= 3
+        self.check_single_tape_bytes(pyr, 23)
+
+    def test_gradient_bytes_equal_single_tape_on_a_shell(self):
+        pyr = build_pyramid(generate_fixture("sphere-shell", 12))
+        assert pyr.num_scales >= 2 and len(pyr.levels[1]) > 100
+        self.check_single_tape_bytes(pyr, 26)
+
+    def frame_and_model(self):
         pyr = build_pyramid(generate_fixture("random", 3000, seed=5))
         assert pyr.num_scales == 8
         model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=5)
         with ad.no_grad():
             model.frame_loss(pyr)  # build the cached kernel maps and masks
+        return pyr, model
 
-        def peak(fn):
-            zero_grads(model)
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        tape = peak(lambda: single_tape_loss(model, pyr, 1e-4).backward())
-        one = peak(lambda: model.frame_loss(pyr, l2_coeff=1e-4))
+    def test_holds_one_transition_tape(self):
+        pyr, model = self.frame_and_model()
+        tape = traced_peak(model, lambda: single_tape_loss(model, pyr, 1e-4).backward())
+        one = traced_peak(model, lambda: model.frame_loss(pyr, l2_coeff=1e-4))
         assert one <= tape / 3, (one, tape)
+
+    def test_holds_one_stage_tape(self):
+        pyr, model = self.frame_and_model()
+        transition = traced_peak(model, lambda: per_transition_loss(model, pyr, 1e-4))
+        stage = traced_peak(model, lambda: model.frame_loss(pyr, l2_coeff=1e-4))
+        assert stage <= transition / 2, (stage, transition)
+
+    def test_backward_passes_per_call(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        pyr = toy_pyramid(rng, n=80)
+        model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=27)
+        roots = []
+        backward = ad.Tensor.backward
+
+        def counted(self, *args):
+            roots.append(self.data.shape)
+            return backward(self, *args)
+
+        monkeypatch.setattr(ad.Tensor, "backward", counted)
+        model.frame_loss(pyr, l2_coeff=1e-4)
+        # Per transition, eight stages and then its global features; the
+        # penalty last.
+        expect = []
+        for i in range(pyr.num_scales - 1, -1, -1):
+            expect += [()] * NUM_STAGES + [(len(pyr.levels[i + 1]), CONV_CHANNELS)]
+        assert roots == expect + [()]
+        roots.clear()
+        with ad.no_grad():
+            model.frame_loss(pyr, l2_coeff=1e-4)
+        assert roots == []
 
     def test_no_grad_only_evaluates(self):
         rng = np.random.default_rng(24)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -621,6 +622,36 @@ class TestDecodeRobustness:
                 with pytest.raises(CountMismatchError):
                     read(bytes(corrupt))
                 assert time.perf_counter() - t0 < 1.0
+
+    def test_non_finite_or_empty_param_range_rejected_before_decoding(self):
+        # The encoder writes a finite min < max (a constant vector declares
+        # min + 1) and a finite Laplace mean; anything else must be refused
+        # by the walker, with no model run and no numpy warning.
+        data, _ = encode_sequence([generate_fixture("sphere-shell", 6)],
+                                  GopConfig(gop_size=1, epochs_first=1))
+        lo, hi, mu = struct.unpack_from("<fff", data, HEADER_SIZE)
+        assert lo < hi
+        nan, inf = float("nan"), float("inf")
+        cases = ([(0, v) for v in (nan, inf, -inf, hi)]        # min
+                 + [(4, v) for v in (nan, inf, -inf, lo, lo - 1.0)]  # max
+                 + [(8, v) for v in (nan, inf, -inf)])          # mu
+        for offset, value in cases:
+            corrupt = bytearray(data)
+            struct.pack_into("<f", corrupt, HEADER_SIZE + offset, value)
+            for read in (decode_sequence, container_summary):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DecodeError, match="parameter range|Laplace mean"):
+                        read(bytes(corrupt))
+        # A b that is zero, negative or NaN still selects the point mass.
+        for value in (0.0, -1.0, nan):
+            corrupt = bytearray(data)
+            struct.pack_into("<f", corrupt, HEADER_SIZE + 12, value)
+            assert container_summary(bytes(corrupt))["file_bytes"] == len(data)
+            try:
+                decode_sequence(bytes(corrupt))
+            except LinrError:
+                pass
 
     def test_empty_lowest_scale_block_rejected(self):
         # The encoder never writes one: build_pyramid rejects empty clouds.
