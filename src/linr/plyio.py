@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DepthError, ParseError
-from .voxel import SparseVoxelSet, pack_coords, unpack_coords
+from .voxel import MAX_BIT_DEPTH, SparseVoxelSet, pack_coords, unpack_coords
 
 _PLY_DTYPES = {
     "char": "i1", "int8": "i1",
@@ -268,22 +268,27 @@ def generate_fixture(kind: str, size: int, seed: int = 0,
     thick), ``plane`` (size x size sheet), ``random`` (size unique points in
     a 10-bit cube).  ``offset`` translates the geometric shapes, handy for
     fake motion; the random kind folds it into the seed instead so frames
-    stay inside the 10-bit cube.
+    stay inside the 10-bit cube.  A ``sphere-shell`` costs memory in
+    proportion to its surface, not to its bounding cube.  A shape whose
+    coordinates would pass 2^16 - 1 is rejected before anything is
+    allocated.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
+    if kind in ("cube", "plane", "sphere-shell"):
+        # A shell's cells reach 2r: at 2r + 1 the distance is at least r + 0.5.
+        top = (2 * size if kind == "sphere-shell" else size - 1) + offset
+        if top >= 1 << MAX_BIT_DEPTH:
+            raise ValueError(
+                f"a {kind} of size {size} at offset {offset} reaches "
+                f"coordinate {top}, beyond the {MAX_BIT_DEPTH}-bit limit "
+                f"{(1 << MAX_BIT_DEPTH) - 1}")
     if kind == "cube":
         r = np.arange(size)
         coords = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1)
         coords = coords.reshape(-1, 3)
     elif kind == "sphere-shell":
-        radius = size
-        span = np.arange(2 * radius + 2)
-        grid = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1)
-        center = radius + 0.5
-        dist = np.sqrt(((grid - center) ** 2).sum(axis=-1))
-        shell = (dist >= radius - 0.5) & (dist < radius + 0.5)
-        coords = grid[shell].reshape(-1, 3)
+        return SparseVoxelSet(_sphere_shell(size) + offset, assume_sorted=True)
     elif kind == "plane":
         r = np.arange(size)
         xy = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -303,3 +308,40 @@ def generate_fixture(kind: str, size: int, seed: int = 0,
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
     return SparseVoxelSet(coords + offset)
+
+
+def _sphere_shell(radius: int) -> np.ndarray:
+    """Cells of [0, 2r+1]^3 whose centre distance from (r+0.5)^3 lies in
+    [r-0.5, r+0.5), sorted in x, y, z order.
+
+    Each (x, y) column tests only the z candidates of the shell's lower and
+    upper caps: the closed-form interval widened by one cell on each side,
+    so float rounding in the interval cannot drop a cell.  The exact float64
+    test of the dense (2r+2)^3 form then picks the same cells.
+    """
+    center = radius + 0.5
+    top = 2 * radius + 1
+    span = np.arange(top + 1)
+    x, y = (a.ravel() for a in np.meshgrid(span, span, indexing="ij"))
+    h2 = (x - center) ** 2 + (y - center) ** 2
+    hit = h2 < (radius + 0.5) ** 2
+    x, y, h2 = x[hit], y[hit], h2[hit]
+    # z - center lies in [lo, hi) on the upper cap, in (-hi, -lo] on the
+    # lower one, which is the upper cap mirrored by z -> top - z.
+    lo = np.sqrt(np.maximum((radius - 0.5) ** 2 - h2, 0.0))
+    hi = np.sqrt((radius + 0.5) ** 2 - h2)
+    up_first = np.ceil(center + lo).astype(np.int64) - 1
+    up_last = np.minimum(np.floor(center + hi).astype(np.int64) + 1, top)
+    low_last = top - up_first
+    # Near the equator the caps' candidates meet: start the upper run past
+    # the lower one, so every column lists each z once, ascending.
+    first = np.stack([top - up_last, np.maximum(up_first, low_last + 1)], axis=1)
+    last = np.stack([low_last, up_last], axis=1)
+    counts = np.maximum(last - first + 1, 0).ravel()
+    ends = np.cumsum(counts)
+    z = np.arange(ends[-1]) - np.repeat(ends - counts - first.ravel(), counts)
+    grid = np.stack([np.repeat(np.repeat(x, 2), counts),
+                     np.repeat(np.repeat(y, 2), counts), z], axis=-1)
+    dist = np.sqrt(((grid - center) ** 2).sum(axis=-1))
+    shell = (dist >= radius - 0.5) & (dist < radius + 0.5)
+    return grid[shell]

@@ -2,6 +2,7 @@
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,55 @@ class TestFixtures:
                     if r - 0.5 <= d < r + 0.5:
                         count += 1
         assert len(pc) == count
+
+    @pytest.mark.parametrize("offset", [0, 37])
+    def test_sphere_shell_equals_dense_form(self, offset):
+        def dense(radius):
+            # The (2r+2)^3 form the column-wise generator replaced.
+            span = np.arange(2 * radius + 2)
+            grid = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1)
+            center = radius + 0.5
+            dist = np.sqrt(((grid - center) ** 2).sum(axis=-1))
+            shell = (dist >= radius - 0.5) & (dist < radius + 0.5)
+            return grid[shell].reshape(-1, 3)
+
+        for r in [*range(1, 33), 40, 47]:
+            pc = generate_fixture("sphere-shell", r, offset=offset)
+            assert np.array_equal(pc.coords, dense(r) + offset), r
+            assert np.all(np.diff(pc.keys) > 0), r
+
+    def test_sphere_shell_memory_follows_surface(self):
+        # The dense (2r+2)^3 form peaked at about 440 MiB here.
+        tracemalloc.start()
+        try:
+            pc = generate_fixture("sphere-shell", 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pc) == 125_672
+        assert peak <= 64 << 20
+
+    @pytest.mark.parametrize("kind,size", [
+        ("cube", 65537), ("plane", 70000), ("sphere-shell", 40000),
+    ])
+    def test_shape_beyond_16_bits_rejected(self, tmp_path, capsys, kind, size):
+        # Raised before anything of that size is allocated.
+        with pytest.raises(ValueError, match="16-bit limit"):
+            generate_fixture(kind, size)
+        out = tmp_path / "s.ply"
+        assert main(["fixture", "--kind", kind, "--size", str(size),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,size,last", [
+        ("cube", 2, 65534), ("plane", 1, 65535), ("sphere-shell", 1, 65533),
+    ])
+    def test_shape_offset_up_to_16_bits(self, kind, size, last):
+        pc = generate_fixture(kind, size, offset=last)
+        assert pc.coords.max() == 65535
+        with pytest.raises(ValueError, match="16-bit limit"):
+            generate_fixture(kind, size, offset=last + 1)
 
     def test_plane(self):
         pc = generate_fixture("plane", 8)
