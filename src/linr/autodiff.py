@@ -6,7 +6,8 @@ accumulator.  Ops record backward closures micrograd-style; calling
 walks the graph in reverse topological order.
 Only the handful of ops the occupancy network needs exist here.
 
-Reductions run in a fixed order (offset-major, then point order), and the
+Reductions run in an order fixed by the shapes (a sparse conv sums per
+offset, then in point order, or in one GEMM on small levels), and the
 codec runs every BLAS call on one thread (:func:`one_blas_thread`), so a
 forward pass and a training step are bit-reproducible for identical inputs
 and parameters whatever the caller's BLAS thread count.  Float32 results
@@ -124,9 +125,10 @@ def recycling():
     """Reuse, in this thread, the gradient buffers that backward passes free.
 
     Inside, every interior gradient a backward pass releases goes to a free
-    list instead of back to the allocator, and op outputs and first
-    gradients take a free buffer of their shape and dtype before allocating
-    a new one; on exit the list is dropped.  Released gradients are out of
+    list instead of back to the allocator, as do the gathered matrices of
+    the dense conv path once used, and op outputs, first gradients and
+    those matrices take a free buffer of their shape and dtype before
+    allocating a new one; on exit the list is dropped.  Released gradients are out of
     every caller's reach, so this changes no value.  A loop of backward
     passes over same-sized graphs thus stops freeing and faulting in the
     same pages each time; keep the scope to graphs of one size, or the list
@@ -352,22 +354,138 @@ def broadcast_row(table: Tensor, index: int, num_points: int) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def _add_rows(dst: np.ndarray, rows: np.ndarray, src: np.ndarray) -> None:
-    """``dst[rows] += src`` for ``rows`` without repeats.
+class _Rows:
+    """A matrix as a 1-D array of opaque rows, for whole-row scatters.
 
-    The same float operations as the fancy-index form, done as one gather,
-    one in-place add and one ``np.put`` of whole rows into a 1-D void view
-    of ``dst``, which numpy copies as opaque rows.  A repeated row
-    would keep only one of its sums, so callers pass the rows of one kernel
-    offset, which never repeat.
+    numpy copies a void element as one block, so ``put`` into this view
+    writes whole rows.  The row dtype is built once per matrix: building
+    one costs more than a small scatter.  A matrix that is not C-contiguous
+    has no such view and takes the fancy-index write instead.
     """
-    acc = dst.take(rows, axis=0)
-    acc += src
-    if not dst.flags.c_contiguous:
-        dst[rows] = acc
-        return
-    row = np.dtype((np.void, dst.itemsize * dst.shape[1]))
-    np.put(dst.view(row)[:, 0], rows, acc.view(row)[:, 0])
+
+    __slots__ = ("dst", "row", "flat")
+
+    def __init__(self, dst: np.ndarray):
+        self.dst = dst
+        self.row = self.flat = None
+        if dst.flags.c_contiguous:
+            self.row = np.dtype((np.void, dst.itemsize * dst.shape[1]))
+            self.flat = dst.view(self.row)[:, 0]
+
+    def add(self, rows: np.ndarray, src: np.ndarray) -> None:
+        """``dst[rows] += src`` for ``rows`` without repeats.
+
+        The same float operations as the fancy-index form, done as one
+        gather, one in-place add and one row scatter.  A repeated row would
+        keep only one of its sums, so callers pass the rows of one kernel
+        offset, which never repeat.
+        """
+        acc = self.dst.take(rows, axis=0)
+        acc += src
+        if self.flat is None:
+            self.dst[rows] = acc
+        else:
+            self.flat.put(rows, acc.view(self.row)[:, 0])
+
+
+# A conv with more than one kernel offset on at most this many points runs
+# as im2col (:func:`_im2col_conv`): there its gathers and single GEMM cost
+# less than the ~190 numpy calls of the per-offset path.  Beyond it the
+# per-offset path wins, since most neighbours of a sparse level are absent.
+DENSE_MAX_POINTS = 2048
+
+
+class KernelMap(list):
+    """The per-offset ``(out_rows, in_rows)`` pairs :func:`sparse_conv` takes,
+    with a cache for the neighbour tables of its dense path, so that they
+    are built once per map (``SparseVoxelSet.kernel_pairs`` returns one)."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.tables = None
+
+
+def _neighbour_tables(pairs, n: int) -> tuple:
+    """``(gather, scatter)``, each (n, num_offsets), of the map ``pairs``.
+
+    ``gather[o, k]`` is the row that point o reads at offset k and
+    ``scatter[i, k]`` the row that reads point i there, so ``scatter`` is
+    built from the pairs and needs no mirror symmetry.  An absent neighbour
+    is row n, the zero row :func:`_gather` appends.  Cached on a
+    :class:`KernelMap`, in the smallest integer type that holds n: the
+    cache lives as long as the level, and an encode holds every level of
+    a group's frames.
+    """
+    tables = getattr(pairs, "tables", None)
+    if tables is None:
+        index = np.min_scalar_type(n)
+        gather = np.full((n, len(pairs)), n, dtype=index)
+        scatter = np.full((n, len(pairs)), n, dtype=index)
+        for k, (out_rows, in_rows) in enumerate(pairs):
+            gather[out_rows, k] = in_rows
+            scatter[in_rows, k] = out_rows
+        tables = gather, scatter
+        if isinstance(pairs, KernelMap):
+            pairs.tables = tables
+    return tables
+
+
+def _gather(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` plus an appended zero row, gathered through ``table``
+    into an (n, num_offsets * c) matrix: offset-major columns per point.
+
+    Both temporaries come from the recycling buffers where a scope is open;
+    the caller recycles the result once it is done with it.
+    """
+    n, k = table.shape
+    c = a.shape[1]
+    padded = _empty((a.shape[0] + 1, c), a.dtype)
+    padded[:-1] = a
+    padded[-1] = 0
+    cols = _empty((n, k * c), a.dtype)
+    # Every index is in range; mode="clip" spares numpy's buffered copy.
+    np.take(padded, table, axis=0, out=cols.reshape(n, k, c), mode="clip")
+    _recycle(padded)
+    return cols
+
+
+def _im2col_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
+    """:func:`sparse_conv` as one gather and one GEMM per direction.
+
+    Forward: ``cols @ W`` with W as a (num_offsets * c_in, c_out) matrix,
+    then the bias.  The weight gradient is ``cols.T @ g``, with ``cols``
+    gathered again rather than held on the tape; the input gradient
+    gathers ``g`` through the scatter table and multiplies it by the
+    transposed weight.  Every product sums over offsets and channels at
+    once, so float sums differ from the per-offset path's in order.
+    """
+    n = x.data.shape[0]
+    k, c_in, c_out = weight.data.shape
+    gather, scatter = _neighbour_tables(pairs, n)
+    cols = _gather(x.data, gather)
+    out = np.matmul(cols, weight.data.reshape(k * c_in, c_out),
+                    out=_empty((n, c_out), x.data.dtype))
+    _recycle(cols)
+    out += bias.data
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        if weight.requires_grad:
+            cols = _gather(x.data, gather)
+            weight._accumulate((cols.T @ g).reshape(k, c_in, c_out))
+            _recycle(cols)
+        if x.requires_grad:
+            g_cols = _gather(g, scatter)
+            w_t = weight.data.transpose(0, 2, 1).reshape(k * c_out, c_in)
+            dx = np.matmul(g_cols, w_t, out=_empty((n, c_in), g_cols.dtype))
+            _recycle(g_cols)
+            x._accumulate(dx)
+            _recycle(dx)
+
+    return _make(out, (x, weight, bias), backward)
 
 
 def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
@@ -375,12 +493,16 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
 
     ``weight`` is (num_offsets, c_in, c_out); ``pairs[k]`` gives the
     (out_rows, in_rows) index arrays for kernel offset k, each free of
-    repeats (see ``SparseVoxelSet.kernel_pairs``).  Offsets are accumulated
-    in fixed order, points in row order.  The identity offset (the centre,
-    every 1x1 conv) gives ``in_rows`` as the same array as ``out_rows``; it
-    needs no gather and no scatter, and it fixes the point count, which
-    ``x`` must match row for row.  No other offset covers every point: the
-    point furthest along it has no neighbour there.
+    repeats (see ``SparseVoxelSet.kernel_pairs``).  The identity offset
+    (the centre, every 1x1 conv) gives ``in_rows`` as the same array as
+    ``out_rows``; it fixes the point count, which ``x`` must match row for
+    row.  No other offset covers every point: the point furthest along it
+    has no neighbour there.
+
+    A map of more than one offset on at most :data:`DENSE_MAX_POINTS`
+    points runs as im2col (:func:`_im2col_conv`).  Otherwise offsets are
+    accumulated one by one in fixed order, points in row order; the
+    identity offset needs no gather and no scatter.
     """
     if x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(
@@ -394,9 +516,12 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
         if in_rows is out_rows and out_rows.shape[0] != n:
             raise ShapeError(f"conv input has {n} rows for "
                              f"{out_rows.shape[0]} points")
+    if len(pairs) > 1 and n <= DENSE_MAX_POINTS:
+        return _im2col_conv(x, weight, bias, pairs)
     c_out = weight.data.shape[2]
     out = _empty((n, c_out), x.data.dtype)
     out[:] = bias.data
+    out_scatter = _Rows(out)
     for k, (out_rows, in_rows) in enumerate(pairs):
         if out_rows.shape[0] == 0:
             continue
@@ -404,7 +529,7 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
             out += x.data @ weight.data[k]
         else:
             xk = x.data.take(in_rows, axis=0)
-            _add_rows(out, out_rows, xk @ weight.data[k])
+            out_scatter.add(out_rows, xk @ weight.data[k])
 
     def backward(g):
         if bias.requires_grad:
@@ -413,8 +538,10 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
         if need_w and weight.grad is None:
             weight.grad = np.zeros_like(weight.data)
         need_x = x.requires_grad
-        if need_x and x.grad is None:
-            x.grad = _zeros_like(x.data)
+        if need_x:
+            if x.grad is None:
+                x.grad = _zeros_like(x.data)
+            x_scatter = _Rows(x.grad)
         for k, (out_rows, in_rows) in enumerate(pairs):
             if out_rows.shape[0] == 0:
                 continue
@@ -428,7 +555,7 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
                 if same:
                     x.grad += dx
                 else:
-                    _add_rows(x.grad, in_rows, dx)
+                    x_scatter.add(in_rows, dx)
 
     return _make(out, (x, weight, bias), backward)
 

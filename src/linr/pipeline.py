@@ -77,8 +77,11 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 5
+VERSION = 6
 FILE_EXTENSION = ".linr"
+
+# The largest finite float32: no transmitted parameter may exceed it in magnitude.
+_F32_MAX = float(np.finfo(np.float32).max)
 
 _HEADER_FMT = "<4sBBBHIB"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
@@ -535,7 +538,9 @@ def _walk(data: bytes):
     Laplace mean, that the first is not a delta block, and that each
     carries exactly as many parameters as the model the header's scale
     count builds (none without scales), with a finite range whose max is
-    above its min when it carries any;
+    above its min when it carries any; that range must be no wider than
+    float32 holds, and a delta block must not reach past float32 from any
+    value the blocks before it can give;
     rejects an empty lowest-scale block, bounds every block and payload
     length by the bytes present, and rejects trailing bytes; decodes no
     parameters and no geometry.  Returns ``(header, model, groups)``: the
@@ -564,6 +569,8 @@ def _walk(data: bytes):
     # The decoder's symbol loop runs ``count`` times, so the untrusted count
     # is checked before any block is decoded.
     count = model.num_parameters() if model is not None else 0
+    # Bounds |value| of every parameter the blocks so far can decode to.
+    reach = 0.0
     groups = []
     remaining = header.frame_count
     while remaining > 0:
@@ -583,6 +590,16 @@ def _walk(data: bytes):
                           and quant.max > quant.min):
             raise DecodeError(f"invalid parameter range "
                               f"[{quant.min}, {quant.max}]")
+        if count:
+            if quant.max - quant.min > _F32_MAX:
+                raise DecodeError(f"parameter range [{quant.min}, {quant.max}] "
+                                  f"is wider than float32 holds")
+            if quant.kind == DELTA:
+                reach += quant.step * (1 << (quant.bits - 1))
+            else:
+                reach = max(abs(quant.min), abs(quant.max))
+            if reach > _F32_MAX:
+                raise DecodeError("delta parameter block reaches past float32")
         if not math.isfinite(side.mu):
             raise DecodeError(f"non-finite Laplace mean {side.mu}")
         frames = []

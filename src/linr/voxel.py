@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .autodiff import KernelMap
 from .errors import (
     DepthError,
     EmptyCloudError,
@@ -148,7 +149,9 @@ class SparseVoxelSet:
 
         Returns, per kernel offset in fixed lexicographic order, a pair of
         index arrays ``(out_rows, in_rows)``: point ``out_rows[i]`` sees
-        point ``in_rows[i]`` at that offset.  Cached per kernel size.
+        point ``in_rows[i]`` at that offset.  Cached per kernel size, as a
+        ``KernelMap``, which also caches the neighbour tables of the dense
+        conv path.
 
         ``out_rows`` is ascending, and within one offset neither array
         repeats a row: a translation maps distinct points to distinct
@@ -177,6 +180,7 @@ class SparseVoxelSet:
         identity = np.arange(len(self), dtype=np.int64)
         pairs.append((identity, identity))
         pairs += [(in_rows, out_rows) for out_rows, in_rows in reversed(pairs[:half])]
+        pairs = KernelMap(pairs)
         self._kernel_pairs[kernel_size] = pairs
         return pairs
 

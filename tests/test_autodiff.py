@@ -118,7 +118,7 @@ class TestSparseConv:
 
 def reference_sparse_conv(x, w, b, pairs, g, x_grad):
     """Fancy-index forward and ``np.add.at`` backward: the plain formulation
-    that ``sparse_conv`` must reproduce bit for bit."""
+    that the per-offset path of ``sparse_conv`` must reproduce bit for bit."""
     n = x.shape[0]
     out = np.empty((n, w.shape[2]), dtype=x.dtype)
     out[:] = b
@@ -136,6 +136,29 @@ def reference_sparse_conv(x, w, b, pairs, g, x_grad):
     return out, x_grad, w_grad, np.zeros_like(b) + g.sum(axis=0)
 
 
+def im2col_reference(x, w, b, pairs, g, x_grad):
+    """Padded neighbour tables, then one gather and one GEMM per direction:
+    the formulation that the dense path of ``sparse_conv`` must reproduce
+    bit for bit."""
+    n = x.shape[0]
+    k, c_in, c_out = w.shape
+    gather = np.full((n, k), n)
+    scatter = np.full((n, k), n)
+    for j, (out_rows, in_rows) in enumerate(pairs):
+        gather[out_rows, j] = in_rows
+        scatter[in_rows, j] = out_rows
+
+    def cols(a, table):
+        padded = np.concatenate([a, np.zeros((1, a.shape[1]), a.dtype)])
+        return padded[table].reshape(n, -1)
+
+    out = cols(x, gather) @ w.reshape(k * c_in, c_out)
+    out += b
+    w_grad = np.zeros_like(w) + (cols(x, gather).T @ g).reshape(w.shape)
+    x_grad += cols(g, scatter) @ w.transpose(0, 2, 1).reshape(k * c_out, c_in)
+    return out, x_grad, w_grad, np.zeros_like(b) + g.sum(axis=0)
+
+
 def mixed_offset_voxels():
     """A line along x plus a 3x3 patch in a far z-plane: the centre offset
     is full, the in-plane offsets partial, every offset with dz != 0 empty."""
@@ -144,58 +167,140 @@ def mixed_offset_voxels():
     return SparseVoxelSet(np.array(line + patch))
 
 
+def shifted_offset_pairs(n=7):
+    """A hand-built map with no mirror symmetry: a full-length offset whose
+    in_rows is not the identity cannot come from kernel_pairs."""
+    identity = np.arange(n, dtype=np.int64)
+    return [
+        (identity, identity),
+        (identity, np.roll(identity, 2)),
+        (identity[1:4], identity[3:6]),
+        (identity[:0], identity[:0]),
+    ]
+
+
+@pytest.fixture
+def per_offset(monkeypatch):
+    """Every conv takes the per-offset path, whatever its size."""
+    monkeypatch.setattr(ad, "DENSE_MAX_POINTS", 0)
+
+
+def run_conv(pairs, n, c_in, c_out, x_grad_exists, seed, order="C",
+             dtype=np.float32):
+    """One forward and backward pass of ``sparse_conv`` on random values;
+    returns the inputs and the results (out, x.grad, w.grad, b.grad)."""
+    rng = np.random.default_rng(seed)
+    k = len(pairs)
+    xv = rng.normal(size=(n, c_in)).astype(dtype)
+    w = ad.Parameter("w", rng.normal(size=(k, c_in, c_out)).astype(dtype))
+    b = ad.Parameter("b", rng.normal(size=c_out).astype(dtype))
+    x = ad.Tensor(xv.copy(order=order), requires_grad=True)
+    start = rng.normal(size=(n, c_in)).astype(dtype)
+    if x_grad_exists:
+        x.grad = start.copy()
+    g = rng.normal(size=(n, c_out)).astype(dtype)
+    out = ad.sparse_conv(x, w, b, pairs)
+    out._backward(g)
+    x_grad = start.copy() if x_grad_exists else np.zeros_like(xv)
+    return (xv, w.data, b.data, pairs, g, x_grad), (out.data, x.grad, w.grad, b.grad)
+
+
 class TestSparseConvExact:
-    def check(self, pairs, n, c_in, c_out, x_grad_exists, seed, order="C"):
-        rng = np.random.default_rng(seed)
-        k = len(pairs)
-        xv = rng.normal(size=(n, c_in)).astype(np.float32)
-        w = ad.Parameter("w", rng.normal(size=(k, c_in, c_out)).astype(np.float32))
-        b = ad.Parameter("b", rng.normal(size=c_out).astype(np.float32))
-        x = ad.Tensor(xv.copy(order=order), requires_grad=True)
-        start = rng.normal(size=(n, c_in)).astype(np.float32)
-        if x_grad_exists:
-            x.grad = start.copy()
-        g = rng.normal(size=(n, c_out)).astype(np.float32)
-        out = ad.sparse_conv(x, w, b, pairs)
-        out._backward(g)
-        want = reference_sparse_conv(
-            xv, w.data, b.data, pairs, g,
-            start.copy() if x_grad_exists else np.zeros_like(xv),
-        )
-        for got, expect in zip((out.data, x.grad, w.grad, b.grad), want):
-            assert got.dtype == expect.dtype
-            assert np.array_equal(got, expect)
+    def check(self, reference, pairs, n, c_in, c_out, x_grad_exists, seed,
+              order="C"):
+        inputs, got = run_conv(pairs, n, c_in, c_out, x_grad_exists, seed, order)
+        for value, expect in zip(got, reference(*inputs)):
+            assert value.dtype == expect.dtype
+            assert np.array_equal(value, expect)
 
     @pytest.mark.parametrize("x_grad_exists", [False, True])
     @pytest.mark.parametrize("kernel_size", [1, 3])
-    def test_matches_reference_on_voxel_set(self, kernel_size, x_grad_exists):
+    def test_matches_reference_on_voxel_set(self, per_offset, kernel_size,
+                                            x_grad_exists):
         pc = mixed_offset_voxels()
         pairs = pc.kernel_pairs(kernel_size)
         sizes = {len(out_rows) for out_rows, _ in pairs}
         if kernel_size == 3:
             assert 0 in sizes and len(pc) in sizes and len(sizes) > 2
-        self.check(pairs, len(pc), 5, 3, x_grad_exists, seed=kernel_size)
+        self.check(reference_sparse_conv, pairs, len(pc), 5, 3, x_grad_exists,
+                   seed=kernel_size)
 
-    def test_matches_reference_on_fortran_order_input(self):
+    def test_matches_reference_on_fortran_order_input(self, per_offset):
         # The gradient of a Fortran-order input is Fortran-order too, so it
         # cannot be written through a row view.
         pc = mixed_offset_voxels()
-        self.check(pc.kernel_pairs(3), len(pc), 5, 3, False, seed=9, order="F")
+        self.check(reference_sparse_conv, pc.kernel_pairs(3), len(pc), 5, 3,
+                   False, seed=9, order="F")
 
     @pytest.mark.parametrize("x_grad_exists", [False, True])
-    def test_matches_reference_on_full_shifted_offset(self, x_grad_exists):
-        # A full-length offset whose in_rows is not the identity cannot come
-        # from kernel_pairs; built by hand, it is gathered and scattered like
-        # any other non-identity offset.
-        n = 7
-        identity = np.arange(n, dtype=np.int64)
-        pairs = [
-            (identity, identity),
-            (identity, np.roll(identity, 2)),
-            (identity[1:4], identity[3:6]),
-            (identity[:0], identity[:0]),
-        ]
-        self.check(pairs, n, 4, 6, x_grad_exists, seed=7)
+    def test_matches_reference_on_full_shifted_offset(self, per_offset,
+                                                      x_grad_exists):
+        # Gathered and scattered like any other non-identity offset.
+        self.check(reference_sparse_conv, shifted_offset_pairs(), 7, 4, 6,
+                   x_grad_exists, seed=7)
+
+    @pytest.mark.parametrize("x_grad_exists", [False, True])
+    @pytest.mark.parametrize("kernel_size", [1, 3])
+    def test_dense_matches_im2col_reference_on_voxel_set(self, kernel_size,
+                                                         x_grad_exists):
+        # A 1x1 conv stays per offset, where one offset is one GEMM too.
+        pc = mixed_offset_voxels()
+        self.check(im2col_reference, pc.kernel_pairs(kernel_size), len(pc), 5, 3,
+                   x_grad_exists, seed=kernel_size)
+
+    def test_dense_matches_im2col_reference_on_fortran_order_input(self):
+        pc = mixed_offset_voxels()
+        self.check(im2col_reference, pc.kernel_pairs(3), len(pc), 5, 3, False,
+                   seed=9, order="F")
+
+    @pytest.mark.parametrize("x_grad_exists", [False, True])
+    def test_dense_matches_im2col_reference_on_full_shifted_offset(
+            self, x_grad_exists):
+        # The scatter table comes from the pairs, not from a mirror offset.
+        self.check(im2col_reference, shifted_offset_pairs(), 7, 4, 6,
+                   x_grad_exists, seed=7)
+
+    @pytest.mark.parametrize("x_grad_exists", [False, True])
+    @pytest.mark.parametrize("maps", ["voxel-set", "random-set", "shifted"])
+    def test_paths_agree_in_float64(self, monkeypatch, maps, x_grad_exists):
+        if maps == "shifted":
+            pairs, n = shifted_offset_pairs(), 7
+        else:
+            pc = (mixed_offset_voxels() if maps == "voxel-set"
+                  else random_voxels(np.random.default_rng(12), 300, hi=9))
+            pairs, n = pc.kernel_pairs(3), len(pc)
+        args = (pairs, n, 5, 3, x_grad_exists, 11, "C", np.float64)
+        _, dense = run_conv(*args)
+        monkeypatch.setattr(ad, "DENSE_MAX_POINTS", 0)
+        _, per_offset = run_conv(*args)
+        for a, b in zip(dense, per_offset):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel_size, extra, dense", [
+        (3, 0, True), (3, 1, False), (1, 0, False)])
+    def test_dense_up_to_dense_max_points(self, monkeypatch, kernel_size, extra,
+                                          dense):
+        n = ad.DENSE_MAX_POINTS + extra
+        pc = SparseVoxelSet(np.stack([np.arange(n), np.arange(n) % 2,
+                                      np.zeros(n, dtype=np.int64)], axis=1))
+        calls = []
+        im2col = ad._im2col_conv
+        monkeypatch.setattr(ad, "_im2col_conv",
+                            lambda *args: calls.append(1) or im2col(*args))
+        pairs = pc.kernel_pairs(kernel_size)
+        rng = np.random.default_rng(13)
+        layer = ad.SparseConvLayer(rng, "c", 2, 2, kernel_size=kernel_size)
+        x = ad.Tensor(rng.normal(size=(n, 2)).astype(np.float32),
+                      requires_grad=True)
+        layer(x, pc).backward(np.ones((n, 2), dtype=np.float32))
+        layer(x, pc)
+        assert len(calls) == 2 * dense
+        # The dense path builds its tables once per map and caches them there.
+        assert (pairs.tables is not None) == dense
+        if dense:
+            tables = pairs.tables
+            layer(x, pc)
+            assert pairs.tables is tables
 
     def test_kernel_pair_rows_unique_per_offset(self):
         rng = np.random.default_rng(8)
@@ -432,6 +537,29 @@ class TestRecycling:
             assert ad._free.stacks  # the later passes had buffers to reuse
         assert got == expect
         assert ad._free.stacks is None
+
+    @pytest.mark.parametrize("dense_max_points", [0, ad.DENSE_MAX_POINTS])
+    def test_conv_input_gradient_outlives_later_passes(self, monkeypatch,
+                                                       dense_max_points):
+        # A leaf keeps its gradient: the temporaries of a conv's backward
+        # pass go to the free list, the buffer it leaves in x.grad must not.
+        monkeypatch.setattr(ad, "DENSE_MAX_POINTS", dense_max_points)
+        rng = np.random.default_rng(33)
+        pc = random_voxels(rng, 40)
+        conv = ad.SparseConvLayer(rng, "c", 4, 4, kernel_size=3)
+
+        def leaf():
+            return ad.Tensor(rng.normal(size=(len(pc), 4)).astype(np.float32),
+                             requires_grad=True)
+
+        x = leaf()
+        with ad.recycling():
+            conv(x, pc).backward(np.ones((len(pc), 4), dtype=np.float32))
+            expect = x.grad.copy()
+            for _ in range(2):
+                conv(leaf(), pc).backward(
+                    rng.normal(size=(len(pc), 4)).astype(np.float32))
+            assert x.grad.tobytes() == expect.tobytes()
 
     def test_first_gradient_is_zero_plus_g(self):
         # A first gradient is formed as 0 + g, in and out of recycling: x

@@ -239,6 +239,15 @@ class TestFixtures:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_shape_beyond_memory_rejected(self, tmp_path, capsys):
+        # Inside the 16-bit range, but its grid is petabytes: numpy refuses
+        # the allocation at once.
+        out = tmp_path / "c.ply"
+        assert main(["fixture", "--kind", "cube", "--size", "65536",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        assert not out.exists()
+
     def test_sphere_shell_matches_brute_force(self):
         r = 20
         pc = generate_fixture("sphere-shell", r)

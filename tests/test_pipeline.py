@@ -555,8 +555,9 @@ class TestDecodeRobustness:
     def test_summary_rejects_unsupported_version(self):
         data, _ = self.make_container()
         # 1: the per-scale context MLPs; 2: no parameter block kind;
-        # 3 and 4: payloads of the bit-wise (Witten-Neal-Cleary) coder.
-        for version in (1, 2, 3, 4, 9):
+        # 3 and 4: payloads of the bit-wise (Witten-Neal-Cleary) coder;
+        # 5: convs summed per offset on every level.
+        for version in (1, 2, 3, 4, 5, 9):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):
@@ -652,6 +653,37 @@ class TestDecodeRobustness:
                 decode_sequence(bytes(corrupt))
             except LinrError:
                 pass
+
+    def test_param_values_beyond_float32_rejected_before_decoding(self):
+        # Finite ranges whose span, or whose delta reach from the values
+        # the blocks before can give, leaves float32: the walker refuses
+        # them, with no model run and no numpy warning.
+        frames = [generate_fixture("sphere-shell", 6, offset=k) for k in range(2)]
+        data, report = encode_sequence(frames, GopConfig(
+            gop_size=1, epochs_first=1, epochs_rest=0))
+        assert report.gop_param_kinds == ["absolute", "delta"]
+        _, blocks, _ = walk_container(data)
+        first, delta = (start for start, _ in blocks)
+        cases = [
+            {first: (-3e38, 3e38)},
+            {delta: (-3e38, 3e38)},
+            {first: (0.0, 3e38), delta: (0.0, 1e38)},
+            {first: (-3e38, 0.0), delta: (-1e38, 0.0)},
+        ]
+        for case in cases:
+            corrupt = bytearray(data)
+            for start, (lo, hi) in case.items():
+                struct.pack_into("<ff", corrupt, start, lo, hi)
+            for read in (decode_sequence, container_summary):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DecodeError, match="float32"):
+                        read(bytes(corrupt))
+        # Each block alone stays inside float32 and passes the walker.
+        for start, (lo, hi) in ((first, (0.0, 3e38)), (delta, (0.0, 1e38))):
+            corrupt = bytearray(data)
+            struct.pack_into("<ff", corrupt, start, lo, hi)
+            assert container_summary(bytes(corrupt))["file_bytes"] == len(data)
 
     def test_empty_lowest_scale_block_rejected(self):
         # The encoder never writes one: build_pyramid rejects empty clouds.
