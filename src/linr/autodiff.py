@@ -148,13 +148,12 @@ def _empty(shape, dtype) -> np.ndarray:
 
 
 def _recycle(grad: np.ndarray) -> None:
-    if _free.stacks is not None and grad.flags.c_contiguous:
+    if _free.stacks is not None:
         _free.stacks.setdefault((grad.shape, grad.dtype), []).append(grad)
 
 
 def _zeros_like(a: np.ndarray) -> np.ndarray:
-    if not a.flags.c_contiguous:
-        return np.zeros_like(a)  # keeps the memory order
+    # C-ordered whatever a's order, as every gradient buffer is.
     out = _empty(a.shape, a.dtype)
     out.fill(0)
     return out
@@ -229,7 +228,7 @@ class Parameter(Tensor):
     def __init__(self, name: str, data):
         super().__init__(np.asarray(data), requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"
@@ -347,7 +346,7 @@ def broadcast_row(table: Tensor, index: int, num_points: int) -> Tensor:
     def backward(g):
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
+                table.grad = _zeros_like(table.data)
             table.grad[index] += g.sum(axis=0)
 
     data = np.repeat(table.data[index : index + 1], num_points, axis=0)
@@ -359,18 +358,16 @@ class _Rows:
 
     numpy copies a void element as one block, so ``put`` into this view
     writes whole rows.  The row dtype is built once per matrix: building
-    one costs more than a small scatter.  A matrix that is not C-contiguous
-    has no such view and takes the fancy-index write instead.
+    one costs more than a small scatter.  ``dst`` must be C-contiguous, as
+    op outputs and gradient buffers are.
     """
 
     __slots__ = ("dst", "row", "flat")
 
     def __init__(self, dst: np.ndarray):
         self.dst = dst
-        self.row = self.flat = None
-        if dst.flags.c_contiguous:
-            self.row = np.dtype((np.void, dst.itemsize * dst.shape[1]))
-            self.flat = dst.view(self.row)[:, 0]
+        self.row = np.dtype((np.void, dst.itemsize * dst.shape[1]))
+        self.flat = dst.view(self.row)[:, 0]
 
     def add(self, rows: np.ndarray, src: np.ndarray) -> None:
         """``dst[rows] += src`` for ``rows`` without repeats.
@@ -382,10 +379,7 @@ class _Rows:
         """
         acc = self.dst.take(rows, axis=0)
         acc += src
-        if self.flat is None:
-            self.dst[rows] = acc
-        else:
-            self.flat.put(rows, acc.view(self.row)[:, 0])
+        self.flat.put(rows, acc.view(self.row)[:, 0])
 
 
 # A conv with more than one kernel offset on at most this many points runs
@@ -536,7 +530,7 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
             bias._accumulate(g.sum(axis=0))
         need_w = weight.requires_grad
         if need_w and weight.grad is None:
-            weight.grad = np.zeros_like(weight.data)
+            weight.grad = _zeros_like(weight.data)
         need_x = x.requires_grad
         if need_x:
             if x.grad is None:

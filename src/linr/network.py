@@ -162,22 +162,16 @@ class OccupancyModel:
             merged = ad.add(g_feat, local)
         return ad.sigmoid(self.head_mlps[j](self.head_conv(merged, coarse)))
 
-    def transition(self, context: ad.Tensor, coarse: SparseVoxelSet,
+    def transition(self, g_feat: ad.Tensor, coarse: SparseVoxelSet,
                    next_bits) -> np.ndarray:
-        """The eight-stage loop of one scale transition; returns child masks.
+        """The eight-stage loop of one scale transition on its global features
+        ``g_feat``; returns child masks.
 
-        Computes the global features once.  For each stage j it calls
-        ``next_bits(j, p)`` with the stage's (n, 1) probability tensor; that
-        returns the stage's 0/1 bit per parent (the ground truth in training
-        and on encode, the range-decoded bits on decode), which conditions
-        every later stage and sets bit j of the masks.
+        For each stage j it calls ``next_bits(j, p)`` with the stage's (n, 1)
+        probability tensor; that returns the stage's 0/1 bit per parent (the
+        ground truth in training and on encode, the range-decoded bits on
+        decode), which conditions every later stage and sets bit j of the masks.
         """
-        return self._stages(self.global_features(context, coarse), coarse,
-                            next_bits)
-
-    def _stages(self, g_feat: ad.Tensor, coarse: SparseVoxelSet,
-                next_bits) -> np.ndarray:
-        """The eight stages of :meth:`transition` on given global features."""
         slots = []
         masks = np.zeros(len(coarse), dtype=np.uint8)
         for j in range(NUM_STAGES):
@@ -210,7 +204,7 @@ class OccupancyModel:
             loss = stage_loss if loss is None else ad.add(loss, stage_loss)
             return bits_j
 
-        self.transition(context, coarse, truth)
+        self.transition(self.global_features(context, coarse), coarse, truth)
         return probs, loss
 
     def frame_loss(self, pyramid: ScalePyramid, l2_coeff: float = 0.0) -> ad.Tensor:
@@ -256,7 +250,7 @@ class OccupancyModel:
                 return bits_j
 
             with ad.recycling():
-                self._stages(leaf, coarse, truth)
+                self.transition(leaf, coarse, truth)
                 if g.requires_grad:
                     g.backward(leaf.grad)
             total = bits if total is None else total + bits

@@ -339,12 +339,12 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
     """The scale loop of one frame, shared by encoder and decoder.
 
     From the lowest ``level`` up, each scale transition ``i`` computes the
-    scale context and runs the model's eight-stage ``transition`` without
-    gradients.  Each stage ``j`` quantizes its probabilities once and calls
-    ``stage_bits(i, j, coarse, probs, quantized)``.  That returns the
-    stage's 0/1 bits, one int64 per parent: the ground truth on encode,
-    the range-decoded bits on decode.  The bits condition the later stages
-    and form the child masks.
+    scale context and global features, then the model's eight-stage
+    ``transition``, all without gradients.  Each stage ``j`` quantizes its
+    probabilities once and calls ``stage_bits(i, j, coarse, probs,
+    quantized)``.  That returns the stage's 0/1 bits, one int64 per parent:
+    the ground truth on encode, the range-decoded bits on decode.  The bits
+    condition the later stages and form the child masks.
 
     Yields ``(i, finer level)`` after each transition.  The finer level is
     rebuilt from the masks, unless the encoder passes the ``pyramid`` it
@@ -358,8 +358,8 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
             return stage_bits(i, j, coarse, probs, quantize_probabilities(probs))
 
         with ad.no_grad():
-            masks = model.transition(model.scale_context(coarse, i), coarse,
-                                     next_bits)
+            g = model.global_features(model.scale_context(coarse, i), coarse)
+            masks = model.transition(g, coarse, next_bits)
         if pyramid is not None:
             level = pyramid.levels[i]
         else:

@@ -208,10 +208,12 @@ def run_conv(pairs, n, c_in, c_out, x_grad_exists, seed, order="C",
 class TestSparseConvExact:
     def check(self, reference, pairs, n, c_in, c_out, x_grad_exists, seed,
               order="C"):
+        """Compares every result with ``reference``; returns ``x.grad``."""
         inputs, got = run_conv(pairs, n, c_in, c_out, x_grad_exists, seed, order)
         for value, expect in zip(got, reference(*inputs)):
             assert value.dtype == expect.dtype
             assert np.array_equal(value, expect)
+        return got[1]
 
     @pytest.mark.parametrize("x_grad_exists", [False, True])
     @pytest.mark.parametrize("kernel_size", [1, 3])
@@ -226,11 +228,12 @@ class TestSparseConvExact:
                    seed=kernel_size)
 
     def test_matches_reference_on_fortran_order_input(self, per_offset):
-        # The gradient of a Fortran-order input is Fortran-order too, so it
-        # cannot be written through a row view.
+        # Every gradient buffer is C-ordered, whatever the input's order, so
+        # the scatter into a Fortran-order input's gradient is a row write.
         pc = mixed_offset_voxels()
-        self.check(reference_sparse_conv, pc.kernel_pairs(3), len(pc), 5, 3,
-                   False, seed=9, order="F")
+        x_grad = self.check(reference_sparse_conv, pc.kernel_pairs(3), len(pc),
+                            5, 3, False, seed=9, order="F")
+        assert x_grad.flags.c_contiguous
 
     @pytest.mark.parametrize("x_grad_exists", [False, True])
     def test_matches_reference_on_full_shifted_offset(self, per_offset,
@@ -250,8 +253,9 @@ class TestSparseConvExact:
 
     def test_dense_matches_im2col_reference_on_fortran_order_input(self):
         pc = mixed_offset_voxels()
-        self.check(im2col_reference, pc.kernel_pairs(3), len(pc), 5, 3, False,
-                   seed=9, order="F")
+        x_grad = self.check(im2col_reference, pc.kernel_pairs(3), len(pc), 5, 3,
+                            False, seed=9, order="F")
+        assert x_grad.flags.c_contiguous
 
     @pytest.mark.parametrize("x_grad_exists", [False, True])
     def test_dense_matches_im2col_reference_on_full_shifted_offset(
