@@ -7,7 +7,7 @@ walks the graph in reverse topological order.
 Only the handful of ops the occupancy network needs exist here.
 
 Reductions run in an order fixed by the shapes (a sparse conv sums per
-offset, then in point order, or in one GEMM on small levels), and the
+offset, then in point order, or in one GEMM per block of rows), and the
 codec runs every BLAS call on one thread (:func:`one_blas_thread`), so a
 forward pass and a training step are bit-reproducible for identical inputs
 and parameters whatever the caller's BLAS thread count.  Float32 results
@@ -125,10 +125,9 @@ def recycling():
     """Reuse, in this thread, the gradient buffers that backward passes free.
 
     Inside, every interior gradient a backward pass releases goes to a free
-    list instead of back to the allocator, as do the gathered matrices of
-    the dense conv path once used, and op outputs, first gradients and
-    those matrices take a free buffer of their shape and dtype before
-    allocating a new one; on exit the list is dropped.  Released gradients are out of
+    list instead of back to the allocator, and op outputs and first
+    gradients take a free buffer of their shape and dtype before allocating
+    a new one; on exit the list is dropped.  Released gradients are out of
     every caller's reach, so this changes no value.  A loop of backward
     passes over same-sized graphs thus stops freeing and faulting in the
     same pages each time; keep the scope to graphs of one size, or the list
@@ -271,6 +270,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), backward)
 
 
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """The sum of the rows of ``g`` as one matrix-vector product: at 20,000
+    rows of 8 and 24 channels it takes 23 and 64 us against 403 and 501 us
+    for ``g.sum(axis=0)`` (float32, 1 BLAS thread), whose float order it
+    does not keep."""
+    return np.ones(g.shape[0], g.dtype) @ g
+
+
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Per-point dense layer: x @ W + b."""
     if x.data.shape[1] != weight.data.shape[0]:
@@ -283,9 +290,13 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if weight.requires_grad:
             weight._accumulate(x.data.T @ g)
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
+            bias._accumulate(_row_sum(g))
         if x.requires_grad:
-            x._accumulate(g @ weight.data.T)
+            # With one output column each product is a single multiply, so
+            # the broadcast form gives the GEMM's bits in half its time
+            # (20,000 rows, 24 input channels: 951 -> 450 us).
+            x._accumulate(g * weight.data.T if weight.data.shape[1] == 1
+                          else g @ weight.data.T)
 
     out = np.matmul(x.data, weight.data,
                     out=_empty((x.data.shape[0], weight.data.shape[1]),
@@ -347,7 +358,7 @@ def broadcast_row(table: Tensor, index: int, num_points: int) -> Tensor:
         if table.requires_grad:
             if table.grad is None:
                 table.grad = _zeros_like(table.data)
-            table.grad[index] += g.sum(axis=0)
+            table.grad[index] += _row_sum(g)
 
     data = np.repeat(table.data[index : index + 1], num_points, axis=0)
     return _make(data, (table,), backward)
@@ -382,16 +393,32 @@ class _Rows:
         self.flat.put(rows, acc.view(self.row)[:, 0])
 
 
-# A conv with more than one kernel offset on at most this many points runs
-# as im2col (:func:`_im2col_conv`): there its gathers and single GEMM cost
-# less than the ~190 numpy calls of the per-offset path.  Beyond it the
-# per-offset path wins, since most neighbours of a sparse level are absent.
+# A conv with more than one kernel offset runs as im2col (:func:`_im2col_conv`)
+# unless its level is large and sparse: more than DENSE_MAX_POINTS points and
+# fewer than SPARSE_PAIRS_PER_POINT (out, in) pairs per point, centre
+# included.  The per-offset path costs about 190 numpy calls per conv, but
+# touches only the neighbours present; im2col multiplies all 27 rows per
+# point, absent ones as zeros.  Forward plus backward, 8 -> 8 channels, 1
+# BLAS thread, im2col against per offset: 1.8 against 4.2 ms on a 6,152-point
+# shell level (12.5 pairs per point), 4.6 against 7.8 ms on 15,003 random
+# points (12.2), 80 against 272 ms on a 248,936-point shell (10.5), and
+# 6.4 against 1.0 ms on 20,000 random points (1.0), 5.9 against 2.4 ms on
+# 19,261 (2.8).  On at most 2,048 points im2col wins at any density
+# (forward 0.17 -> 0.016 ms at 25 points).
 DENSE_MAX_POINTS = 2048
+SPARSE_PAIRS_PER_POINT = 4
+# im2col gathers and multiplies this many rows at a time, so that one
+# block's gathered matrix (0.4 MB at 8 channels, 1.3 MB at 24) stays near
+# the L2 cache: the forward pass on 15,003 points takes 1.8 ms in blocks
+# against 3.0 ms with one whole-level matrix, and a 512-row product
+# (216 -> 8 columns) runs at 0.057 us a row against 0.098 at 1,024 rows
+# and 0.081 at 256.
+IM2COL_BLOCK_ROWS = 512
 
 
 class KernelMap(list):
     """The per-offset ``(out_rows, in_rows)`` pairs :func:`sparse_conv` takes,
-    with a cache for the neighbour tables of its dense path, so that they
+    with a cache for the neighbour tables of its im2col path, so that they
     are built once per map (``SparseVoxelSet.kernel_pairs`` returns one)."""
 
     __slots__ = ("tables",)
@@ -406,8 +433,11 @@ def _neighbour_tables(pairs, n: int) -> tuple:
 
     ``gather[o, k]`` is the row that point o reads at offset k and
     ``scatter[i, k]`` the row that reads point i there, so ``scatter`` is
-    built from the pairs and needs no mirror symmetry.  An absent neighbour
-    is row n, the zero row :func:`_gather` appends.  Cached on a
+    built from the pairs and needs no mirror symmetry.  Where offsets k and
+    ``num_offsets - 1 - k`` are mirrors, as in every map of
+    ``SparseVoxelSet.kernel_pairs``, ``scatter`` is ``gather`` with its
+    columns reversed, and is kept as that view.  An absent neighbour is
+    row n, the zero row :func:`_blocks` appends.  Cached on a
     :class:`KernelMap`, in the smallest integer type that holds n: the
     cache lives as long as the level, and an encode holds every level of
     a group's frames.
@@ -420,64 +450,102 @@ def _neighbour_tables(pairs, n: int) -> tuple:
         for k, (out_rows, in_rows) in enumerate(pairs):
             gather[out_rows, k] = in_rows
             scatter[in_rows, k] = out_rows
+        if np.array_equal(scatter, gather[:, ::-1]):
+            scatter = gather[:, ::-1]
         tables = gather, scatter
         if isinstance(pairs, KernelMap):
             pairs.tables = tables
     return tables
 
 
-def _gather(a: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` plus an appended zero row, gathered through ``table``
-    into an (n, num_offsets * c) matrix: offset-major columns per point.
+class _Scratch(threading.local):
+    # The padded copy and the block matrix of :func:`_blocks`.
+    def __init__(self):
+        self.bufs = [np.empty(0, np.uint8), np.empty(0, np.uint8)]
 
-    Both temporaries come from the recycling buffers where a scope is open;
-    the caller recycles the result once it is done with it.
+
+_scratch = _Scratch()
+
+
+def _scratch_array(slot: int, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array over this thread's grow-only byte buffer
+    ``slot``.  It is valid until the next call for the same slot."""
+    dtype = np.dtype(dtype)
+    nbytes = shape[0] * shape[1] * dtype.itemsize
+    if _scratch.bufs[slot].size < nbytes:
+        _scratch.bufs[slot] = np.empty(nbytes, np.uint8)
+    return _scratch.bufs[slot][:nbytes].view(dtype).reshape(shape)
+
+
+def _blocks(a: np.ndarray, table: np.ndarray):
+    """Yield ``(s, e, cols)`` for each block of :data:`IM2COL_BLOCK_ROWS`
+    rows: ``cols`` is (e - s, num_offsets * c), the rows of ``a`` plus an
+    appended zero row gathered through ``table[s:e]``, offset-major columns
+    per point.
+
+    The gather moves whole rows through a void view (one element of
+    ``itemsize * c`` bytes per row).  The padded copy and ``cols`` live in
+    this thread's two scratch buffers, which keep their pages from call to
+    call, inside a :func:`recycling` scope or not: freed, blocks of this
+    size would be unmapped and faulted in afresh by the next conv.  So each
+    block must be used before the next is drawn, and only one of these
+    loops may run at a time in a thread.
     """
     n, k = table.shape
     c = a.shape[1]
-    padded = _empty((a.shape[0] + 1, c), a.dtype)
+    padded = _scratch_array(0, (a.shape[0] + 1, c), a.dtype)
     padded[:-1] = a
     padded[-1] = 0
-    cols = _empty((n, k * c), a.dtype)
-    # Every index is in range; mode="clip" spares numpy's buffered copy.
-    np.take(padded, table, axis=0, out=cols.reshape(n, k, c), mode="clip")
-    _recycle(padded)
-    return cols
+    row = np.dtype((np.void, a.itemsize * c))
+    rows = padded.view(row)[:, 0]
+    buf = _scratch_array(1, (min(n, IM2COL_BLOCK_ROWS), k * c), a.dtype)
+    for s in range(0, n, IM2COL_BLOCK_ROWS):
+        e = min(s + IM2COL_BLOCK_ROWS, n)
+        cols = buf[:e - s]
+        # Every index is in range; mode="clip" spares numpy's buffered copy.
+        np.take(rows, table[s:e], out=cols.view(row), mode="clip")
+        yield s, e, cols
 
 
 def _im2col_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
-    """:func:`sparse_conv` as one gather and one GEMM per direction.
+    """:func:`sparse_conv` as one gather and one GEMM per block and direction.
 
-    Forward: ``cols @ W`` with W as a (num_offsets * c_in, c_out) matrix,
-    then the bias.  The weight gradient is ``cols.T @ g``, with ``cols``
-    gathered again rather than held on the tape; the input gradient
-    gathers ``g`` through the scatter table and multiplies it by the
-    transposed weight.  Every product sums over offsets and channels at
-    once, so float sums differ from the per-offset path's in order.
+    Forward: each block's gathered ``cols`` times W as a (num_offsets *
+    c_in, c_out) matrix, then the bias.  Backward gathers ``g`` once per
+    block, through the scatter table, and uses that block twice:
+    ``x[s:e].T @ gcols`` adds to the weight gradient, summed over the
+    blocks in row order, and ``gcols`` times the transposed weight is the
+    input gradient of rows s..e.  Every product sums over offsets and
+    channels at once, so float sums differ from the per-offset path's in
+    order.
     """
     n = x.data.shape[0]
     k, c_in, c_out = weight.data.shape
     gather, scatter = _neighbour_tables(pairs, n)
-    cols = _gather(x.data, gather)
-    out = np.matmul(cols, weight.data.reshape(k * c_in, c_out),
-                    out=_empty((n, c_out), x.data.dtype))
-    _recycle(cols)
+    w = weight.data.reshape(k * c_in, c_out)
+    out = _empty((n, c_out), x.data.dtype)
+    for s, e, cols in _blocks(x.data, gather):
+        np.matmul(cols, w, out=out[s:e])
     out += bias.data
 
     def backward(g):
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
-        if weight.requires_grad:
-            cols = _gather(x.data, gather)
-            weight._accumulate((cols.T @ g).reshape(k, c_in, c_out))
-            _recycle(cols)
-        if x.requires_grad:
-            g_cols = _gather(g, scatter)
+            bias._accumulate(_row_sum(g))
+        need_w, need_x = weight.requires_grad, x.requires_grad
+        if need_w:
+            w_grad = np.zeros((c_in, k * c_out), g.dtype)
+        if need_x:
+            if x.grad is None:
+                x.grad = _zeros_like(x.data)
             w_t = weight.data.transpose(0, 2, 1).reshape(k * c_out, c_in)
-            dx = np.matmul(g_cols, w_t, out=_empty((n, c_in), g_cols.dtype))
-            _recycle(g_cols)
-            x._accumulate(dx)
-            _recycle(dx)
+        if need_w or need_x:
+            for s, e, gcols in _blocks(g, scatter):
+                if need_w:
+                    w_grad += x.data[s:e].T @ gcols
+                if need_x:
+                    x.grad[s:e] += gcols @ w_t
+        if need_w:
+            weight._accumulate(w_grad.reshape(c_in, k, c_out).transpose(1, 0, 2))
 
     return _make(out, (x, weight, bias), backward)
 
@@ -493,8 +561,9 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     row.  No other offset covers every point: the point furthest along it
     has no neighbour there.
 
-    A map of more than one offset on at most :data:`DENSE_MAX_POINTS`
-    points runs as im2col (:func:`_im2col_conv`).  Otherwise offsets are
+    A map of more than one offset runs as im2col (:func:`_im2col_conv`),
+    unless it has more than :data:`DENSE_MAX_POINTS` points and fewer than
+    :data:`SPARSE_PAIRS_PER_POINT` pairs per point.  Otherwise offsets are
     accumulated one by one in fixed order, points in row order; the
     identity offset needs no gather and no scatter.
     """
@@ -506,11 +575,14 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     if len(pairs) != weight.data.shape[0]:
         raise ShapeError("kernel map does not match weight offset count")
     n = x.data.shape[0]
+    pair_rows = 0
     for out_rows, in_rows in pairs:
         if in_rows is out_rows and out_rows.shape[0] != n:
             raise ShapeError(f"conv input has {n} rows for "
                              f"{out_rows.shape[0]} points")
-    if len(pairs) > 1 and n <= DENSE_MAX_POINTS:
+        pair_rows += out_rows.shape[0]
+    if len(pairs) > 1 and (n <= DENSE_MAX_POINTS
+                           or pair_rows >= SPARSE_PAIRS_PER_POINT * n):
         return _im2col_conv(x, weight, bias, pairs)
     c_out = weight.data.shape[2]
     out = _empty((n, c_out), x.data.dtype)
@@ -527,7 +599,7 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
 
     def backward(g):
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
+            bias._accumulate(_row_sum(g))
         need_w = weight.requires_grad
         if need_w and weight.grad is None:
             weight.grad = _zeros_like(weight.data)

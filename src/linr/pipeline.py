@@ -77,7 +77,7 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 6
+VERSION = 7
 FILE_EXTENSION = ".linr"
 
 # The largest finite float32: no transmitted parameter may exceed it in magnitude.

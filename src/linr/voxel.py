@@ -148,10 +148,16 @@ class SparseVoxelSet:
         """Gather lists for a submanifold convolution over this set.
 
         Returns, per kernel offset in fixed lexicographic order, a pair of
-        index arrays ``(out_rows, in_rows)``: point ``out_rows[i]`` sees
-        point ``in_rows[i]`` at that offset.  Cached per kernel size, as a
-        ``KernelMap``, which also caches the neighbour tables of the dense
-        conv path.
+        ``int32`` index arrays ``(out_rows, in_rows)``: point ``out_rows[i]``
+        sees point ``in_rows[i]`` at that offset.  Cached per kernel size,
+        as a ``KernelMap``, which also caches the neighbour tables of the
+        im2col conv path.  ``int32`` halves what an encode holds for the
+        maps of every level of a group's frames: peak RSS of one encode
+        and decode of the seed-101 benchmark frames in a fresh process
+        fell from 59.2 to 57.2 MB on ``sphere-train`` and from 80.6 to
+        78.7 MB on ``random-sparse``, while the per-offset conv on the
+        20,000-point random levels, which converts the indices for each
+        gather, took about 3-5% longer.
 
         ``out_rows`` is ascending, and within one offset neither array
         repeats a row: a translation maps distinct points to distinct
@@ -175,9 +181,9 @@ class SparseVoxelSet:
         pairs = []
         for off in offsets[:half]:
             idx = self._lookup_keys(keys + _offset_delta(off))
-            out_rows = np.nonzero(idx >= 0)[0].astype(np.int64)
-            pairs.append((out_rows, idx[out_rows]))
-        identity = np.arange(len(self), dtype=np.int64)
+            out_rows = np.nonzero(idx >= 0)[0].astype(np.int32)
+            pairs.append((out_rows, idx[out_rows].astype(np.int32)))
+        identity = np.arange(len(self), dtype=np.int32)
         pairs.append((identity, identity))
         pairs += [(in_rows, out_rows) for out_rows, in_rows in reversed(pairs[:half])]
         pairs = KernelMap(pairs)

@@ -133,13 +133,14 @@ def reference_sparse_conv(x, w, b, pairs, g, x_grad):
             gk = g[out_rows]
             w_grad[k] += x[in_rows].T @ gk
             np.add.at(x_grad, in_rows, gk @ w[k].T)
-    return out, x_grad, w_grad, np.zeros_like(b) + g.sum(axis=0)
+    return out, x_grad, w_grad, np.zeros_like(b) + np.ones(n, g.dtype) @ g
 
 
 def im2col_reference(x, w, b, pairs, g, x_grad):
-    """Padded neighbour tables, then one gather and one GEMM per direction:
-    the formulation that the dense path of ``sparse_conv`` must reproduce
-    bit for bit."""
+    """Padded neighbour tables, then per block of ``IM2COL_BLOCK_ROWS`` rows
+    one gather and one GEMM forward, and one gather of ``g`` used by both
+    gradient GEMMs: the formulation that the im2col path of ``sparse_conv``
+    must reproduce bit for bit."""
     n = x.shape[0]
     k, c_in, c_out = w.shape
     gather = np.full((n, k), n)
@@ -148,15 +149,24 @@ def im2col_reference(x, w, b, pairs, g, x_grad):
         gather[out_rows, j] = in_rows
         scatter[in_rows, j] = out_rows
 
-    def cols(a, table):
+    def cols(a, table, s, e):
         padded = np.concatenate([a, np.zeros((1, a.shape[1]), a.dtype)])
-        return padded[table].reshape(n, -1)
+        return padded[table[s:e]].reshape(e - s, -1)
 
-    out = cols(x, gather) @ w.reshape(k * c_in, c_out)
+    blocks = [(s, min(s + ad.IM2COL_BLOCK_ROWS, n))
+              for s in range(0, n, ad.IM2COL_BLOCK_ROWS)]
+    out = np.empty((n, c_out), x.dtype)
+    for s, e in blocks:
+        out[s:e] = cols(x, gather, s, e) @ w.reshape(k * c_in, c_out)
     out += b
-    w_grad = np.zeros_like(w) + (cols(x, gather).T @ g).reshape(w.shape)
-    x_grad += cols(g, scatter) @ w.transpose(0, 2, 1).reshape(k * c_out, c_in)
-    return out, x_grad, w_grad, np.zeros_like(b) + g.sum(axis=0)
+    w_sum = np.zeros((c_in, k * c_out), x.dtype)
+    w_t = w.transpose(0, 2, 1).reshape(k * c_out, c_in)
+    for s, e in blocks:
+        g_cols = cols(g, scatter, s, e)
+        w_sum += x[s:e].T @ g_cols
+        x_grad[s:e] += g_cols @ w_t
+    w_grad = np.zeros_like(w) + w_sum.reshape(c_in, k, c_out).transpose(1, 0, 2)
+    return out, x_grad, w_grad, np.zeros_like(b) + np.ones(n, g.dtype) @ g
 
 
 def mixed_offset_voxels():
@@ -179,10 +189,16 @@ def shifted_offset_pairs(n=7):
     ]
 
 
+def force_per_offset(monkeypatch):
+    """No level is small, and none is dense: no map has 28 pairs per point."""
+    monkeypatch.setattr(ad, "DENSE_MAX_POINTS", 0)
+    monkeypatch.setattr(ad, "SPARSE_PAIRS_PER_POINT", 28)
+
+
 @pytest.fixture
 def per_offset(monkeypatch):
-    """Every conv takes the per-offset path, whatever its size."""
-    monkeypatch.setattr(ad, "DENSE_MAX_POINTS", 0)
+    """Every conv takes the per-offset path, whatever its size and density."""
+    force_per_offset(monkeypatch)
 
 
 def run_conv(pairs, n, c_in, c_out, x_grad_exists, seed, order="C",
@@ -265,17 +281,33 @@ class TestSparseConvExact:
                    x_grad_exists, seed=7)
 
     @pytest.mark.parametrize("x_grad_exists", [False, True])
-    @pytest.mark.parametrize("maps", ["voxel-set", "random-set", "shifted"])
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025])
+    def test_blocks_match_im2col_reference(self, n, x_grad_exists):
+        # Block boundaries: one short block, one full, one full plus one
+        # row, and two full plus one row.
+        pc = random_voxels(np.random.default_rng(n), 3 * n, hi=12)
+        coords = pc.coords[:n]
+        pairs = SparseVoxelSet(coords).kernel_pairs(3)
+        assert len(pairs[13][0]) == n
+        self.check(im2col_reference, pairs, n, 4, 5, x_grad_exists, seed=n)
+
+    @pytest.mark.parametrize("x_grad_exists", [False, True])
+    @pytest.mark.parametrize("maps", ["voxel-set", "random-set", "shifted",
+                                      "three-blocks"])
     def test_paths_agree_in_float64(self, monkeypatch, maps, x_grad_exists):
         if maps == "shifted":
             pairs, n = shifted_offset_pairs(), 7
         else:
             pc = (mixed_offset_voxels() if maps == "voxel-set"
-                  else random_voxels(np.random.default_rng(12), 300, hi=9))
+                  else random_voxels(np.random.default_rng(12), 300, hi=9)
+                  if maps == "random-set"
+                  else random_voxels(np.random.default_rng(14), 2000, hi=14))
             pairs, n = pc.kernel_pairs(3), len(pc)
+        if maps == "three-blocks":
+            assert n > 2 * ad.IM2COL_BLOCK_ROWS
         args = (pairs, n, 5, 3, x_grad_exists, 11, "C", np.float64)
         _, dense = run_conv(*args)
-        monkeypatch.setattr(ad, "DENSE_MAX_POINTS", 0)
+        force_per_offset(monkeypatch)
         _, per_offset = run_conv(*args)
         for a, b in zip(dense, per_offset):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
@@ -306,6 +338,28 @@ class TestSparseConvExact:
             layer(x, pc)
             assert pairs.tables is tables
 
+    @pytest.mark.parametrize("rows, im2col", [
+        (1, False),  # a line: 3 pairs per point, centre included
+        (2, True),   # a two-row strip: 6 pairs per point
+    ])
+    def test_large_levels_take_im2col_when_dense(self, monkeypatch, rows,
+                                                 im2col):
+        n = ad.DENSE_MAX_POINTS + 2
+        x_len = n // rows
+        pc = SparseVoxelSet(np.stack([np.arange(n) % x_len, np.arange(n) // x_len,
+                                      np.zeros(n, dtype=np.int64)], axis=1))
+        pairs = pc.kernel_pairs(3)
+        per_point = sum(len(out_rows) for out_rows, _ in pairs) / n
+        assert (per_point >= ad.SPARSE_PAIRS_PER_POINT) == im2col
+        calls = []
+        conv = ad._im2col_conv
+        monkeypatch.setattr(ad, "_im2col_conv",
+                            lambda *args: calls.append(1) or conv(*args))
+        rng = np.random.default_rng(15)
+        layer = ad.SparseConvLayer(rng, "c", 2, 2, kernel_size=3)
+        layer(ad.Tensor(rng.normal(size=(n, 2)).astype(np.float32)), pc)
+        assert len(calls) == im2col
+
     def test_kernel_pair_rows_unique_per_offset(self):
         rng = np.random.default_rng(8)
         pc = random_voxels(rng, 200, hi=7)
@@ -315,6 +369,17 @@ class TestSparseConvExact:
 
 
 class TestMlp:
+    @pytest.mark.parametrize("rows", [7, 300, 20000])
+    def test_one_output_column_input_gradient_equals_gemm(self, rows):
+        # As the stage heads' outer layers: 24 hidden channels, one logit.
+        rng = np.random.default_rng(rows)
+        layer = ad.AffineLayer(rng, "a", 24, 1)
+        x = ad.Tensor(rng.normal(size=(rows, 24)).astype(np.float32),
+                      requires_grad=True)
+        g = rng.normal(size=(rows, 1)).astype(np.float32)
+        layer(x).backward(g)
+        assert x.grad.tobytes() == (g @ layer.weight.data.T).tobytes()
+
     def test_zero_weights_constant_bias(self):
         rng = np.random.default_rng(5)
         layer = ad.AffineLayer(rng, "a", 3, 2, dtype=np.float64)

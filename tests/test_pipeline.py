@@ -556,8 +556,9 @@ class TestDecodeRobustness:
         data, _ = self.make_container()
         # 1: the per-scale context MLPs; 2: no parameter block kind;
         # 3 and 4: payloads of the bit-wise (Witten-Neal-Cleary) coder;
-        # 5: convs summed per offset on every level.
-        for version in (1, 2, 3, 4, 5, 9):
+        # 5: convs summed per offset on every level; 6: im2col in one
+        # block on levels of at most 2,048 points only.
+        for version in (1, 2, 3, 4, 5, 6, 9):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):

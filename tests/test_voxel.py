@@ -261,7 +261,7 @@ class TestKernelPairs:
             idx = pc._lookup_keys(pc.keys + _offset_delta(off))
             expect_out = np.nonzero(idx >= 0)[0]
             out_rows, in_rows = pairs[k]
-            assert out_rows.dtype == in_rows.dtype == np.int64
+            assert out_rows.dtype == in_rows.dtype == np.int32
             assert np.array_equal(out_rows, expect_out), off
             assert np.array_equal(in_rows, idx[expect_out]), off
             assert 0 < len(out_rows) < len(pc) or off == (0, 0, 0)
