@@ -364,6 +364,21 @@ def broadcast_row(table: Tensor, index: int, num_points: int) -> Tensor:
     return _make(data, (table,), backward)
 
 
+def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
+    """Row ``index[i]`` of ``a`` as row i; rows may repeat.  Backward sums
+    each row's gradients with ``np.bincount``, so ``index`` must stay
+    unchanged until the backward pass has run."""
+    rows = a.data.shape[0]
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.stack(
+                [np.bincount(index, weights=col, minlength=rows) for col in g.T],
+                axis=1).astype(g.dtype, copy=False))
+
+    return _make(a.data.take(index, axis=0), (a,), backward)
+
+
 class _Rows:
     """A matrix as a 1-D array of opaque rows, for whole-row scatters.
 

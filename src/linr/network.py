@@ -131,36 +131,40 @@ class OccupancyModel:
             raise IndexError(
                 f"scale {scale_index} out of range 0..{self.config.num_scales - 1}"
             )
-        nb = ad.constant(neighbor_occupancy(coarse, dtype=self.dtype))
-        emb = self.embedding(scale_index, len(coarse))
+        rows = coarse.fold()
+        nb = ad.constant(neighbor_occupancy(rows, dtype=self.dtype))
+        emb = self.embedding(scale_index, len(rows))
         return self.context_mlp(ad.concat_channels([nb, emb]))
 
     def global_features(self, context: ad.Tensor, coarse: SparseVoxelSet) -> ad.Tensor:
         """Shared deep features of one scale, computed once for all eight
         stages: conv_in, then a residual block of two parallel conv branches,
         channel-concatenated and fused, then conv_out."""
-        x = ad.relu(self.global_in(context, coarse))
-        branches = ad.concat_channels([self.global_a2(self.global_a1(x, coarse), coarse),
-                                       self.global_b(x, coarse)])
-        h = ad.add(self.global_fuse(branches, coarse), x)
-        return self.global_out(h, coarse)
+        rows = coarse.fold()
+        x = ad.relu(self.global_in(context, rows))
+        branches = ad.concat_channels([self.global_a2(self.global_a1(x, rows), rows),
+                                       self.global_b(x, rows)])
+        h = ad.add(self.global_fuse(branches, rows), x)
+        return self.global_out(h, rows)
 
     def stage_probability(self, j: int, g_feat: ad.Tensor, coded_slots,
                           coarse: SparseVoxelSet) -> ad.Tensor:
-        """Probability (n, 1) that child slot j is occupied, given the slots
-        already coded.  Stage 0 sees global features only."""
+        """Probability (rows, 1) that child slot j is occupied, one row per
+        row of ``coarse.fold()``, given the slots already coded there.  Stage
+        0 sees global features only."""
         if len(coded_slots) != j:
             raise ShapeError(f"stage {j} needs {j} coded slot columns, "
                              f"got {len(coded_slots)}")
+        rows = coarse.fold()
         if j == 0:
             merged = g_feat
         else:
             cum = ad.constant(
                 np.stack(coded_slots, axis=1).astype(self.dtype, copy=False)
             )
-            local = self.local_conv(ad.relu(self.local_lifts[j](cum)), coarse)
+            local = self.local_conv(ad.relu(self.local_lifts[j](cum)), rows)
             merged = ad.add(g_feat, local)
-        return ad.sigmoid(self.head_mlps[j](self.head_conv(merged, coarse)))
+        return ad.sigmoid(self.head_mlps[j](self.head_conv(merged, rows)))
 
     def transition(self, g_feat: ad.Tensor, coarse: SparseVoxelSet,
                    next_bits) -> np.ndarray:
@@ -171,12 +175,25 @@ class OccupancyModel:
         probability tensor; that returns the stage's 0/1 bit per parent (the
         ground truth in training and on encode, the range-decoded bits on
         decode), which conditions every later stage and sets bit j of the masks.
+
+        The network runs on the rows of ``coarse.fold()``, as do
+        :meth:`scale_context`, :meth:`global_features` and
+        :meth:`stage_probability`.  On a folded level each stage's
+        probabilities are spread back to the parents, an isolated parent
+        reading the stand-in row of the slots it has coded so far, so
+        ``next_bits`` sees one row per parent either way.
         """
+        rows = coarse.fold()
         slots = []
         masks = np.zeros(len(coarse), dtype=np.uint8)
         for j in range(NUM_STAGES):
-            bits_j = next_bits(j, self.stage_probability(j, g_feat, slots, coarse))
+            p = self.stage_probability(j, g_feat, slots, coarse)
+            if rows is not coarse:
+                p = ad.take_rows(p, rows.parent_rows(masks))
+            bits_j = next_bits(j, p)
             masks |= bits_j.astype(np.uint8) << j
+            if rows is not coarse:
+                bits_j = rows.fold_bits(bits_j, j)
             slots.append(bits_j.astype(self.dtype))
         return masks
 

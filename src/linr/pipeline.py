@@ -27,7 +27,8 @@ Container layout (`.linr`, all integers little-endian):
     per group:  parameter block (see params.pack_param_block): absolute,
                 or delta against the previous group's parameters (never in
                 the first group)
-    per frame:  lowest-scale block (point_count u32, then 3 x u16 per point)
+    per frame:  lowest-scale block (point_count u32, then 3 x u16 per point,
+                each below 2^(bit_depth - num_scales))
                 per scale transition, coarse to fine, per stage 0..7:
                 a u32 length prefix plus the occupancy payload
 
@@ -77,7 +78,7 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 7
+VERSION = 8
 FILE_EXTENSION = ".linr"
 
 # The largest finite float32: no transmitted parameter may exceed it in magnitude.
@@ -324,9 +325,13 @@ def _pyramid(frame, **how) -> ScalePyramid:
     return build_pyramid(frame, **how)
 
 
-def _coords_from_wire(raw: bytes, bit_depth: int) -> SparseVoxelSet:
+def _coords_from_wire(raw: bytes, bit_depth: int, num_scales: int) -> SparseVoxelSet:
+    """The lowest level of a frame.  Its coordinates were halved
+    ``num_scales`` times from ``bit_depth`` bits, so each fits in
+    ``bit_depth - num_scales`` bits; a larger one would decode to points
+    outside the declared depth."""
     coords = np.frombuffer(raw, dtype="<u2").reshape(-1, 3).astype(np.int64)
-    if len(coords) and coords.max() >= (1 << bit_depth):
+    if len(coords) and coords.max() >= (1 << (bit_depth - num_scales)):
         raise DecodeError("lowest-scale coordinates exceed declared bit depth")
     keys = pack_coords(coords)
     if len(coords) > 1 and np.any(np.diff(keys) <= 0):
@@ -643,7 +648,7 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
         stats.param_seconds += time.perf_counter() - t0
         for coords, payloads in blocks:
             t0 = time.perf_counter()
-            level = _coords_from_wire(coords, header.bit_depth)
+            level = _coords_from_wire(coords, header.bit_depth, num_scales)
             t1 = time.perf_counter()
             stats.lowest_seconds += t1 - t0
             decode_stage = _stage_decoder(payloads, point_costs)

@@ -54,6 +54,12 @@ CHILD_OFFSETS = np.array(
     [((j >> 2) & 1, (j >> 1) & 1, j & 1) for j in range(8)], dtype=np.int64
 )
 
+# Stand-in rows of a folded level (:meth:`SparseVoxelSet.fold`): one per
+# prefix of coded child slots, of which the last stage reads 7.  A level
+# folds only when it has more isolated points than this.
+FOLD_ROWS = 128
+_PREFIXES = np.arange(FOLD_ROWS)
+
 
 def pack_coords(coords: np.ndarray) -> np.ndarray:
     """Pack (n, 3) integer coordinates into sorted-compatible int64 keys."""
@@ -82,7 +88,7 @@ class SparseVoxelSet:
     lexicographic order.
     """
 
-    __slots__ = ("coords", "_keys", "_kernel_pairs")
+    __slots__ = ("coords", "_keys", "_kernel_pairs", "_fold")
 
     def __init__(self, coords: np.ndarray, *, assume_sorted: bool = False):
         coords = np.asarray(coords, dtype=np.int64)
@@ -99,6 +105,7 @@ class SparseVoxelSet:
         self.coords = coords
         self._keys: Optional[np.ndarray] = None
         self._kernel_pairs: dict = {}
+        self._fold = None
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -189,6 +196,77 @@ class SparseVoxelSet:
         pairs = KernelMap(pairs)
         self._kernel_pairs[kernel_size] = pairs
         return pairs
+
+    def fold(self):
+        """The rows the occupancy network runs on: this set, or a
+        :class:`FoldedLevel` when more than :data:`FOLD_ROWS` of its points
+        are isolated (no point among their 26 neighbours).
+
+        An isolated point's conv outputs depend on its own row alone, and its
+        context is that of every other isolated point, so all of them share
+        one row per coded-slot prefix.  Cached; the cache holds no reference
+        to this set, which is thus freed without the cyclic collector.
+        """
+        if self._fold is None:
+            pairs = self.kernel_pairs(3)
+            linked = np.zeros(len(self), dtype=bool)
+            for out_rows, in_rows in pairs[:len(pairs) // 2]:
+                linked[out_rows] = True
+                linked[in_rows] = True
+            keep = np.flatnonzero(linked)
+            if len(self) - len(keep) <= FOLD_ROWS:
+                self._fold = False
+            else:
+                self._fold = FoldedLevel(keep, np.flatnonzero(~linked), pairs)
+        return self if self._fold is False else self._fold
+
+
+class FoldedLevel:
+    """A level's linked points, in order, then :data:`FOLD_ROWS` stand-in
+    rows for its isolated points (see :meth:`SparseVoxelSet.fold`).
+
+    It offers what the network reads of a level: its row count and kernel
+    maps.  Stand-ins have no coordinates, so no code can read them.  The
+    3x3x3 map is the level's, renumbered through ``keep``: linked points
+    neighbour only linked points, and renumbering keeps each offset's rows
+    ascending, free of repeats and mirror-symmetric.  Stand-ins carry the
+    identity offset alone.
+    """
+
+    __slots__ = ("keep", "iso", "_maps")
+
+    def __init__(self, keep: np.ndarray, iso: np.ndarray, pairs):
+        self.keep = keep
+        self.iso = iso
+        rank = np.zeros(len(keep) + len(iso), dtype=np.int32)
+        rank[keep] = np.arange(len(keep), dtype=np.int32)
+        half = len(pairs) // 2
+        firsts = [(rank[out_rows], rank[in_rows]) for out_rows, in_rows in pairs[:half]]
+        identity = np.arange(len(self), dtype=np.int32)
+        mirrors = [(in_rows, out_rows) for out_rows, in_rows in reversed(firsts)]
+        self._maps = {3: KernelMap(firsts + [(identity, identity)] + mirrors),
+                      1: KernelMap([(identity, identity)])}
+
+    def __len__(self) -> int:
+        return len(self.keep) + FOLD_ROWS
+
+    def kernel_pairs(self, kernel_size: int = 3):
+        return self._maps[kernel_size]
+
+    def parent_rows(self, masks: np.ndarray) -> np.ndarray:
+        """The folded row of each point of the level: its own, or for an
+        isolated point the stand-in of its coded-slot prefix ``masks``."""
+        index = np.empty(len(self.keep) + len(self.iso), dtype=np.intp)
+        index[self.keep] = np.arange(len(self.keep))
+        # Cast first: uint8 plus a Python int stays uint8 under numpy 2.
+        index[self.iso] = masks[self.iso].astype(np.intp) + len(self.keep)
+        return index
+
+    def fold_bits(self, bits: np.ndarray, j: int) -> np.ndarray:
+        """Stage ``j``'s bits on the folded rows: each linked point's own,
+        then bit j of each stand-in's index, so that the coded slots of
+        stand-in r spell out prefix r."""
+        return np.concatenate([bits[self.keep], (_PREFIXES >> j) & 1])
 
 
 @dataclass
@@ -283,8 +361,9 @@ def reconstruct_children(masks: np.ndarray, coarse: SparseVoxelSet) -> SparseVox
     return SparseVoxelSet(children[order], assume_sorted=True)
 
 
-def neighbor_occupancy(pc: SparseVoxelSet, dtype=np.float32) -> np.ndarray:
-    """Seven binary channels per point probing the six face neighbors + self.
+def neighbor_occupancy(pc, dtype=np.float32) -> np.ndarray:
+    """Seven binary channels per row of a SparseVoxelSet or FoldedLevel,
+    probing the six face neighbors + self.
 
     Channel order follows NEIGHBOR_OFFSETS; the final "self" channel is
     always 1.  Reads the cached 3x3x3 kernel map, whose ``out_rows`` at an

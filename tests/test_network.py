@@ -4,6 +4,7 @@ The staged-loss oracle recomputes the estimated bits outside the autodiff
 tape (plain numpy on the probability values); finite differences provide
 the gradient oracle for the full context + prediction composite.
 """
+import gc
 import hashlib
 import tracemalloc
 
@@ -19,7 +20,7 @@ from linr.errors import (
 )
 from linr.network import CONV_CHANNELS, ModelConfig, NUM_STAGES, OccupancyModel
 from linr.plyio import generate_fixture
-from linr.voxel import SparseVoxelSet, build_pyramid
+from linr.voxel import FOLD_ROWS, SparseVoxelSet, build_pyramid, reconstruct_children
 
 
 def toy_pyramid(rng, n=60, hi=64, num_scales=None):
@@ -495,3 +496,73 @@ class TestGradientIntegrity:
                 assert abs(fd - an) / denom < 1e-4, (p.name, i, an, fd)
                 checked += 1
         assert checked > 100
+
+
+def folding_pyramid(rng):
+    """Two scales whose finer transition's parents mix a dense 4x4x4 cube
+    with 300 isolated points, among them parents whose only child is slot
+    7 (stage-7 prefix 0) and parents with all of slots 0-6 (prefix 127)."""
+    cube = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
+    grid = [(10 + 3 * (k % 10), 10 + 3 * (k // 10 % 10), 10 + 3 * (k // 100))
+            for k in range(300)]
+    coarse = SparseVoxelSet(np.array(cube + grid))
+    masks = rng.integers(1, 256, size=len(coarse)).astype(np.uint8)
+    iso = coarse.fold().iso
+    masks[iso[:20]] = 0x80
+    masks[iso[20:30]] = 0x7F
+    masks[iso[30:40]] = 0xFF
+    pyr = build_pyramid(reconstruct_children(masks, coarse), num_scales=2)
+    assert pyr.levels[1] == coarse and np.array_equal(pyr.masks(0), masks)
+    assert pyr.levels[1].fold() is not pyr.levels[1] and len(iso) == 300 > FOLD_ROWS
+    return pyr
+
+
+class TestFold:
+    """Running a level's linked parents plus one stand-in row per coded-slot
+    prefix gives what running every parent gives."""
+
+    def run(self, fold, monkeypatch):
+        rng = np.random.default_rng(31)
+        pyr = folding_pyramid(rng)
+        if not fold:
+            monkeypatch.setattr(SparseVoxelSet, "fold", lambda self: self)
+        model = OccupancyModel(ModelConfig(num_scales=2), seed=31, dtype=np.float64)
+        # A generic point whose logits stay small (every probability within
+        # 0.42-0.56), so that the different float order of the two runs
+        # moves probabilities by ulps, not by a large logit's rounding.
+        model.load_flat(rng.normal(scale=0.1, size=model.num_parameters()))
+        coarse = pyr.levels[1]
+        with ad.no_grad():
+            probs, bits = model.predict_children(model.scale_context(coarse, 0),
+                                                 coarse, pyr.masks(0))
+        zero_grads(model)
+        loss = model.frame_loss(pyr, l2_coeff=1e-4).item()
+        grads = {p.name: p.grad.copy() for p in model.parameters()}
+        monkeypatch.undo()
+        return [p.data for p in probs], bits.item(), loss, grads
+
+    def test_float64_fold_matches_every_parent(self, monkeypatch):
+        folded = self.run(True, monkeypatch)
+        plain = self.run(False, monkeypatch)
+        for j, (a, b) in enumerate(zip(folded[0], plain[0])):
+            assert a.shape == b.shape == (364, 1)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=f"stage {j}")
+        assert folded[1] == pytest.approx(plain[1], rel=1e-12)
+        assert folded[2] == pytest.approx(plain[2], rel=1e-12)
+        for name, g in plain[3].items():
+            assert g.any(), name
+            np.testing.assert_allclose(folded[3][name], g, rtol=1e-12, atol=0,
+                                       err_msg=name)
+
+    def test_folded_level_is_freed_without_the_cyclic_collector(self):
+        rng = np.random.default_rng(32)
+        model = OccupancyModel(ModelConfig(num_scales=2), seed=32)
+        gc.collect()
+        gc.disable()
+        try:
+            pyr = folding_pyramid(rng)
+            model.frame_loss(pyr, l2_coeff=1e-4)
+            del pyr
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

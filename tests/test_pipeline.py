@@ -557,8 +557,9 @@ class TestDecodeRobustness:
         # 1: the per-scale context MLPs; 2: no parameter block kind;
         # 3 and 4: payloads of the bit-wise (Witten-Neal-Cleary) coder;
         # 5: convs summed per offset on every level; 6: im2col in one
-        # block on levels of at most 2,048 points only.
-        for version in (1, 2, 3, 4, 5, 6, 9):
+        # block on levels of at most 2,048 points only; 7: isolated
+        # parents evaluated one by one, not one per coded-slot prefix.
+        for version in (1, 2, 3, 4, 5, 6, 7, 9):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):
@@ -573,6 +574,27 @@ class TestDecodeRobustness:
         for read in (decode_sequence, container_summary):
             with pytest.raises(DecodeError, match="exceed bit depth"):
                 read(bytes(corrupt))
+
+    def test_lowest_coordinates_bounded_by_depth_less_scales(self):
+        # Two children of one parent: bit depth 10, one scale, so the
+        # encoder writes lowest coordinates below 2^9.
+        frame = SparseVoxelSet(np.array([[0, 0, 0], [1, 0, 0]]))
+        data, _ = encode_sequence([frame], GopConfig(gop_size=1, epochs_first=0,
+                                                     stop_at=1))
+        assert data[5:7] == bytes([10, 1])
+        pos = unpack_param_block(data, HEADER_SIZE)[-1]
+        assert struct.unpack_from("<I3H", data, pos) == (1, 0, 0, 0)
+
+        def with_lowest(c):
+            corrupt = bytearray(data)
+            struct.pack_into("<3H", corrupt, pos + 4, c, c, c)
+            return bytes(corrupt)
+
+        frames, _ = decode_sequence(with_lowest(511))
+        assert frames[0].coords.tolist() == [[1022, 1022, 1022], [1023, 1022, 1022]]
+        for c in (512, 1000):
+            with pytest.raises(DecodeError, match="exceed declared bit depth"):
+                decode_sequence(with_lowest(c))
 
     def test_bit_depth_outside_encoder_range_rejected(self):
         data, _ = encode_sequence([cube_frame(3)],

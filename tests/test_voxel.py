@@ -12,8 +12,10 @@ from linr.errors import (
     InvalidOccupancyError,
     PyramidMismatchError,
 )
+from linr.pipeline import GopConfig, decode_sequence, encode_sequence
 from linr.plyio import generate_fixture
 from linr.voxel import (
+    FOLD_ROWS,
     KERNEL_OFFSETS_3,
     SparseVoxelSet,
     _offset_delta,
@@ -32,6 +34,23 @@ def make_set(points):
 def random_cloud(rng, n, hi=1024):
     pts = rng.integers(0, hi, size=(n, 3))
     return SparseVoxelSet(pts)
+
+
+def mixed_level(isolated):
+    """A dense 4x4x4 cube and a diagonal pair, all linked, plus
+    ``isolated`` points three apart, none with a neighbour."""
+    cube = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
+    grid = [(10 + 3 * (k % 10), 10 + 3 * (k // 10 % 10), 10 + 3 * (k // 100))
+            for k in range(isolated)]
+    return make_set(cube + grid + [(100, 100, 100), (101, 101, 100)])
+
+
+def isolated_oracle(pc):
+    occupied = {tuple(r) for r in pc.coords}
+    near = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
+    return [row for row, (x, y, z) in enumerate(map(tuple, pc.coords))
+            if not any((x + dx, y + dy, z + dz) in occupied for dx, dy, dz in near)]
 
 
 class TestSparseVoxelSet:
@@ -271,3 +290,93 @@ class TestKernelPairs:
         (pair,) = pc.kernel_pairs(1)
         assert np.array_equal(pair[0], [0, 1])
         assert np.array_equal(pair[1], [0, 1])
+
+
+class TestFold:
+    CENTRE = KERNEL_OFFSETS_3.index((0, 0, 0))
+
+    def test_keep_and_iso_partition_the_rows(self):
+        pc = mixed_level(200)
+        fold = pc.fold()
+        assert fold is not pc and pc.fold() is fold
+        assert fold.iso.tolist() == isolated_oracle(pc)
+        assert len(fold.iso) == 200
+        assert np.all(np.diff(fold.keep) > 0)
+        assert sorted(fold.keep.tolist() + fold.iso.tolist()) == list(range(len(pc)))
+        assert len(fold) == len(fold.keep) + FOLD_ROWS == 66 + FOLD_ROWS
+
+    @pytest.mark.parametrize("cloud", ["mixed", "random"])
+    def test_map_is_the_linked_subsets_own(self, cloud):
+        if cloud == "mixed":
+            pc = mixed_level(200)
+        else:  # 707 of these 2,977 points have a neighbour
+            pc = random_cloud(np.random.default_rng(41), 3000, hi=64)
+        fold = pc.fold()
+        linked = SparseVoxelSet(pc.coords[fold.keep], assume_sorted=True)
+        expect = linked.kernel_pairs(3)
+        got = fold.kernel_pairs(3)
+        assert len(got) == len(KERNEL_OFFSETS_3)
+        for k in range(len(got)):
+            out_rows, in_rows = got[k]
+            assert out_rows.dtype == in_rows.dtype == np.int32
+            if k == self.CENTRE:
+                assert in_rows is out_rows
+                assert np.array_equal(out_rows[:len(fold.keep)], expect[k][0])
+            else:
+                assert np.array_equal(out_rows, expect[k][0]), k
+                assert np.array_equal(in_rows, expect[k][1]), k
+                # The mirror holds the same two arrays, swapped.
+                mirror = got[len(got) - 1 - k]
+                assert mirror[0] is in_rows and mirror[1] is out_rows
+
+    def test_stand_ins_carry_the_identity_offset_only(self):
+        fold = mixed_level(200).fold()
+        rows = np.arange(len(fold))
+        for k, (out_rows, in_rows) in enumerate(fold.kernel_pairs(3)):
+            if k == self.CENTRE:
+                assert np.array_equal(out_rows, rows)
+            else:
+                assert out_rows.max() < len(fold.keep)
+                assert in_rows.max() < len(fold.keep)
+        (pair,) = fold.kernel_pairs(1)
+        assert pair[0] is pair[1] and np.array_equal(pair[0], rows)
+        nb = neighbor_occupancy(fold)
+        assert nb.shape == (len(fold), 7)
+        assert np.all(nb[len(fold.keep):] == [0, 0, 0, 0, 0, 0, 1])
+
+    def test_parent_rows_spread_by_prefix(self):
+        pc = mixed_level(200)
+        fold = pc.fold()
+        masks = np.zeros(len(pc), dtype=np.uint8)
+        masks[fold.iso] = np.arange(200) % FOLD_ROWS
+        rows = fold.parent_rows(masks)
+        assert np.array_equal(rows[fold.keep], np.arange(len(fold.keep)))
+        assert np.array_equal(rows[fold.iso], len(fold.keep) + np.arange(200) % FOLD_ROWS)
+        assert rows.max() == len(fold) - 1
+        # Stand-in r is teacher-forced with the bits of r.
+        bits = np.arange(len(pc)) % 2
+        slots = np.stack([fold.fold_bits(bits, j) for j in range(7)], axis=1)
+        assert np.array_equal(slots[:len(fold.keep), 0], bits[fold.keep])
+        prefix = (slots[len(fold.keep):] << np.arange(7)).sum(axis=1)
+        assert prefix.tolist() == list(range(FOLD_ROWS))
+
+    def test_at_most_fold_rows_isolated_points_stay_unfolded(self):
+        pc = mixed_level(FOLD_ROWS)
+        assert len(isolated_oracle(pc)) == FOLD_ROWS
+        assert pc.fold() is pc and pc.fold() is pc
+        assert mixed_level(FOLD_ROWS + 1).fold().iso.size == FOLD_ROWS + 1
+
+    def test_sixteen_bit_frame_with_extreme_coordinates_round_trips(self):
+        rng = np.random.default_rng(43)
+        corner = (1 << 16) - 1
+        pts = np.concatenate([rng.integers(0, 1 << 16, size=(300, 3)),
+                              [[corner] * 3, [corner - 1, corner, corner], [0, 0, 0]]])
+        frame = SparseVoxelSet(pts)
+        config = GopConfig(gop_size=1, epochs_first=1, bit_depth=16)
+        data, report = encode_sequence([frame], config)
+        pyr = build_pyramid(frame, stop_at=config.stop_at)
+        assert any(pyr.levels[i].fold() is not pyr.levels[i]
+                   for i in range(1, len(pyr.levels)))
+        frames, _ = decode_sequence(data)
+        assert frames == [frame]
+        assert frame.coords.max() == corner
