@@ -47,7 +47,7 @@ print(f"\nLaplace(127.5, 9) table: peak freq {table.freq.max()}, "
       f"floor {table.freq.min()}, total {table.freq.sum()}")
 symbols = rng.choice(256, size=5000, p=table.freq / PROB_ONE)
 enc = RangeEncoder()
-enc.encode_symbols(table.cum, symbols)
+enc.encode_symbols(table, symbols)
 coded = enc.finish()
 print(f"5000 symbols: {8 * len(coded)} bits vs table entropy "
       f"{table.ideal_bits(symbols):.0f} bits "

@@ -641,29 +641,35 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     return _make(out, (x, weight, bias), backward)
 
 
-def cross_entropy_bits(p: np.ndarray, t: np.ndarray):
+def cross_entropy_bits(p: np.ndarray, t: np.ndarray, f=None):
     """Summed binary cross-entropy in bits of targets ``t`` under ``p``, in
     their dtype, with ``p`` clamped to [BCE_EPS, 1 - BCE_EPS] so the result
-    is finite for any input."""
+    is finite for any input.  ``f`` weighs the zeros' terms, by default
+    ``1 - t``; counts in ``t`` and ``f`` score each row as that many ones
+    and zeros."""
     p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    return -(t * np.log2(p) + (1.0 - t) * np.log2(1.0 - p)).sum()
+    if f is None:
+        f = 1.0 - t
+    return -(t * np.log2(p) + f * np.log2(1.0 - p)).sum()
 
 
-def bce_bits(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Binary cross-entropy in bits (base-2 logs), summed over points.
+def bce_bits(probs: Tensor, targets: np.ndarray, misses=None) -> Tensor:
+    """Binary cross-entropy in bits (base-2 logs), summed over points; with
+    ``misses``, row k counts ``targets[k]`` ones and ``misses[k]`` zeros.
 
     The probability clamp of :func:`cross_entropy_bits` passes no gradient.
     """
     t = np.asarray(targets, dtype=probs.data.dtype)
-    if t.shape != probs.data.shape:
+    f = 1.0 - t if misses is None else np.asarray(misses, dtype=probs.data.dtype)
+    if t.shape != probs.data.shape or f.shape != t.shape:
         raise ShapeError(f"bce shape mismatch: {t.shape} vs {probs.data.shape}")
-    bits = cross_entropy_bits(probs.data, t)
+    bits = cross_entropy_bits(probs.data, t, f)
 
     def backward(g):
         if probs.requires_grad:
             p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
             inside = (probs.data > BCE_EPS) & (probs.data < 1.0 - BCE_EPS)
-            dp = (-(t / p) + (1.0 - t) / (1.0 - p)) / _LN2
+            dp = (-(t / p) + f / (1.0 - p)) / _LN2
             probs._accumulate(g * dp * inside)
 
     return _make(np.asarray(bits, dtype=probs.data.dtype), (probs,), backward)

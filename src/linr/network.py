@@ -169,27 +169,26 @@ class OccupancyModel:
     def transition(self, g_feat: ad.Tensor, coarse: SparseVoxelSet,
                    next_bits) -> np.ndarray:
         """The eight-stage loop of one scale transition on its global features
-        ``g_feat``; returns child masks.
-
-        For each stage j it calls ``next_bits(j, p)`` with the stage's (n, 1)
-        probability tensor; that returns the stage's 0/1 bit per parent (the
-        ground truth in training and on encode, the range-decoded bits on
-        decode), which conditions every later stage and sets bit j of the masks.
+        ``g_feat``; returns the child masks of the parents ``next_bits``
+        gives bits for.
 
         The network runs on the rows of ``coarse.fold()``, as do
         :meth:`scale_context`, :meth:`global_features` and
-        :meth:`stage_probability`.  On a folded level each stage's
-        probabilities are spread back to the parents, an isolated parent
-        reading the stand-in row of the slots it has coded so far, so
-        ``next_bits`` sees one row per parent either way.
+        :meth:`stage_probability`.  For each stage j it calls ``next_bits(j,
+        p)`` with the stage's (rows, 1) probability tensor; that returns the
+        stage's 0/1 bit of every parent, or on a folded level of every
+        linked parent (the ground truth in training and on encode, the
+        range-decoded bits on decode).  The bits condition every later
+        stage and set bit j of the masks.  A stand-in row is conditioned on
+        its own prefix, so no bit of an isolated parent reaches the network:
+        its eight probabilities are those of the stand-ins of its prefixes.
         """
         rows = coarse.fold()
         slots = []
-        masks = np.zeros(len(coarse), dtype=np.uint8)
+        masks = np.zeros(len(coarse) if rows is coarse else len(rows.keep),
+                         dtype=np.uint8)
         for j in range(NUM_STAGES):
             p = self.stage_probability(j, g_feat, slots, coarse)
-            if rows is not coarse:
-                p = ad.take_rows(p, rows.parent_rows(masks))
             bits_j = next_bits(j, p)
             masks |= bits_j.astype(np.uint8) << j
             if rows is not coarse:
@@ -197,27 +196,50 @@ class OccupancyModel:
             slots.append(bits_j.astype(self.dtype))
         return masks
 
+    def _stage_loss(self, j: int, p: ad.Tensor, coarse: SparseVoxelSet,
+                    masks: np.ndarray):
+        """Stage j's cross-entropy in bits under ``p``, on the rows of
+        ``coarse.fold()``, and the stage's bits for :meth:`transition`.
+
+        On a folded level each stand-in scores the bits of the isolated
+        parents that read it, weighted by their counts, which sums the
+        same terms as scoring every parent on its own row.
+        """
+        bits_j = (masks >> j) & 1
+        rows = coarse.fold()
+        if rows is coarse:
+            return ad.bce_bits(p, bits_j[:, None]), bits_j
+        bits_j = bits_j[rows.keep]
+        zeros, ones = rows.stand_in_counts(masks, j)
+        hits = np.concatenate([bits_j, ones])
+        misses = np.concatenate([1 - bits_j, zeros])
+        return ad.bce_bits(p, hits[:, None], misses[:, None]), bits_j
+
     def predict_children(self, context: ad.Tensor, coarse: SparseVoxelSet,
                          truth_masks):
         """Run all eight stages with ground-truth conditioning.
 
-        Returns (per-stage probability tensors, total cross-entropy bits).
-        The ground truth doubles as the coded-slot context, which is exactly
-        what the decoder reconstructs in lossless operation.
+        Returns (per-stage probability tensors, one row per parent, and the
+        total cross-entropy bits).  The ground truth doubles as the
+        coded-slot context, which is exactly what the decoder reconstructs
+        in lossless operation.  On a folded level an isolated parent's row
+        is the stand-in row of its prefix.
         """
         if truth_masks is None:
             raise MissingGroundTruthError("eight-stage pass needs child masks")
         masks = np.asarray(truth_masks)
         if masks.shape[0] != len(coarse):
             raise ShapeError("mask count must match parent count")
+        rows = coarse.fold()
         probs = []
         loss = None
 
         def truth(j, p):
             nonlocal loss
-            bits_j = (masks >> j) & 1
+            stage_loss, bits_j = self._stage_loss(j, p, coarse, masks)
+            if rows is not coarse:
+                p = ad.take_rows(p, rows.parent_rows(masks & ((1 << j) - 1)))
             probs.append(p)
-            stage_loss = ad.bce_bits(p, bits_j[:, None])
             loss = stage_loss if loss is None else ad.add(loss, stage_loss)
             return bits_j
 
@@ -259,8 +281,7 @@ class OccupancyModel:
 
             def truth(j, p):
                 nonlocal bits
-                bits_j = (masks >> j) & 1
-                stage = ad.bce_bits(p, bits_j[:, None])
+                stage, bits_j = self._stage_loss(j, p, coarse, masks)
                 if stage.requires_grad:
                     stage.backward()
                 bits = stage.data if bits is None else bits + stage.data

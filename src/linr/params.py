@@ -150,14 +150,14 @@ def fit_laplace(q: np.ndarray) -> LaplaceSideInfo:
 
 def compress_params(q: np.ndarray, side: LaplaceSideInfo, bits: int) -> bytes:
     enc = RangeEncoder()
-    enc.encode_symbols(LaplaceTable(side.mu, side.b, bits).cum, q)
+    enc.encode_symbols(LaplaceTable(side.mu, side.b, bits), q)
     return enc.finish()
 
 
 def decompress_params(payload: bytes, header: QuantHeader,
                       side: LaplaceSideInfo) -> np.ndarray:
     dec = RangeDecoder(payload)
-    q = dec.decode_symbols(LaplaceTable(side.mu, side.b, header.bits).cum,
+    q = dec.decode_symbols(LaplaceTable(side.mu, side.b, header.bits),
                            header.count)
     if dec.truncated:
         raise DecodeError("parameter payload truncated")

@@ -26,11 +26,15 @@ Container layout (`.linr`, all integers little-endian):
     frame_count u32, param_bits u8
     per group:  parameter block (see params.pack_param_block): absolute,
                 or delta against the previous group's parameters (never in
-                the first group)
+                the first group); an all-zero delta has an empty payload
     per frame:  lowest-scale block (point_count u32, then 3 x u16 per point,
                 each below 2^(bit_depth - num_scales))
                 per scale transition, coarse to fine, per stage 0..7:
-                a u32 length prefix plus the occupancy payload
+                the payload's length as minimal LEB128 (at most 4 bytes),
+                then the occupancy payload: the stage's bits of every
+                parent, or on a folded level of every linked parent; on a
+                folded level stage 7's stream goes on with one mask symbol
+                per isolated parent, in ``FoldedLevel.iso`` order
 
 One walker, :func:`_walk`, reads and validates this layout for both
 :func:`decode_sequence` and :func:`container_summary`.  Every decode times
@@ -66,7 +70,8 @@ from .params import (
     unpack_param_block,
     zero_delta_within,
 )
-from .rangecoder import PROB_ONE, RangeDecoder, RangeEncoder, quantize_probabilities
+from .rangecoder import (PROB_ONE, RangeDecoder, RangeEncoder, mask_table,
+                         quantize_probabilities)
 from .voxel import (
     CHILD_OFFSETS,
     MAX_BIT_DEPTH,
@@ -78,7 +83,7 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 8
+VERSION = 9
 FILE_EXTENSION = ".linr"
 
 # The largest finite float32: no transmitted parameter may exceed it in magnitude.
@@ -267,6 +272,19 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def leb128(self) -> int:
+        """A length prefix as :func:`_leb128` writes it: minimal, at most 4
+        bytes."""
+        n = 0
+        for k in range(4):
+            byte = self.take(1)[0]
+            n |= (byte & 0x7F) << (7 * k)
+            if not byte & 0x80:
+                if byte == 0 and k:
+                    raise DecodeError(f"non-minimal length prefix at offset {self.pos - 1}")
+                return n
+        raise DecodeError(f"length prefix longer than 4 bytes at offset {self.pos}")
+
 
 @ad.one_blas_thread()
 def train_gop(frames, config: GopConfig, init: Optional[np.ndarray] = None,
@@ -345,11 +363,20 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
 
     From the lowest ``level`` up, each scale transition ``i`` computes the
     scale context and global features, then the model's eight-stage
-    ``transition``, all without gradients.  Each stage ``j`` quantizes its
-    probabilities once and calls ``stage_bits(i, j, coarse, probs,
-    quantized)``.  That returns the stage's 0/1 bits, one int64 per parent:
-    the ground truth on encode, the range-decoded bits on decode.  The bits
-    condition the later stages and form the child masks.
+    ``transition``, all without gradients.  Each stage ``j`` quantizes the
+    probabilities of the parents the network conditions on (every parent,
+    or the linked ones of a folded level) once and calls ``stage_bits(i,
+    j, coarse, probs, quantized, table)``.  That returns the stage's 0/1
+    bits of those parents, one int64 each: the ground truth on encode, the
+    range-decoded bits on decode.  The bits condition the later stages and
+    form the child masks.
+
+    On a folded level (:meth:`SparseVoxelSet.fold`) an isolated parent's
+    mask is one symbol.  Each stage quantizes the probabilities of the
+    stand-ins of its 2^j prefixes too, and stage 7 passes the
+    :func:`mask_table` they build as ``table`` (None otherwise); with it,
+    ``stage_bits`` codes every isolated parent's mask in the same stream,
+    after the stage's bits, and returns those masks as a second value.
 
     Yields ``(i, finer level)`` after each transition.  The finer level is
     rebuilt from the masks, unless the encoder passes the ``pyramid`` it
@@ -357,10 +384,24 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
     """
     for i in range(num_scales - 1, -1, -1):
         coarse = level
+        rows = coarse.fold()
+        linked = len(rows.keep) if rows is not coarse else len(coarse)
+        stand_ins = []
+        isolated = None
 
         def next_bits(j, p):
-            probs = p.data[:, 0]
-            return stage_bits(i, j, coarse, probs, quantize_probabilities(probs))
+            nonlocal isolated
+            table = None
+            if rows is not coarse:
+                stand_ins.append(quantize_probabilities(p.data[linked:linked + (1 << j), 0]))
+                if j == NUM_STAGES - 1:
+                    table = mask_table(stand_ins)
+            probs = p.data[:linked, 0]
+            bits_j, masks = stage_bits(i, j, coarse, probs,
+                                       quantize_probabilities(probs), table)
+            if masks is not None:
+                isolated = masks
+            return bits_j
 
         with ad.no_grad():
             g = model.global_features(model.scale_context(coarse, i), coarse)
@@ -368,52 +409,85 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
         if pyramid is not None:
             level = pyramid.levels[i]
         else:
+            if rows is not coarse:
+                masks = rows.unfold(masks, isolated)
             level = reconstruct_children(masks, coarse)
         yield i, level
 
 
+def _leb128(n: int) -> bytes:
+    """``n`` as minimal unsigned LEB128: seven bits a byte, low first, the
+    top bit set on every byte but the last; at most 4 bytes."""
+    if not 0 <= n < 1 << 28:
+        raise LinrError(f"payload of {n} bytes exceeds a 4-byte length prefix")
+    out = bytearray()
+    while n >= 0x80:
+        out.append(0x80 | (n & 0x7F))
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
 def _stage_encoder(pyramid, parts: list, records: list):
     """Stage callback of the encoder: range-codes the ground-truth bits,
-    appending each length-prefixed payload to ``parts``."""
+    and with a ``table`` the isolated parents' masks, appending each
+    length-prefixed payload to ``parts``."""
 
-    def encode_stage(i, j, coarse, probs, quantized):
-        bits_j = ((pyramid.masks(i) >> j) & 1).astype(np.int64)
+    def encode_stage(i, j, coarse, probs, quantized, table):
+        masks = pyramid.masks(i)
+        rows = coarse.fold()
+        bits_j = ((masks >> j) & 1).astype(np.int64)
+        if rows is not coarse:
+            bits_j = bits_j[rows.keep]
         enc = RangeEncoder()
         enc.encode_bits(quantized, bits_j)
+        estimated = float(ad.cross_entropy_bits(probs.astype(np.float64),
+                                                bits_j.astype(np.float64)))
+        if table is not None:
+            symbols = masks[rows.iso].astype(np.int64) - 1
+            enc.encode_symbols(table, symbols)
+            estimated += table.ideal_bits(symbols)
         payload = enc.finish()
-        parts.append(struct.pack("<I", len(payload)))
+        parts.append(_leb128(len(payload)))
         parts.append(payload)
-        records.append(
-            StageRecord(
-                scale=i,
-                stage=j,
-                payload_bits=8 * len(payload),
-                estimated_bits=float(ad.cross_entropy_bits(
-                    probs.astype(np.float64), bits_j.astype(np.float64))),
-            )
-        )
-        return bits_j
+        records.append(StageRecord(scale=i, stage=j, payload_bits=8 * len(payload),
+                                   estimated_bits=estimated))
+        return bits_j, None
 
     return encode_stage
 
 
 def _stage_decoder(payloads: list, point_costs: Optional[list]):
     """Stage callback of the decoder: range-decodes the next payload, and
-    appends each decoded child's coded bits to ``point_costs`` if given."""
+    appends each decoded child's coded bits to ``point_costs`` if given.
+    A child of an isolated parent is charged an equal share of its
+    parent's mask symbol."""
     payloads = iter(payloads)
 
-    def decode_stage(i, j, coarse, probs, quantized):
+    def decode_stage(i, j, coarse, probs, quantized, table):
+        rows = coarse.fold()
         dec = RangeDecoder(next(payloads))
         bits_j = dec.decode_bits(quantized)
+        masks = None
+        if table is not None:
+            symbols = dec.decode_symbols(table, len(rows.iso))
+            masks = (symbols + 1).astype(np.uint8)
         if dec.truncated:
             raise DecodeError(
                 f"occupancy payload truncated at scale {i} stage {j}"
             )
-        if point_costs is not None and bits_j.any():
+        if point_costs is not None:
+            parents = coarse.coords if rows is coarse else coarse.coords[rows.keep]
             hit = bits_j == 1
-            child = (coarse.coords[hit] << 1) + CHILD_OFFSETS[j]
-            point_costs.append((child, i, -np.log2(quantized[hit] / PROB_ONE)))
-        return bits_j
+            if hit.any():
+                child = (parents[hit] << 1) + CHILD_OFFSETS[j]
+                point_costs.append((child, i, -np.log2(quantized[hit] / PROB_ONE)))
+            if masks is not None:
+                iso, slot = np.nonzero((masks[:, None] >> np.arange(8)) & 1)
+                child = (coarse.coords[rows.iso[iso]] << 1) + CHILD_OFFSETS[slot]
+                bits = -np.log2(table.freq[symbols] / PROB_ONE)
+                point_costs.append((child, i, bits[iso] / np.bincount(iso)[iso]))
+        return bits_j, masks
 
     return decode_stage
 
@@ -475,7 +549,9 @@ def encode_sequence(frames, config: GopConfig):
             q_header, q = quantize(model.flatten(), config.bits,
                                    reference=prev_params)
             side = fit_laplace(q)
-            payload = compress_params(q, side, config.bits)
+            # An all-zero delta leaves R as it is: it ships no payload.
+            zero = q_header.kind == DELTA and np.all(q == 1 << (config.bits - 1))
+            payload = b"" if zero else compress_params(q, side, config.bits)
             reload_dequantized(model, q_header, q, prev_params)
             prev_params = model.flatten()
             block = pack_param_block(q_header, side, payload)
@@ -508,7 +584,9 @@ def encode_sequence(frames, config: GopConfig):
                     gop_index=gop_index,
                     point_count=len(pyr.levels[0]),
                     lowest_bits=8 * len(lowest),
-                    occupancy_bits=sum(s.payload_bits + 32 for s in stages),
+                    occupancy_bits=sum(
+                        s.payload_bits + 8 * len(_leb128(s.payload_bits // 8))
+                        for s in stages),
                     param_bits_amortized=8 * len(block) / len(gop_frames),
                     stages=stages,
                 )
@@ -545,9 +623,11 @@ def _walk(data: bytes):
     count builds (none without scales), with a finite range whose max is
     above its min when it carries any; that range must be no wider than
     float32 holds, and a delta block must not reach past float32 from any
-    value the blocks before it can give;
+    value the blocks before it can give; that an absolute block with
+    parameters has a payload and a block without has none;
     rejects an empty lowest-scale block, bounds every block and payload
-    length by the bytes present, and rejects trailing bytes; decodes no
+    length by the bytes present, rejects a length prefix that is not
+    minimal LEB128 of at most 4 bytes, and rejects trailing bytes; decodes no
     parameters and no geometry.  Returns ``(header, model, groups)``: the
     model is that freshly built network (None without scales), each group
     is ``(QuantHeader, LaplaceSideInfo, parameter payload, frames)``, each
@@ -607,13 +687,19 @@ def _walk(data: bytes):
                 raise DecodeError("delta parameter block reaches past float32")
         if not math.isfinite(side.mu):
             raise DecodeError(f"non-finite Laplace mean {side.mu}")
+        # Only a delta block may leave its payload empty (no change); a
+        # block without parameters has nothing to code.
+        if count and quant.kind != DELTA and not payload:
+            raise DecodeError("absolute parameter block without a payload")
+        if not count and payload:
+            raise DecodeError("parameter payload without parameters")
         frames = []
         for _ in range(min(header.gop_size, remaining)):
             num_points = reader.u32()
             if num_points == 0:
                 raise DecodeError("empty lowest-scale block")
             coords = reader.take(6 * num_points)
-            payloads = [reader.take(reader.u32())
+            payloads = [reader.take(reader.leb128())
                         for _ in range(header.num_scales * NUM_STAGES)]
             frames.append((coords, payloads))
         groups.append((quant, side, payload, frames))
@@ -641,7 +727,7 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
     frames = []
     for quant, side, payload, blocks in groups:
         t0 = time.perf_counter()
-        if model is not None:
+        if payload:  # an empty delta block keeps the parameters
             q = decompress_params(payload, quant, side)
             reference = model.flatten() if quant.kind == DELTA else None
             reload_dequantized(model, quant, q, reference)
@@ -676,7 +762,8 @@ def container_summary(data: bytes) -> dict:
                        for _, _, payload, _ in groups]
     for _, payloads in blocks:
         for k, payload in enumerate(payloads):
-            scale_bytes[num_scales - 1 - k // NUM_STAGES] += 4 + len(payload)
+            scale_bytes[num_scales - 1 - k // NUM_STAGES] += (
+                len(_leb128(len(payload))) + len(payload))
     return {
         "file_bytes": len(data),
         "header_bytes": HEADER_SIZE,

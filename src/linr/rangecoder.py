@@ -9,10 +9,12 @@ While ``range < 2^24`` the encoder shifts the top byte of ``low`` out, so
 it renormalizes a byte, not a bit, at a time.  A carry out of ``low`` is
 added into the bytes already emitted, walking back over their trailing
 0xFF run.  ``finish`` writes one byte: the top byte of the multiple of
-2^24 inside the final interval.  Each side is one loop (``_encode``,
-``_decode``) with its registers in locals, behind the batch calls
-``encode_bits`` / ``decode_bits`` and ``encode_symbols`` /
-``decode_symbols`` and the one-event ``encode_bit`` / ``decode_bit``.
+2^24 inside the final interval.  Each side has one loop for binary events
+(``encode_bits`` / ``decode_bits``) and one for the symbols of a
+:class:`FrequencyTable` (``encode_symbols`` / ``decode_symbols``), with
+the registers in locals; ``encode_bit`` / ``decode_bit`` code one event.
+:func:`mask_table` turns a chain of eight binary stages into the table of
+an 8-bit child mask.
 
 Streams are not self-delimiting: the container records each payload's byte
 length, and the event count is known from the geometry.  The decoder keeps
@@ -23,7 +25,6 @@ verdict.  An empty payload therefore decodes no event.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -35,8 +36,6 @@ PROB_ONE = 1 << PROB_BITS
 PROB_MAX = PROB_ONE - 1
 
 _FULL = 1 << 32  # the whole interval [0, 1) in register units
-_MASK = _FULL - 1
-_TOP = 1 << 24  # renormalize while range is below this
 _PAD = 3  # zero bytes past the payload that a healthy decode reads
 
 
@@ -67,6 +66,12 @@ def _carry(out: bytearray) -> None:
     out[i] += 1
 
 
+# The coding loops write their constants as literals, each one constant
+# load where a module name is a dictionary lookup: 0xFFFFFFFF masks
+# ``low`` to 32 bits, the range renormalizes while below 0x1000000 (2^24),
+# and 16 is PROB_BITS.
+
+
 class RangeEncoder:
     def __init__(self):
         self.low = 0
@@ -74,51 +79,63 @@ class RangeEncoder:
         self._out = bytearray()
         self._done = False
 
-    def _encode(self, events, cum=None) -> None:
-        """Code each ``(cut, symbol)``: a bit under cut 2^16 - p1, or with
-        cut ``None`` a symbol of the table ``cum``."""
-        low, rng = self.low, self.range
-        out = self._out
-        for cut, s in events:
-            if cut is None:
-                lo = (rng * cum[s]) >> PROB_BITS
-                low += lo
-                rng = ((rng * cum[s + 1]) >> PROB_BITS) - lo
-            else:
-                split = (rng * cut) >> PROB_BITS
-                if s:
-                    low += split
-                    rng -= split
-                else:
-                    rng = split
-            if low > _MASK:
-                low &= _MASK
-                _carry(out)
-            while rng < _TOP:
-                out.append(low >> 24)
-                low = (low << 8) & _MASK
-                rng <<= 8
-        self.low, self.range = low, rng
-
     def encode_bits(self, p1, bits) -> None:
-        """Code ``bits[k]`` under fixed-point probability ``p1[k]`` of bit=1."""
+        """Code ``bits[k]`` under fixed-point probability ``p1[k]`` of bit=1:
+        a 0 keeps the cut ``(range * (2^16 - p1)) >> 16`` as its range, a 1
+        the rest of the interval above it."""
         cuts = PROB_ONE - np.asarray(p1, dtype=np.int64)
         bits = np.asarray(bits).astype(bool)
         if cuts.shape != bits.shape:
             raise ValueError("need one probability per bit")
-        self._encode(zip(cuts.tolist(), bits.tolist()))
+        self._encode_bits(cuts.tolist(), bits.tolist())
 
     def encode_bit(self, p1: int, bit: int) -> None:
         """One-event :meth:`encode_bits`."""
-        self._encode(((PROB_ONE - p1, bit),))
+        self._encode_bits((PROB_ONE - p1,), (bit,))
 
-    def encode_symbols(self, cum, symbols) -> None:
-        """Code symbols under a cumulative table with cum[-1] == 2^16."""
-        cum = np.asarray(cum, dtype=np.int64)
+    def _encode_bits(self, cuts, bits) -> None:
+        """The loop of :meth:`encode_bits`, on Python ints: a bit under
+        cut 2^16 - p1 each."""
+        low, rng = self.low, self.range
+        out = self._out
+        for cut, s in zip(cuts, bits):
+            split = (rng * cut) >> 16
+            if s:
+                low += split
+                rng -= split
+                if low > 0xFFFFFFFF:
+                    low &= 0xFFFFFFFF
+                    _carry(out)
+            else:
+                rng = split
+            while rng < 0x1000000:
+                out.append(low >> 24)
+                low = (low << 8) & 0xFFFFFFFF
+                rng <<= 8
+        self.low, self.range = low, rng
+
+    def encode_symbols(self, table: "FrequencyTable", symbols) -> None:
+        """Code each symbol s as the interval ``[cum[s], cum[s + 1])`` of
+        ``table``."""
         s = np.asarray(symbols, dtype=np.int64)
-        if s.size and (s.min() < 0 or s.max() >= len(cum) - 1):
+        if s.size and (s.min() < 0 or s.max() >= len(table.freq)):
             raise ValueError("symbol outside the table")
-        self._encode(zip(itertools.repeat(None), s.tolist()), cum.tolist())
+        cum = table.cum.tolist()
+        low, rng = self.low, self.range
+        out = self._out
+        for s in s.tolist():
+            lo = (rng * cum[s]) >> 16
+            rng = ((rng * cum[s + 1]) >> 16) - lo
+            if lo:
+                low += lo
+                if low > 0xFFFFFFFF:
+                    low &= 0xFFFFFFFF
+                    _carry(out)
+            while rng < 0x1000000:
+                out.append(low >> 24)
+                low = (low << 8) & 0xFFFFFFFF
+                rng <<= 8
+        self.low, self.range = low, rng
 
     def finish(self) -> bytes:
         """Terminate the stream with one byte: the top byte of the multiple
@@ -156,68 +173,143 @@ class RangeDecoder:
         before its events did."""
         return self.bits_consumed > 8 * len(self._data)
 
-    def _decode(self, cuts, cum=None, symbol_of=None) -> list:
-        """Decode one event per cut, as :meth:`RangeEncoder._encode` coded
-        it; a table symbol is ``symbol_of[target]``.  Returns the symbols,
-        cut short if the stream proves truncated."""
-        data, pos = self._data, self._pos
-        if pos > len(data):
-            return []
-        rng, code = self.range, self.code
-        out = []
-        try:
-            for cut in cuts:
-                if cut is None:
-                    # 0 <= code < rng holds, so 0 <= target < 2^16.
-                    s = symbol_of[(((code + 1) << PROB_BITS) - 1) // rng]
-                    lo = (rng * cum[s]) >> PROB_BITS
-                    code -= lo
-                    rng = ((rng * cum[s + 1]) >> PROB_BITS) - lo
-                else:
-                    split = (rng * cut) >> PROB_BITS
-                    if code < split:
-                        s = 0
-                        rng = split
-                    else:
-                        s = 1
-                        code -= split
-                        rng -= split
-                while rng < _TOP:
-                    code = (code << 8) | data[pos]
-                    pos += 1
-                    rng <<= 8
-                out.append(s)
-        except IndexError:  # data[pos] past the padding: truncated
-            pos = len(data) + 1
-        self.range, self.code, self._pos = rng, code, pos
-        return out
-
     def decode_bits(self, p1) -> np.ndarray:
-        """Decode one bit per fixed-point probability ``p1[k]`` of bit=1,
-        fewer if the stream proves truncated."""
+        """Decode one bit per fixed-point probability ``p1[k]`` of bit=1, as
+        :meth:`RangeEncoder.encode_bits` coded it; fewer if the stream
+        proves truncated."""
         cuts = (PROB_ONE - np.asarray(p1, dtype=np.int64)).tolist()
-        return np.array(self._decode(cuts), dtype=np.int64)
+        return np.frombuffer(self._decode_bits(cuts), dtype=np.uint8).astype(np.int64)
 
     def decode_bit(self, p1: int) -> int:
         """One-event :meth:`decode_bits`; raises once the stream is truncated."""
-        bit = self._decode((PROB_ONE - p1,))
+        bit = self._decode_bits((PROB_ONE - p1,))
         if not bit:
             raise DecodeError("payload truncated")
         return bit[0]
 
-    def decode_symbols(self, cum, count: int) -> np.ndarray:
-        """Decode ``count`` symbols under a cumulative table with
-        cum[0] == 0 and cum[-1] == 2^16, fewer if the stream proves
-        truncated."""
-        cum = np.asarray(cum, dtype=np.int64)
-        if cum[0] != 0 or cum[-1] != PROB_ONE:
-            raise ValueError("cumulative table must run from 0 to 2^16")
-        symbol_of = np.repeat(np.arange(len(cum) - 1), np.diff(cum)).tolist()
-        return np.array(self._decode(itertools.repeat(None, count),
-                                     cum.tolist(), symbol_of), dtype=np.int64)
+    def _decode_bits(self, cuts) -> bytearray:
+        """The loop of :meth:`decode_bits`, on Python ints; one byte 0 or
+        1 per bit."""
+        data, pos = self._data, self._pos
+        if pos > len(data):
+            return bytearray()
+        rng, code = self.range, self.code
+        out = bytearray(len(cuts))
+        done = len(cuts)
+        k = 0
+        try:
+            for k, cut in enumerate(cuts):
+                split = (rng * cut) >> 16
+                if code < split:
+                    rng = split
+                else:
+                    code -= split
+                    rng -= split
+                    out[k] = 1
+                while rng < 0x1000000:
+                    code = (code << 8) | data[pos]
+                    pos += 1
+                    rng <<= 8
+        except IndexError:  # data[pos] past the padding: truncated
+            pos = len(data) + 1
+            done = k
+        self.range, self.code, self._pos = rng, code, pos
+        del out[done:]
+        return out
+
+    def decode_symbols(self, table: "FrequencyTable", count: int) -> np.ndarray:
+        """Decode ``count`` symbols of ``table``, as
+        :meth:`RangeEncoder.encode_symbols` coded them; fewer if the stream
+        proves truncated."""
+        data, pos = self._data, self._pos
+        if pos > len(data):
+            return np.zeros(0, dtype=np.int64)
+        cum, symbol_of = table.cum.tolist(), table.symbol_of
+        rng, code = self.range, self.code
+        out = [0] * count
+        done = count
+        k = 0
+        try:
+            for k in range(count):
+                # The largest target t with (rng * t) >> 16 <= code:
+                # ((code + 1) * 2^16 - 1) // rng, below 2^16 as code < rng.
+                s = symbol_of[(code << 16 | 0xFFFF) // rng]
+                lo = (rng * cum[s]) >> 16
+                code -= lo
+                rng = ((rng * cum[s + 1]) >> 16) - lo
+                while rng < 0x1000000:
+                    code = (code << 8) | data[pos]
+                    pos += 1
+                    rng <<= 8
+                out[k] = s
+        except IndexError:  # data[pos] past the padding: truncated
+            pos = len(data) + 1
+            done = k
+        self.range, self.code, self._pos = rng, code, pos
+        return np.array(out[:done], dtype=np.int64)
 
 
-class LaplaceTable:
+class FrequencyTable:
+    """Integer frequencies of symbols 0..n-1, each at least 1, summing to
+    2^16, and their cumulative table ``cum`` (``cum[s]`` is the total below
+    symbol s).  The decoder's index from a 16-bit target to its symbol is
+    built once per table, on first use."""
+
+    def __init__(self, freq):
+        freq = np.asarray(freq, dtype=np.int64)
+        if freq.ndim != 1 or not freq.size or freq.min() < 1 or freq.sum() != PROB_ONE:
+            raise ValueError("frequencies must be >= 1 and sum to 2^16")
+        self.freq = freq
+        self.cum = np.concatenate(([0], np.cumsum(freq)))
+        self._symbol_of = None
+
+    @property
+    def symbol_of(self) -> list:
+        """Symbol s at each of the 2^16 targets in ``[cum[s], cum[s + 1])``."""
+        if self._symbol_of is None:
+            self._symbol_of = np.repeat(np.arange(len(self.freq), dtype=np.uint16),
+                                        self.freq).tolist()
+        return self._symbol_of
+
+    def ideal_bits(self, symbols) -> float:
+        """Cross-entropy of the data under this table, in bits."""
+        return float(-np.log2(self.freq[np.asarray(symbols)] / PROB_ONE).sum())
+
+
+def mask_table(p1) -> FrequencyTable:
+    """The table of the 8-bit child masks 1..255, as symbols 0..254, under a
+    chain of eight binary stages.
+
+    ``p1[j][r]`` is the fixed-point probability that bit j is set given
+    bits 0..j-1 equal to r, for every r < 2^j.  The chain gives mask m the
+    integer weight P(m), the product over j of ``p1[j][m & (2^j - 1)]`` or
+    2^16 minus it, as bit j of m is set or not.  Mask 0 is left out, and
+    the other weights are renormalized to 2^16 with a floor of 1 as in
+    :class:`LaplaceTable`; the largest weight takes the remainder.  Only
+    Python integers are involved, so every CPU builds the same table.
+    """
+    weights = [1]
+    for j, p in enumerate(p1):
+        p = [int(v) for v in p]
+        if len(p) != 1 << j:
+            raise ValueError(f"stage {j} needs {1 << j} probabilities")
+        nxt = weights + weights  # bit j clear in the lower half, set above
+        for r, w in enumerate(weights):
+            one = w * p[r]
+            nxt[r] = w * PROB_ONE - one
+            nxt[r + len(weights)] = one
+        weights = nxt
+    if len(weights) != 256:
+        raise ValueError("a mask table needs eight stages")
+    weights = weights[1:]
+    total = sum(weights)
+    budget = PROB_ONE - len(weights)
+    freq = [1 + w * budget // total for w in weights]
+    freq[weights.index(max(weights))] += PROB_ONE - sum(freq)
+    return FrequencyTable(freq)
+
+
+class LaplaceTable(FrequencyTable):
     """Frequency table for symbols 0..2^bits-1 under a Laplace density.
 
     The density is integrated over unit bins, renormalized to a total of
@@ -235,8 +327,7 @@ class LaplaceTable:
         if budget > 0:
             freq += np.floor(mass / mass.sum() * budget).astype(np.int64)
             freq[int(np.argmax(mass))] += PROB_ONE - int(freq.sum())
-        self.freq = freq
-        self.cum = np.concatenate(([0], np.cumsum(freq)))
+        super().__init__(freq)
 
     @staticmethod
     def _bin_masses(mu: float, b: float, n: int) -> np.ndarray:
@@ -252,7 +343,3 @@ class LaplaceTable:
         if mass.sum() <= 0:
             return LaplaceTable._bin_masses(mu, 0.0, n)
         return mass
-
-    def ideal_bits(self, symbols: np.ndarray) -> float:
-        """Cross-entropy of the data under this table, in bits."""
-        return float(-np.log2(self.freq[np.asarray(symbols)] / PROB_ONE).sum())

@@ -263,10 +263,28 @@ class FoldedLevel:
         return index
 
     def fold_bits(self, bits: np.ndarray, j: int) -> np.ndarray:
-        """Stage ``j``'s bits on the folded rows: each linked point's own,
-        then bit j of each stand-in's index, so that the coded slots of
-        stand-in r spell out prefix r."""
-        return np.concatenate([bits[self.keep], (_PREFIXES >> j) & 1])
+        """Stage ``j``'s bits on the folded rows: ``bits`` of the linked
+        points, then bit j of each stand-in's index, so that the coded
+        slots of stand-in r spell out prefix r."""
+        return np.concatenate([bits, (_PREFIXES >> j) & 1])
+
+    def stand_in_counts(self, masks: np.ndarray, j: int):
+        """How many isolated points read each stand-in at stage ``j`` (the
+        one of their prefix ``masks & (2^j - 1)``) with bit j of ``masks``
+        clear, and how many with it set: two float arrays of
+        :data:`FOLD_ROWS`, zero past prefix 2^j - 1."""
+        m = masks[self.iso].astype(np.intp)
+        counts = np.bincount((m & ((1 << j) - 1)) + FOLD_ROWS * ((m >> j) & 1),
+                             minlength=2 * FOLD_ROWS).astype(np.float64)
+        return counts[:FOLD_ROWS], counts[FOLD_ROWS:]
+
+    def unfold(self, linked: np.ndarray, isolated: np.ndarray) -> np.ndarray:
+        """The level's child masks from those of its linked points and
+        those of its isolated points, each in its order."""
+        masks = np.empty(len(self.keep) + len(self.iso), dtype=np.uint8)
+        masks[self.keep] = linked
+        masks[self.iso] = isolated
+        return masks
 
 
 @dataclass

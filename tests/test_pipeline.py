@@ -35,7 +35,8 @@ from linr.pipeline import (
     train_gop,
     verify,
 )
-from linr.voxel import SparseVoxelSet, build_pyramid
+from linr.rangecoder import PROB_ONE, mask_table, quantize_probabilities
+from linr.voxel import SparseVoxelSet, build_pyramid, reconstruct_children
 
 
 def random_frame(rng, n=300, hi=256):
@@ -52,10 +53,29 @@ def cube_frame(size, offset=0):
     return SparseVoxelSet(np.array(pts))
 
 
+def read_leb128(data, pos):
+    """An unsigned LEB128 number at ``pos``; returns (value, next pos)."""
+    value, shift = 0, 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            return value, pos
+
+
+def leb128_size(n):
+    """Bytes of minimal LEB128 for ``n``: one per started 7 bits."""
+    return max(1, -(-n.bit_length() // 7))
+
+
 def walk_container(data):
     """Independent container walk from the documented byte layout.
 
-    Returns (header fields, per-gop param block spans, per-frame byte spans).
+    Returns (header fields, per-gop param block spans, per-frame byte
+    spans, and per stage payload its (prefix start, payload start, payload
+    end)).
     """
     magic, version, bit_depth, num_scales, gop_size, frame_count, bits = (
         struct.unpack_from("<4sBBBHIB", data, 0)
@@ -63,6 +83,7 @@ def walk_container(data):
     pos = HEADER_SIZE
     blocks = []
     frame_spans = []
+    stage_spans = []
     remaining = frame_count
     while remaining > 0:
         in_gop = min(gop_size, remaining)
@@ -74,15 +95,16 @@ def walk_container(data):
             (count,) = struct.unpack_from("<I", data, pos)
             pos += 4 + 6 * count
             for _ in range(num_scales * 8):
-                (plen,) = struct.unpack_from("<I", data, pos)
-                pos += 4 + plen
+                plen, start = read_leb128(data, pos)
+                stage_spans.append((pos, start, start + plen))
+                pos = start + plen
             frame_spans.append((start, pos))
         remaining -= in_gop
     assert pos == len(data), "walker must account for every byte"
     header = dict(magic=magic, version=version, bit_depth=bit_depth,
                   num_scales=num_scales, gop_size=gop_size,
                   frame_count=frame_count, bits=bits)
-    return header, blocks, frame_spans
+    return header, blocks, frame_spans, stage_spans
 
 
 class TestTrainGop:
@@ -240,8 +262,7 @@ class TestWarmGroupSkip:
         assert report.gop_param_kinds == ["absolute", "delta", "delta"]
         _, _, groups = pipeline._walk(data)
         for quant, side, payload, _ in groups[1:]:
-            q = decompress_params(payload, quant, side)
-            assert np.all(q == 1 << (quant.bits - 1))  # no parameter moves
+            assert payload == b""  # an all-zero delta: no parameter moves
         res = verify(data, self.FRAMES)
         assert res.ok, res.message
 
@@ -271,7 +292,7 @@ class TestContainerStructure:
         cfg = GopConfig(gop_size=2, epochs_first=0, epochs_rest=0,
                         bit_depth=10, bits=8)
         data, report = encode_sequence(frames, cfg)
-        header, blocks, spans = walk_container(data)
+        header, blocks, spans, _ = walk_container(data)
         assert header["magic"] == b"LNRP"
         assert header["bit_depth"] == 10
         assert header["frame_count"] == 3
@@ -300,7 +321,7 @@ class TestContainerStructure:
         same = SparseVoxelSet(frame.coords.copy())
         data, _ = encode_sequence([frame, same],
                                   GopConfig(gop_size=4, epochs_first=1))
-        _, _, spans = walk_container(data)
+        _, _, spans, _ = walk_container(data)
         a, b = spans
         assert data[a[0]:a[1]] == data[b[0]:b[1]]
 
@@ -310,7 +331,7 @@ class TestContainerStructure:
         cfg = GopConfig(gop_size=32, epochs_first=0)
         data, report = encode_sequence(frames, cfg)
         assert report.gop_frame_counts == [5]
-        _, blocks, _ = walk_container(data)
+        _, blocks, _, _ = walk_container(data)
         assert len(blocks) == 1
 
     def test_three_gop_split(self):
@@ -334,8 +355,12 @@ class TestContainerStructure:
                                               for f in report.frames)
         assert sum(summary["scale_bytes"].values()) == sum(
             f.occupancy_bits / 8 for f in report.frames)
+        prefix_bytes = {i: 0 for i in range(report.num_scales)}
+        for f in report.frames:
+            for rec in f.stages:
+                prefix_bytes[rec.scale] += leb128_size(rec.payload_bits // 8)
         assert summary["scale_bytes"] == {
-            i: bits / 8 + 4 * NUM_STAGES * len(frames)
+            i: bits / 8 + prefix_bytes[i]
             for i, bits in report.occupancy_by_scale().items()}
         assert [8 * b for b in summary["gop_param_bytes"]] == report.gop_param_bits
         assert (summary["gop_param_kinds"] == report.to_dict()["gop_param_kinds"]
@@ -435,9 +460,16 @@ class TestLosslessness:
         decoded, _ = decode_sequence(data)
         assert all(got == want for got, want in zip(decoded, frames))
         assert report.gop_param_kinds == ["absolute", "delta", "delta"]
-        assert len(seen["encode"]) == len(seen["decode"]) == 3
-        for (trained, sent, header), (_, held, _) in zip(seen["encode"],
-                                                         seen["decode"]):
+        # The decoder reloads on every group with a payload; a group whose
+        # delta is all zeros ships none and leaves the parameters held.
+        groups = pipeline._walk(data)[2]
+        assert len(seen["encode"]) == len(groups) == 3
+        assert len(seen["decode"]) == sum(1 for *_, payload, _ in groups if payload)
+        decoded_reloads = iter(seen["decode"])
+        held = None
+        for (trained, sent, header), (*_, payload, _) in zip(seen["encode"], groups):
+            if payload:
+                _, held, _ = next(decoded_reloads)
             assert sent.tobytes() == held.tobytes()
             # Half a step, plus the float32 rounding of the reloaded value.
             err = np.abs(sent.astype(np.float64) - trained)
@@ -461,6 +493,8 @@ class TestLosslessness:
         assert res.ok, res.message
 
     def test_zero_model_payload_near_one_bit_per_slot(self):
+        # Under p = 1/2 a linked parent's eight bits cost 8 bits, and an
+        # isolated parent's mask, one of 255 near-equal symbols, log2(255).
         rng = np.random.default_rng(10)
         frame = random_frame(rng, n=300)
         pyr = build_pyramid(frame, stop_at=64)
@@ -471,38 +505,83 @@ class TestLosslessness:
         encode_stage = _stage_encoder(pyr, parts, stages)
         for _ in _coding_pass(model, base, pyr.num_scales, encode_stage, pyr):
             pass
-        parents = sum(len(pyr.levels[i + 1]) for i in range(pyr.num_scales))
+        ideal = 0.0
+        for i in range(pyr.num_scales):
+            rows = pyr.levels[i + 1].fold()
+            if rows is pyr.levels[i + 1]:
+                ideal += 8 * len(rows)
+            else:
+                ideal += 8 * len(rows.keep) + np.log2(255) * len(rows.iso)
+        assert ideal < 8 * sum(len(pyr.levels[i + 1]) for i in range(pyr.num_scales))
         measured = sum(s.payload_bits for s in stages)
         streams = len(stages)
-        assert measured >= 8 * parents
-        assert measured <= 1.02 * 8 * parents + 16 * streams
+        assert measured >= ideal - 1
+        assert measured <= 1.02 * ideal + 16 * streams
         # parts alternates length prefixes and payloads.
         decode_stage = _stage_decoder(parts[1::2], None)
         for _, level in _coding_pass(model, base, pyr.num_scales, decode_stage):
             pass
         assert level == frame
 
-    def test_coding_pass_probabilities_match_training_pass(self):
+    def test_coding_pass_probabilities_match_training_pass(self, monkeypatch):
         rng = np.random.default_rng(12)
         trained = train_gop([random_frame(rng, n=300)], GopConfig(epochs_first=1))
         model, pyr = trained.model, trained.pyramids[0]
         pipeline.reload_dequantized(model, *pipeline.quantize(model.flatten(), 8))
+        # Every stage's probabilities on the rows of coarse.fold(), as the
+        # network computes them: linked parents, then the stand-ins.
+        rows_seen = []
+        stage_probability = model.stage_probability
+
+        def recording(*args):
+            p = stage_probability(*args)
+            rows_seen.append(p.data.copy())
+            return p
+
+        monkeypatch.setattr(model, "stage_probability", recording)
         coded = {}
 
-        def record(i, j, coarse, probs, quantized):
-            coded[i, j] = probs.tobytes()
-            return ((pyr.masks(i) >> j) & 1).astype(np.int64)
+        def record(i, j, coarse, probs, quantized, table):
+            coded[i, j] = probs.tobytes(), quantized, table
+            rows = coarse.fold()
+            bits_j = ((pyr.masks(i) >> j) & 1).astype(np.int64)
+            return (bits_j, None) if rows is coarse else (bits_j[rows.keep], None)
 
         for _ in _coding_pass(model, pyr.levels[-1], pyr.num_scales, record, pyr):
             pass
         assert len(coded) == NUM_STAGES * pyr.num_scales
-        for i in range(pyr.num_scales):
-            coarse = pyr.levels[i + 1]
+        coding_rows = rows_seen[:]
+        rows_seen.clear()
+        folded = 0
+        for i in range(pyr.num_scales - 1, -1, -1):
+            coarse, masks = pyr.levels[i + 1], pyr.masks(i)
             probs, _ = model.predict_children(model.scale_context(coarse, i),
-                                              coarse, pyr.masks(i))
+                                              coarse, masks)
+            training_rows = rows_seen[-NUM_STAGES:]
+            rows = coarse.fold()
+            linked = len(rows.keep) if rows is not coarse else len(coarse)
+            stand_ins = []
             for j in range(NUM_STAGES):
-                assert probs[j].data[:, 0].tobytes() == coded[i, j]
-
+                want = training_rows[j]
+                assert coding_rows.pop(0).tobytes() == want.tobytes()
+                probs_j, quantized, table = coded[i, j]
+                assert probs_j == want[:linked, 0].tobytes()
+                assert np.array_equal(quantized, quantize_probabilities(want[:linked, 0]))
+                if rows is coarse:
+                    assert probs[j].data.tobytes() == want.tobytes()
+                    assert table is None
+                    continue
+                # One row per parent: its own, or its prefix's stand-in.
+                assert probs[j].data[rows.keep].tobytes() == want[:linked].tobytes()
+                prefix = (masks[rows.iso] & ((1 << j) - 1)).astype(np.intp)
+                assert (probs[j].data[rows.iso].tobytes()
+                        == want[linked + prefix].tobytes())
+                stand_ins.append(quantize_probabilities(want[linked:linked + (1 << j), 0]))
+                assert (table is None) == (j < NUM_STAGES - 1)
+            if rows is not coarse:
+                folded += 1
+                assert np.array_equal(table.freq, mask_table(stand_ins).freq)
+        assert folded and not coding_rows
 
 class TestPayloadVsEstimate:
     def test_measured_bits_track_estimates(self):
@@ -558,8 +637,10 @@ class TestDecodeRobustness:
         # 3 and 4: payloads of the bit-wise (Witten-Neal-Cleary) coder;
         # 5: convs summed per offset on every level; 6: im2col in one
         # block on levels of at most 2,048 points only; 7: isolated
-        # parents evaluated one by one, not one per coded-slot prefix.
-        for version in (1, 2, 3, 4, 5, 6, 7, 9):
+        # parents evaluated one by one, not one per coded-slot prefix;
+        # 8: isolated parents' masks coded as eight binary events, u32
+        # length prefixes and a payload on every delta block.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 10):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):
@@ -685,7 +766,7 @@ class TestDecodeRobustness:
         data, report = encode_sequence(frames, GopConfig(
             gop_size=1, epochs_first=1, epochs_rest=0))
         assert report.gop_param_kinds == ["absolute", "delta"]
-        _, blocks, _ = walk_container(data)
+        _, blocks, _, _ = walk_container(data)
         first, delta = (start for start, _ in blocks)
         cases = [
             {first: (-3e38, 3e38)},
@@ -728,6 +809,156 @@ class TestDecodeRobustness:
             corrupt[pos] ^= 1 << bit
             res = verify(bytes(corrupt), frames)
             assert not res.ok
+
+
+def with_payload(data, span, payload, prefix=None):
+    """``data`` with one stage payload and its length prefix replaced."""
+    if prefix is None:
+        prefix = bytearray()
+        n = len(payload)
+        while n >= 0x80:
+            prefix.append(0x80 | (n & 0x7F))
+            n >>= 7
+        prefix.append(n)
+    return data[:span[0]] + bytes(prefix) + payload + data[span[2]:]
+
+
+def grid(n, spacing=3, base=10):
+    """``n`` points at least ``spacing`` apart: none neighbours another."""
+    return [(base + spacing * (k % 10), base + spacing * (k // 10 % 10),
+             base + spacing * (k // 100)) for k in range(n)]
+
+
+def folded_frame(rng, parents, scale=1):
+    """A frame whose level one up is ``parents``, each with a random mask."""
+    coarse = SparseVoxelSet(np.array(parents) * scale)
+    masks = rng.integers(1, 256, size=len(coarse)).astype(np.uint8)
+    return reconstruct_children(masks, coarse)
+
+
+class TestIsolatedMaskSymbols:
+    """On a folded level every isolated parent's mask is one symbol at the
+    end of stage 7's stream."""
+
+    CUBE = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
+
+    @pytest.mark.parametrize("case", ["no linked parent", "129 isolated",
+                                      "16-bit"])
+    def test_lossless(self, case):
+        rng = np.random.default_rng(60)
+        if case == "no linked parent":
+            frame, linked, isolated = folded_frame(rng, grid(200)), 0, 200
+        elif case == "129 isolated":
+            frame = folded_frame(rng, self.CUBE + grid(129))
+            linked, isolated = 64, 129
+        else:  # parents up to 2^15 - 1, so children reach 2^16 - 1
+            parents = [(x, y, z) for x, y, z in grid(300, spacing=109, base=0)]
+            parents[-1] = ((1 << 15) - 1,) * 3
+            frame, linked, isolated = folded_frame(rng, parents), 0, 300
+        config = GopConfig(gop_size=1, epochs_first=1,
+                           bit_depth=16 if case == "16-bit" else 10)
+        pyr = build_pyramid(frame, stop_at=config.stop_at)
+        rows = pyr.levels[1].fold()
+        assert rows is not pyr.levels[1]
+        assert (len(rows.keep), len(rows.iso)) == (linked, isolated)
+        data, report = encode_sequence([frame], config)
+        decoded, _ = decode_sequence(data)
+        assert decoded == [frame]
+        # The finest transition's stage 7 carries the symbols: at least
+        # one bit under any table of 255 masks whose largest is < 2^16.
+        finest = [s for s in report.frames[0].stages if s.scale == 0]
+        assert finest[7].estimated_bits > isolated * np.log2(PROB_ONE / (PROB_ONE - 255))
+
+    def test_truncated_stage_seven_payload_rejected(self):
+        rng = np.random.default_rng(61)
+        frame = folded_frame(rng, self.CUBE + grid(300))
+        data, report = encode_sequence([frame], GopConfig(gop_size=1, epochs_first=1))
+        assert decode_sequence(data)[0] == [frame]
+        # The finest transition comes last; its stage 7 closes the frame.
+        span = walk_container(data)[3][-1]
+        payload = data[span[1]:span[2]]
+        # The 64 linked parents' bits fill stage 6; 300 symbols fill most
+        # of stage 7, so every cut below drops symbols.
+        assert 8 * len(payload) > 10 * report.frames[0].stages[-2].payload_bits
+        for keep in (0, len(payload) // 4, len(payload) // 2):
+            with pytest.raises(DecodeError, match="truncated at scale 0 stage 7"):
+                decode_sequence(with_payload(data, span, payload[:keep]))
+
+
+class TestLengthPrefix:
+    @pytest.mark.parametrize("n, size", [(0, 1), (127, 1), (128, 2), (16383, 2),
+                                         (16384, 3), ((1 << 28) - 1, 4)])
+    def test_minimal_leb128(self, n, size):
+        prefix = pipeline._leb128(n)
+        assert len(prefix) == size == leb128_size(n)
+        assert read_leb128(prefix, 0) == (n, size)
+        assert pipeline._Reader(prefix).leb128() == n
+
+    def test_past_four_bytes_refused(self):
+        with pytest.raises(LinrError, match="4-byte length prefix"):
+            pipeline._leb128(1 << 28)
+
+    @pytest.mark.parametrize("prefix, message", [
+        (b"\x80\x00", "non-minimal"),
+        (b"\x85\x80\x00", "non-minimal"),
+        (b"\x80\x80\x80\x80\x00", "longer than 4 bytes"),
+        (b"\xff\xff\xff\xff\x0f", "longer than 4 bytes"),
+        (b"\xff\xff\xff\x7f", "container truncated"),
+        (b"\x90\x03", "container truncated"),  # 400 bytes: past the end
+    ])
+    def test_walker_rejects(self, prefix, message):
+        rng = np.random.default_rng(62)
+        data, _ = encode_sequence([random_frame(rng, n=300)],
+                                  GopConfig(gop_size=1, epochs_first=0))
+        span = walk_container(data)[3][-1]
+        assert len(data) - span[1] < 400
+        corrupt = with_payload(data, span, data[span[1]:span[2]], prefix)
+        for read in (decode_sequence, container_summary):
+            with pytest.raises(DecodeError, match=message):
+                read(corrupt)
+
+
+class TestZeroDelta:
+    def test_empty_delta_round_trips(self, monkeypatch):
+        frames = [cube_frame(8, offset=k) for k in range(4)]
+        data, report = encode_sequence(frames, GopConfig(
+            gop_size=2, epochs_first=2, epochs_rest=1, seed=5))
+        assert report.gop_param_kinds == ["absolute", "delta"]
+        assert report.epochs_used == [2, 0]
+        summary = container_summary(data)
+        assert summary["gop_param_bytes"][1] == BLOCK_HEADER_SIZE
+        decompressed = []
+        monkeypatch.setattr(pipeline, "decompress_params",
+                            lambda *args: decompressed.append(1) or decompress_params(*args))
+        decoded, _ = decode_sequence(data)
+        assert decoded == frames
+        assert len(decompressed) == 1  # the zero delta decodes no symbol
+
+    def test_empty_payload_on_absolute_block_rejected(self):
+        rng = np.random.default_rng(63)
+        data, _ = encode_sequence([random_frame(rng, n=300)],
+                                  GopConfig(gop_size=1, epochs_first=0))
+        start = HEADER_SIZE
+        end = unpack_param_block(data, start)[-1]
+        # payload_len u32 follows min, max, mu, b (f32 each), bits (u8)
+        # and count (u32).
+        block = bytearray(data[start:start + BLOCK_HEADER_SIZE])
+        struct.pack_into("<I", block, 21, 0)
+        corrupt = data[:start] + bytes(block) + data[end:]
+        for read in (decode_sequence, container_summary):
+            with pytest.raises(DecodeError, match="absolute parameter block without"):
+                read(corrupt)
+
+    def test_payload_without_parameters_rejected(self):
+        data, _ = encode_sequence([cube_frame(1)], GopConfig(gop_size=1))
+        assert data[5:7] == bytes([10, 0])  # no scales: no parameters
+        block = bytearray(data[HEADER_SIZE:HEADER_SIZE + BLOCK_HEADER_SIZE])
+        struct.pack_into("<I", block, 21, 1)
+        corrupt = (data[:HEADER_SIZE] + bytes(block) + b"\x00"
+                   + data[HEADER_SIZE + BLOCK_HEADER_SIZE:])
+        for read in (decode_sequence, container_summary):
+            with pytest.raises(DecodeError, match="payload without parameters"):
+                read(corrupt)
 
 
 class TestMutationFuzz:

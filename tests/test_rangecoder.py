@@ -13,6 +13,7 @@ from linr.errors import DecodeError, LinrError, NumericError
 from linr.rangecoder import (
     PROB_ONE,
     LaplaceTable,
+    mask_table,
     RangeDecoder,
     RangeEncoder,
     quantize_probability,
@@ -116,7 +117,7 @@ class TestBinaryRoundtrip:
     def test_empty_payload_decodes_nothing(self):
         dec = RangeDecoder(b"")
         assert len(dec.decode_bits([1, 32768, 65535])) == 0
-        assert len(dec.decode_symbols(LaplaceTable(3.0, 1.0, 4).cum, 5)) == 0
+        assert len(dec.decode_symbols(LaplaceTable(3.0, 1.0, 4), 5)) == 0
         with pytest.raises(DecodeError):
             dec.decode_bit(32768)
 
@@ -174,7 +175,7 @@ class TestStreamLength:
             symbols = rng.integers(0, 1 << width, size=int(rng.integers(0, 50)))
             enc = RangeEncoder()
             enc.encode_bits(p1, bits)
-            enc.encode_symbols(table.cum, symbols)
+            enc.encode_symbols(table, symbols)
             payload = enc.finish()
             q = p1 / PROB_ONE
             ideal = (-np.where(bits == 1, np.log2(q), np.log2(1 - q)).sum()
@@ -195,30 +196,30 @@ class TestSymbolCoding:
         for mu in (-50.0, 0.0, 255.0, 500.0):
             table = LaplaceTable(mu, 2.0, bits=8)
             enc = RangeEncoder()
-            enc.encode_symbols(table.cum, [0, 255])
+            enc.encode_symbols(table, [0, 255])
             payload = enc.finish()
             dec = RangeDecoder(payload)
-            assert dec.decode_symbols(table.cum, 2).tolist() == [0, 255]
+            assert dec.decode_symbols(table, 2).tolist() == [0, 255]
 
     def test_degenerate_scale_roundtrips(self):
         table = LaplaceTable(128.0, 0.0, bits=8)
         assert table.freq[128] == PROB_ONE - 255
         enc = RangeEncoder()
-        enc.encode_symbols(table.cum, [128, 0, 255, 128, 7])
+        enc.encode_symbols(table, [128, 0, 255, 128, 7])
         dec = RangeDecoder(enc.finish())
-        assert dec.decode_symbols(table.cum, 5).tolist() == [128, 0, 255, 128, 7]
+        assert dec.decode_symbols(table, 5).tolist() == [128, 0, 255, 128, 7]
 
     def test_sampled_distribution_near_ideal(self):
         rng = np.random.default_rng(6)
         table = LaplaceTable(127.5, 9.0, bits=8)
         symbols = rng.choice(256, size=3000, p=table.freq / PROB_ONE)
         enc = RangeEncoder()
-        enc.encode_symbols(table.cum, symbols)
+        enc.encode_symbols(table, symbols)
         payload = enc.finish()
         ideal = table.ideal_bits(symbols)
         assert len(payload) * 8 <= 1.02 * ideal + 32
         dec = RangeDecoder(payload)
-        decoded = dec.decode_symbols(table.cum, 3000).tolist()
+        decoded = dec.decode_symbols(table, 3000).tolist()
         assert decoded == symbols.tolist()
 
     def test_symbol_roundtrip_bulk(self):
@@ -228,9 +229,9 @@ class TestSymbolCoding:
             table = LaplaceTable((n_sym - 1) / 2.0, n_sym / 5.0, bits=bits)
             symbols = rng.integers(0, n_sym, size=2000)
             enc = RangeEncoder()
-            enc.encode_symbols(table.cum, symbols)
+            enc.encode_symbols(table, symbols)
             dec = RangeDecoder(enc.finish())
-            assert dec.decode_symbols(table.cum, 2000).tolist() == symbols.tolist()
+            assert dec.decode_symbols(table, 2000).tolist() == symbols.tolist()
 
 
 def golden_runs():
@@ -249,7 +250,7 @@ def golden_runs():
         table = LaplaceTable(rng.uniform(0, levels - 1), levels / 7.0, width)
         symbols = rng.choice(levels, size=300, p=table.freq / table.freq.sum())
         symbols[:3] = (0, levels - 1, levels // 2)
-        runs.append(("symbols", table.cum, symbols))
+        runs.append(("symbols", table, symbols))
     return runs
 
 
@@ -375,3 +376,74 @@ class TestLaplaceTable:
         assert set(expect[:10]) <= set(got)
         peak = int(np.argmax(table.freq))
         assert abs(peak - mu) <= 1
+
+
+def stage_probabilities(rng, low=1, high=PROB_ONE):
+    """Seeded fixed-point stage probabilities: 2^j of them for stage j."""
+    return [rng.integers(low, high, size=1 << j) for j in range(8)]
+
+
+def chain_products(p1):
+    """The float probability of each mask 0..255 under the stage chain."""
+    out = np.ones(256)
+    for m in range(256):
+        for j in range(8):
+            q = p1[j][m & ((1 << j) - 1)] / PROB_ONE
+            out[m] *= q if (m >> j) & 1 else 1.0 - q
+    return out
+
+
+class TestMaskTable:
+    # First 16 hex digits of the SHA-256 of one seeded table's frequencies.
+    SHA256 = "ea2d727729f208ac"
+
+    def test_total_floor_and_no_zero_mask(self):
+        rng = np.random.default_rng(50)
+        for low, high in ((1, PROB_ONE), (1, 2), (PROB_ONE - 1, PROB_ONE), (1, 40)):
+            table = mask_table(stage_probabilities(rng, low, high))
+            assert table.freq.shape == (255,)  # masks 1..255 as symbols 0..254
+            assert int(table.freq.sum()) == PROB_ONE
+            assert int(table.freq.min()) >= 1
+            assert table.cum[0] == 0 and table.cum[-1] == PROB_ONE
+
+    def test_matches_the_chain_product(self):
+        rng = np.random.default_rng(51)
+        for _ in range(5):
+            p1 = stage_probabilities(rng)
+            table = mask_table(p1)
+            chain = chain_products(p1)
+            want = PROB_ONE * chain[1:] / (1.0 - chain[0])
+            err = np.abs(table.freq - want)
+            # The floors of 1 take 255 units from the proportional share,
+            # then each rounds down; the largest takes the remainder.
+            bound = 2.0 + 255.0 * want / PROB_ONE
+            top = int(np.argmax(chain[1:]))
+            assert np.all(np.delete(err <= bound, top))
+            assert err[top] <= 256.0
+
+    def test_same_integers_same_bytes(self):
+        rng = np.random.default_rng(52)
+        p1 = stage_probabilities(rng, 1000, 30000)
+        as_lists = mask_table([p.tolist() for p in p1])
+        table = mask_table(p1)
+        assert table.freq.tolist() == as_lists.freq.tolist()
+        # Pure integer arithmetic: this table holds on every CPU.
+        assert hashlib.sha256(table.freq.tobytes()).hexdigest()[:16] == self.SHA256
+        symbols = rng.choice(255, size=2000, p=table.freq / PROB_ONE)
+        payloads = []
+        for t in (table, as_lists):
+            enc = RangeEncoder()
+            enc.encode_symbols(t, symbols)
+            payloads.append(enc.finish())
+        assert payloads[0] == payloads[1]
+        assert 8 * len(payloads[0]) <= table.ideal_bits(symbols) + 16
+        assert RangeDecoder(payloads[0]).decode_symbols(table, 2000).tolist() == symbols.tolist()
+
+    def test_needs_eight_stages_of_prefixes(self):
+        rng = np.random.default_rng(53)
+        p1 = stage_probabilities(rng)
+        with pytest.raises(ValueError):
+            mask_table(p1[:7])
+        with pytest.raises(ValueError):
+            mask_table(p1[:3] + [p1[3][:4]] + p1[4:])
+

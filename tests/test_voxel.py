@@ -353,12 +353,28 @@ class TestFold:
         assert np.array_equal(rows[fold.keep], np.arange(len(fold.keep)))
         assert np.array_equal(rows[fold.iso], len(fold.keep) + np.arange(200) % FOLD_ROWS)
         assert rows.max() == len(fold) - 1
-        # Stand-in r is teacher-forced with the bits of r.
-        bits = np.arange(len(pc)) % 2
+        # Stand-in r is teacher-forced with the bits of r, after the bits
+        # of the linked points.
+        bits = np.arange(len(fold.keep)) % 2
         slots = np.stack([fold.fold_bits(bits, j) for j in range(7)], axis=1)
-        assert np.array_equal(slots[:len(fold.keep), 0], bits[fold.keep])
+        assert np.array_equal(slots[:len(fold.keep), 0], bits)
         prefix = (slots[len(fold.keep):] << np.arange(7)).sum(axis=1)
         assert prefix.tolist() == list(range(FOLD_ROWS))
+
+    def test_stand_in_counts_and_unfold(self):
+        pc = mixed_level(200)
+        fold = pc.fold()
+        rng = np.random.default_rng(44)
+        masks = rng.integers(1, 256, size=len(pc)).astype(np.uint8)
+        for j in range(8):
+            zeros, ones = fold.stand_in_counts(masks, j)
+            assert zeros.shape == ones.shape == (FOLD_ROWS,)
+            for r in range(FOLD_ROWS):
+                readers = [int(m) for m in masks[fold.iso]
+                           if r < 1 << j and int(m) & ((1 << j) - 1) == r]
+                assert zeros[r] == sum(1 for m in readers if not m >> j & 1)
+                assert ones[r] == sum(1 for m in readers if m >> j & 1)
+        assert np.array_equal(fold.unfold(masks[fold.keep], masks[fold.iso]), masks)
 
     def test_at_most_fold_rows_isolated_points_stay_unfolded(self):
         pc = mixed_level(FOLD_ROWS)
