@@ -9,6 +9,7 @@ from linr.plyio import generate_fixture
 from linr.voxel import (
     build_pyramid,
     child_occupancy,
+    neighbor_channels,
     neighbor_occupancy,
     reconstruct_children,
 )
@@ -39,7 +40,10 @@ print(f"\nreconstruct_children(child_occupancy(...)) exact: "
       f"{bool(np.array_equal(rebuilt.coords, pyramid.levels[0].coords))}")
 
 # The network never sees raw coordinates, only occupancy probes like these:
-# six face neighbors plus self, per point.
-nb = neighbor_occupancy(pyramid.levels[1])
+# six face neighbors plus self, per point.  A point's pattern of occupied
+# face neighbors is one of 64, so the context MLP runs once per pattern.
+patterns = neighbor_occupancy(pyramid.levels[1])
+print(f"\nface-neighbor patterns at level 1: {len(np.unique(patterns))} of 64 occur")
+nb = neighbor_channels(patterns)
 print(f"\nneighbor occupancy at level 1: mean fill per channel "
       f"{np.round(nb.mean(axis=0), 3)}")

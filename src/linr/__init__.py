@@ -40,6 +40,7 @@ from .voxel import (
     build_pyramid,
     child_occupancy,
     downsample,
+    neighbor_channels,
     neighbor_occupancy,
     reconstruct_children,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "verify",
     "generate_fixture", "read_cloud", "read_cloud_report", "write_cloud",
     "ScalePyramid", "SparseVoxelSet", "build_pyramid", "child_occupancy",
-    "downsample", "neighbor_occupancy", "reconstruct_children",
+    "downsample", "neighbor_channels", "neighbor_occupancy",
+    "reconstruct_children",
     "__version__",
 ]

@@ -433,17 +433,38 @@ IM2COL_BLOCK_ROWS = 512
 
 class KernelMap(list):
     """The per-offset ``(out_rows, in_rows)`` pairs :func:`sparse_conv` takes,
-    with a cache for the neighbour tables of its im2col path, so that they
-    are built once per map (``SparseVoxelSet.kernel_pairs`` returns one)."""
+    with their total count ``pair_rows``, the row count ``points`` of the
+    identity offset (None without one), and a cache for the neighbour
+    tables of the im2col path, so that they are built once per map
+    (``SparseVoxelSet.kernel_pairs`` returns one)."""
 
-    __slots__ = ("tables",)
+    __slots__ = ("tables", "pair_rows", "points")
 
     def __init__(self, pairs):
         super().__init__(pairs)
         self.tables = None
+        self.pair_rows = sum(out_rows.shape[0] for out_rows, _ in self)
+        self.points = next((out_rows.shape[0] for out_rows, in_rows in self
+                            if in_rows is out_rows), None)
 
 
-def _neighbour_tables(pairs, n: int) -> tuple:
+def _kernel_map(pairs, n: int) -> KernelMap:
+    """``pairs`` as a :class:`KernelMap`, checked against an input of n rows."""
+    if not isinstance(pairs, KernelMap):
+        pairs = KernelMap(pairs)
+    if pairs.points is not None and pairs.points != n:
+        raise ShapeError(f"conv input has {n} rows for {pairs.points} points")
+    return pairs
+
+
+def _takes_im2col(pairs: KernelMap, n: int) -> bool:
+    """Whether a conv over ``pairs`` runs as im2col (see
+    :data:`DENSE_MAX_POINTS`)."""
+    return len(pairs) > 1 and (n <= DENSE_MAX_POINTS
+                               or pairs.pair_rows >= SPARSE_PAIRS_PER_POINT * n)
+
+
+def _neighbour_tables(pairs: KernelMap, n: int) -> tuple:
     """``(gather, scatter)``, each (n, num_offsets), of the map ``pairs``.
 
     ``gather[o, k]`` is the row that point o reads at offset k and
@@ -452,13 +473,11 @@ def _neighbour_tables(pairs, n: int) -> tuple:
     ``num_offsets - 1 - k`` are mirrors, as in every map of
     ``SparseVoxelSet.kernel_pairs``, ``scatter`` is ``gather`` with its
     columns reversed, and is kept as that view.  An absent neighbour is
-    row n, the zero row :func:`_blocks` appends.  Cached on a
-    :class:`KernelMap`, in the smallest integer type that holds n: the
-    cache lives as long as the level, and an encode holds every level of
-    a group's frames.
+    row n, the zero row :func:`_blocks` appends.  Cached on the map, in
+    the smallest integer type that holds n: the cache lives as long as the
+    level, and an encode holds every level of a group's frames.
     """
-    tables = getattr(pairs, "tables", None)
-    if tables is None:
+    if pairs.tables is None:
         index = np.min_scalar_type(n)
         gather = np.full((n, len(pairs)), n, dtype=index)
         scatter = np.full((n, len(pairs)), n, dtype=index)
@@ -467,10 +486,8 @@ def _neighbour_tables(pairs, n: int) -> tuple:
             scatter[in_rows, k] = out_rows
         if np.array_equal(scatter, gather[:, ::-1]):
             scatter = gather[:, ::-1]
-        tables = gather, scatter
-        if isinstance(pairs, KernelMap):
-            pairs.tables = tables
-    return tables
+        pairs.tables = gather, scatter
+    return pairs.tables
 
 
 class _Scratch(threading.local):
@@ -492,11 +509,11 @@ def _scratch_array(slot: int, shape: tuple, dtype) -> np.ndarray:
     return _scratch.bufs[slot][:nbytes].view(dtype).reshape(shape)
 
 
-def _blocks(a: np.ndarray, table: np.ndarray):
+def _blocks(a: np.ndarray, table: np.ndarray, order=None):
     """Yield ``(s, e, cols)`` for each block of :data:`IM2COL_BLOCK_ROWS`
     rows: ``cols`` is (e - s, num_offsets * c), the rows of ``a`` plus an
     appended zero row gathered through ``table[s:e]``, offset-major columns
-    per point.
+    per point; with ``order``, through the rows ``table[order[s:e]]``.
 
     The gather moves whole rows through a void view (one element of
     ``itemsize * c`` bytes per row).  The padded copy and ``cols`` live in
@@ -517,8 +534,11 @@ def _blocks(a: np.ndarray, table: np.ndarray):
     for s in range(0, n, IM2COL_BLOCK_ROWS):
         e = min(s + IM2COL_BLOCK_ROWS, n)
         cols = buf[:e - s]
+        # Fancy indexing of the (possibly reversed) table: 6x faster than
+        # its take().
+        index = table[s:e] if order is None else table[order[s:e]]
         # Every index is in range; mode="clip" spares numpy's buffered copy.
-        np.take(rows, table[s:e], out=cols.view(row), mode="clip")
+        np.take(rows, index, out=cols.view(row), mode="clip")
         yield s, e, cols
 
 
@@ -590,14 +610,8 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
     if len(pairs) != weight.data.shape[0]:
         raise ShapeError("kernel map does not match weight offset count")
     n = x.data.shape[0]
-    pair_rows = 0
-    for out_rows, in_rows in pairs:
-        if in_rows is out_rows and out_rows.shape[0] != n:
-            raise ShapeError(f"conv input has {n} rows for "
-                             f"{out_rows.shape[0]} points")
-        pair_rows += out_rows.shape[0]
-    if len(pairs) > 1 and (n <= DENSE_MAX_POINTS
-                           or pair_rows >= SPARSE_PAIRS_PER_POINT * n):
+    pairs = _kernel_map(pairs, n)
+    if _takes_im2col(pairs, n):
         return _im2col_conv(x, weight, bias, pairs)
     c_out = weight.data.shape[2]
     out = _empty((n, c_out), x.data.dtype)
@@ -639,6 +653,123 @@ def sparse_conv(x: Tensor, weight: Tensor, bias: Tensor, pairs) -> Tensor:
                     x_scatter.add(in_rows, dx)
 
     return _make(out, (x, weight, bias), backward)
+
+
+def _sums_by_key(dst: np.ndarray, rows: np.ndarray, keys: np.ndarray) -> None:
+    """``dst[p] +=`` the sum of the ``rows`` whose key is p; ``keys`` is
+    sorted, so each key's rows are one run, which ``np.add.reduceat`` sums
+    in row order."""
+    starts = np.flatnonzero(keys[1:] != keys[:-1])
+    starts += 1
+    starts = np.concatenate(([0], starts))
+    dst[keys[starts]] += np.add.reduceat(rows, starts, axis=0)
+
+
+def lookup_conv(table: Tensor, patterns: np.ndarray, weight: Tensor,
+                bias: Tensor, pairs) -> Tensor:
+    """:func:`sparse_conv` of the input whose row i is row ``patterns[i]``
+    of ``table``, without building that input.
+
+    When n points take their inputs from a few rows of a table (the 64 rows
+    of ``OccupancyModel.scale_context``), each row's product with each
+    offset's matrix is taken once: ``q[k, p] = table[p] @ weight[k]``, one
+    batched product.  A point's output is the bias plus ``q[k,
+    patterns[i]]`` summed over its neighbours i, offsets in order.  The map
+    takes the path :func:`sparse_conv` would give it: im2col gathers those
+    rows per block of :data:`IM2COL_BLOCK_ROWS` points, indexed through the
+    gather table and ``patterns``, and sums them per point; otherwise they
+    are added per offset.
+
+    Backward sums the output gradient per offset and pattern: ``dq[k, p]``
+    adds up the rows of ``g`` that read a point of pattern p at offset k.
+    The im2col path gathers ``g`` through the scatter table, in blocks of
+    the points sorted by pattern, and sums each pattern's run with
+    ``np.add.reduceat``; the per-offset path sorts each offset's pairs by
+    pattern.  Then ``weight[k]`` gets ``table.T @ dq[k]`` and ``table`` gets
+    the sum over k of ``dq[k] @ weight[k].T``.  ``patterns`` must stay
+    unchanged until the backward pass has run.
+    """
+    m, c_in = table.data.shape
+    if c_in != weight.data.shape[1]:
+        raise ShapeError(f"conv expects {weight.data.shape[1]} input channels, "
+                         f"got {c_in}")
+    if len(pairs) != weight.data.shape[0]:
+        raise ShapeError("kernel map does not match weight offset count")
+    n = patterns.shape[0]
+    pairs = _kernel_map(pairs, n)
+    if n and patterns.max() >= m:
+        raise IndexError(f"pattern {patterns.max()} out of range for a table "
+                         f"with {m} rows")
+    k, _, c_out = weight.data.shape
+    dtype = np.result_type(table.data, weight.data)
+    # Row m of each offset stands for an absent neighbour.
+    q = np.zeros((k, m + 1, c_out), dtype)
+    np.matmul(table.data, weight.data, out=q[:, :m])
+    im2col = _takes_im2col(pairs, n)
+    if im2col:
+        gather, scatter = _neighbour_tables(pairs, n)
+        # q as k * (m + 1) rows: offset j's row of pattern p is j * (m + 1) + p.
+        index_type = np.min_scalar_type(k * (m + 1))
+        shifted = np.empty(n + 1, index_type)
+        shifted[:n] = patterns
+        shifted[n] = m
+        base = np.arange(0, k * (m + 1), m + 1, dtype=index_type)[:, None]
+        row = np.dtype((np.void, q.itemsize * c_out))
+        q_rows = q.reshape(k * (m + 1), c_out).view(row)[:, 0]
+        out = _empty((n, c_out), dtype)
+        for s in range(0, n, IM2COL_BLOCK_ROWS):
+            e = min(s + IM2COL_BLOCK_ROWS, n)
+            # Offset-major, so that the sum over offsets adds whole
+            # (e - s, c_out) slices: 0.64 ms on 6,152 points against 0.95
+            # for a GEMM with k stacked identities and 5 ms for a
+            # point-major sum (float32, 1 BLAS thread).
+            index = shifted.take(gather[s:e].T, mode="clip")
+            index += base
+            cols = _scratch_array(1, (k * (e - s), c_out), dtype)
+            np.take(q_rows, index, out=cols.view(row)[:, 0].reshape(k, e - s),
+                    mode="clip")
+            np.add.reduce(cols.reshape(k, e - s, c_out), axis=0, out=out[s:e])
+        out += bias.data
+    else:
+        out = _empty((n, c_out), dtype)
+        out[:] = bias.data
+        out_scatter = _Rows(out)
+        for j, (out_rows, in_rows) in enumerate(pairs):
+            if out_rows.shape[0] == 0:
+                continue
+            if in_rows is out_rows:
+                out += q[j].take(patterns, axis=0)
+            else:
+                out_scatter.add(out_rows, q[j].take(patterns.take(in_rows), axis=0))
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accumulate(_row_sum(g))
+        if not (weight.requires_grad or table.requires_grad):
+            return
+        dq = np.zeros((m, k * c_out), g.dtype)
+        if im2col:
+            order = np.argsort(patterns, kind="stable")
+            keys = patterns[order]
+            for s, e, gcols in _blocks(g, scatter, order):
+                _sums_by_key(dq, gcols, keys[s:e])
+        else:
+            for j, (out_rows, in_rows) in enumerate(pairs):
+                if out_rows.shape[0] == 0:
+                    continue
+                keys = patterns if in_rows is out_rows else patterns.take(in_rows)
+                order = np.argsort(keys, kind="stable")
+                rows = g.take(order if in_rows is out_rows else out_rows.take(order),
+                              axis=0)
+                _sums_by_key(dq[:, j * c_out:(j + 1) * c_out], rows, keys[order])
+        if weight.requires_grad:
+            weight._accumulate(
+                (table.data.T @ dq).reshape(c_in, k, c_out).transpose(1, 0, 2))
+        if table.requires_grad:
+            table._accumulate(
+                dq @ weight.data.transpose(0, 2, 1).reshape(k * c_out, c_in))
+
+    return _make(out, (table, weight, bias), backward)
 
 
 def cross_entropy_bits(p: np.ndarray, t: np.ndarray, f=None):
@@ -748,6 +879,12 @@ class SparseConvLayer:
 
     def __call__(self, x: Tensor, voxels) -> Tensor:
         return sparse_conv(x, self.weight, self.bias, voxels.kernel_pairs(self.kernel_size))
+
+    def lookup(self, table: Tensor, patterns: np.ndarray, voxels) -> Tensor:
+        """This layer on the input whose row i is row ``patterns[i]`` of
+        ``table`` (:func:`lookup_conv`)."""
+        return lookup_conv(table, patterns, self.weight, self.bias,
+                           voxels.kernel_pairs(self.kernel_size))
 
     def parameters(self) -> list:
         return [self.weight, self.bias]

@@ -22,7 +22,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import MissingGroundTruthError, ScaleMismatchError, ShapeError
-from .voxel import ScalePyramid, SparseVoxelSet, neighbor_occupancy
+from .voxel import (
+    FACE_PATTERNS,
+    ScalePyramid,
+    SparseVoxelSet,
+    neighbor_channels,
+    neighbor_occupancy,
+)
 
 NEIGHBOR_CHANNELS = 7
 NUM_STAGES = 8
@@ -125,23 +131,35 @@ class OccupancyModel:
     # -- forward passes -----------------------------------------------------
 
     def scale_context(self, coarse: SparseVoxelSet, scale_index: int) -> ad.Tensor:
-        """Per-point context of one pyramid level: neighbor occupancy plus
-        the level's broadcast embedding row, merged by the shared MLP."""
+        """The context of scale ``scale_index``: the shared MLP on each
+        face-neighbor pattern's channels (:func:`neighbor_channels`) plus the
+        scale's embedding row, one (FACE_PATTERNS, MLP_HIDDEN) table.
+
+        A point's context depends on its pattern alone, so the MLP runs on
+        the 64 patterns, not per point; :meth:`global_features` looks each
+        point's row up.  The table does not depend on ``coarse``.
+        """
         if not 0 <= scale_index < self.config.num_scales:
             raise IndexError(
                 f"scale {scale_index} out of range 0..{self.config.num_scales - 1}"
             )
-        rows = coarse.fold()
-        nb = ad.constant(neighbor_occupancy(rows, dtype=self.dtype))
-        emb = self.embedding(scale_index, len(rows))
+        nb = ad.constant(neighbor_channels(np.arange(FACE_PATTERNS), self.dtype))
+        emb = self.embedding(scale_index, FACE_PATTERNS)
         return self.context_mlp(ad.concat_channels([nb, emb]))
 
     def global_features(self, context: ad.Tensor, coarse: SparseVoxelSet) -> ad.Tensor:
         """Shared deep features of one scale, computed once for all eight
-        stages: conv_in, then a residual block of two parallel conv branches,
-        channel-concatenated and fused, then conv_out."""
+        stages, one row per row of ``coarse.fold()``: conv_in, then a
+        residual block of two parallel conv branches, channel-concatenated
+        and fused, then conv_out.
+
+        ``context`` is :meth:`scale_context`'s table.  conv_in reads row i's
+        input as the table row of its face-neighbor pattern
+        (:func:`neighbor_occupancy`; 0 for a stand-in row), so it runs as
+        :func:`autodiff.lookup_conv` and no per-point context is built.
+        """
         rows = coarse.fold()
-        x = ad.relu(self.global_in(context, rows))
+        x = ad.relu(self.global_in.lookup(context, neighbor_occupancy(rows), rows))
         branches = ad.concat_channels([self.global_a2(self.global_a1(x, rows), rows),
                                        self.global_b(x, rows)])
         h = ad.add(self.global_fuse(branches, rows), x)

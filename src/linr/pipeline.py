@@ -83,7 +83,7 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 9
+VERSION = 10
 FILE_EXTENSION = ".linr"
 
 # The largest finite float32: no transmitted parameter may exceed it in magnitude.

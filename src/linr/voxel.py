@@ -39,6 +39,8 @@ NEIGHBOR_OFFSETS = (
     (0, 0, -1),
     (0, 0, 0),
 )
+# Distinct sets of occupied face neighbors (:func:`neighbor_occupancy`).
+FACE_PATTERNS = 1 << (len(NEIGHBOR_OFFSETS) - 1)
 
 # 3x3x3 kernel offsets in lexicographic order; index 13 is the center.
 KERNEL_OFFSETS_3 = tuple(
@@ -379,16 +381,27 @@ def reconstruct_children(masks: np.ndarray, coarse: SparseVoxelSet) -> SparseVox
     return SparseVoxelSet(children[order], assume_sorted=True)
 
 
-def neighbor_occupancy(pc, dtype=np.float32) -> np.ndarray:
-    """Seven binary channels per row of a SparseVoxelSet or FoldedLevel,
-    probing the six face neighbors + self.
+def neighbor_occupancy(pc) -> np.ndarray:
+    """The face-neighbor pattern of each row of a SparseVoxelSet or
+    FoldedLevel: a ``uint8`` below :data:`FACE_PATTERNS` whose bit ch is set
+    when the neighbor at ``NEIGHBOR_OFFSETS[ch]`` is occupied, ch < 6.  A
+    stand-in row of a FoldedLevel has pattern 0.
 
-    Channel order follows NEIGHBOR_OFFSETS; the final "self" channel is
-    always 1.  Reads the cached 3x3x3 kernel map, whose ``out_rows`` at an
-    offset are exactly the points with a neighbor there.
+    :func:`neighbor_channels` spells a pattern out as the seven channels
+    the context MLP reads.  Reads the cached 3x3x3 kernel map, whose
+    ``out_rows`` at an offset are exactly the points with a neighbor there.
     """
     pairs = pc.kernel_pairs(3)
-    out = np.zeros((len(pc), len(NEIGHBOR_OFFSETS)), dtype=dtype)
-    for ch, off in enumerate(NEIGHBOR_OFFSETS):
-        out[pairs[KERNEL_OFFSETS_3.index(off)][0], ch] = 1
+    out = np.zeros(len(pc), dtype=np.uint8)
+    for ch, off in enumerate(NEIGHBOR_OFFSETS[:-1]):
+        out[pairs[KERNEL_OFFSETS_3.index(off)][0]] |= 1 << ch
+    return out
+
+
+def neighbor_channels(patterns, dtype=np.float32) -> np.ndarray:
+    """Seven binary channels per face-neighbor pattern, in the order of
+    NEIGHBOR_OFFSETS: the six face bits, then the "self" channel, always 1."""
+    patterns = np.asarray(patterns)
+    out = np.ones((patterns.shape[0], len(NEIGHBOR_OFFSETS)), dtype=dtype)
+    out[:, :-1] = (patterns[:, None] >> np.arange(len(NEIGHBOR_OFFSETS) - 1)) & 1
     return out

@@ -360,6 +360,17 @@ class TestSparseConvExact:
         layer(ad.Tensor(rng.normal(size=(n, 2)).astype(np.float32)), pc)
         assert len(calls) == im2col
 
+    def test_kernel_map_counts_its_pairs(self):
+        # Counted once when the map is built; both conv ops read the count
+        # for their path and the identity offset's length for the row check.
+        pc = mixed_offset_voxels()
+        for kernel_size in (1, 3):
+            pairs = pc.kernel_pairs(kernel_size)
+            assert pairs.pair_rows == sum(len(out_rows) for out_rows, _ in pairs)
+            assert pairs.points == len(pc)
+        no_identity = ad.KernelMap(shifted_offset_pairs()[1:])
+        assert no_identity.points is None and no_identity.pair_rows == 10
+
     def test_kernel_pair_rows_unique_per_offset(self):
         rng = np.random.default_rng(8)
         pc = random_voxels(rng, 200, hi=7)

@@ -18,9 +18,23 @@ from linr.errors import (
     ScaleMismatchError,
     ShapeError,
 )
-from linr.network import CONV_CHANNELS, ModelConfig, NUM_STAGES, OccupancyModel
+from linr.network import (
+    CONV_CHANNELS,
+    MLP_HIDDEN,
+    ModelConfig,
+    NUM_STAGES,
+    OccupancyModel,
+)
 from linr.plyio import generate_fixture
-from linr.voxel import FOLD_ROWS, SparseVoxelSet, build_pyramid, reconstruct_children
+from linr.voxel import (
+    FACE_PATTERNS,
+    FOLD_ROWS,
+    SparseVoxelSet,
+    build_pyramid,
+    neighbor_channels,
+    neighbor_occupancy,
+    reconstruct_children,
+)
 
 
 def toy_pyramid(rng, n=60, hi=64, num_scales=None):
@@ -44,7 +58,8 @@ class TestScaleContext:
         mlp.outer.bias.data[...] = np.arange(24, dtype=np.float32)
         coarse = SparseVoxelSet(np.array([[3, 3, 3]]))
         out = model.scale_context(coarse, 1)
-        np.testing.assert_array_equal(out.data, np.arange(24, dtype=np.float32)[None])
+        np.testing.assert_array_equal(
+            out.data, np.tile(np.arange(24, dtype=np.float32), (FACE_PATTERNS, 1)))
 
     def test_distinct_scales_differ(self):
         model = OccupancyModel(ModelConfig(num_scales=3), seed=1)
@@ -69,6 +84,117 @@ class TestScaleContext:
         coarse = SparseVoxelSet(np.array([[0, 0, 0]]))
         with pytest.raises(IndexError):
             model.scale_context(coarse, 2)
+
+
+FRONT_END = ("scale_mlp.", "embed.table", "global.conv_in.")
+
+
+def lookup_level(kind):
+    """A level for the lookup conv of ``global.conv_in`` and whether it takes
+    the im2col path: every face pattern on a dense level in five blocks; a
+    folded level; a per-offset level, large and sparse but unfolded, of
+    three-point clusters (a face neighbour and an edge neighbour)."""
+    rng = np.random.default_rng(41)
+    if kind == "all-patterns":
+        return SparseVoxelSet(rng.integers(0, 16, size=(3500, 3))), True
+    if kind == "folded":
+        cube = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
+        grid = [(10 + 3 * (k % 10), 10 + 3 * (k // 10 % 10), 10 + 3 * (k // 100))
+                for k in range(300)]
+        return SparseVoxelSet(np.array(cube + grid)), True
+    centres = 4 * rng.integers(1, 250, size=(800, 3))
+    axes = np.eye(3, dtype=np.int64)[rng.integers(0, 3, size=800)]
+    signs = rng.choice([-1, 1], size=(800, 1))
+    points = np.concatenate([centres, centres + signs * axes,
+                             centres + np.roll(axes, 1, axis=1) + axes])
+    return SparseVoxelSet(points), False
+
+
+def per_point_conv_in(model, coarse, i):
+    """The reference: the context MLP run per point on its channels and its
+    broadcast embedding row, then ``global.conv_in`` as a plain sparse
+    conv.  Returns (per-point context, conv output)."""
+    rows = coarse.fold()
+    nb = ad.constant(neighbor_channels(neighbor_occupancy(rows), model.dtype))
+    ctx = model.context_mlp(ad.concat_channels([nb, model.embedding(i, len(rows))]))
+    return ctx, model.global_in(ctx, rows)
+
+
+class TestLookupConv:
+    """``global.conv_in`` on the 64-row context table gives, in float64, what
+    the context MLP and the conv give run per point."""
+
+    def model(self):
+        model = OccupancyModel(ModelConfig(num_scales=2), seed=41, dtype=np.float64)
+        # A generic point: fresh zero biases park rows on the ReLU kink.
+        model.load_flat(np.random.default_rng(41).normal(
+            scale=0.5, size=model.num_parameters()))
+        return model
+
+    def run(self, model, conv, g):
+        """The output of ``conv`` and the front end's gradients under ``g``."""
+        zero_grads(model)
+        out = conv()
+        out.backward(g)
+        grads = {p.name: p.grad.copy() for p in model.parameters()
+                 if p.name.startswith(FRONT_END)}
+        return out.data, grads
+
+    @pytest.mark.parametrize("kind", ["all-patterns", "folded", "per-offset"])
+    def test_matches_per_point_reference(self, kind):
+        coarse, im2col = lookup_level(kind)
+        rows = coarse.fold()
+        pairs = rows.kernel_pairs(3)
+        patterns = neighbor_occupancy(rows)
+        if kind == "all-patterns":
+            assert len(np.unique(patterns)) == FACE_PATTERNS
+            assert len(rows) > 4 * ad.IM2COL_BLOCK_ROWS
+        if kind == "folded":
+            assert rows is not coarse and np.all(patterns[len(rows.keep):] == 0)
+        if kind == "per-offset":
+            assert rows is coarse and len(rows) > ad.DENSE_MAX_POINTS
+            assert pairs.pair_rows < ad.SPARSE_PAIRS_PER_POINT * len(rows)
+        model = self.model()
+        g = np.random.default_rng(42).normal(size=(len(rows), CONV_CHANNELS))
+        table = model.scale_context(coarse, 1)
+        assert table.data.shape == (FACE_PATTERNS, MLP_HIDDEN)
+        got, got_grads = self.run(
+            model, lambda: model.global_in.lookup(model.scale_context(coarse, 1),
+                                                  patterns, rows), g)
+        # The im2col path builds the map's neighbour tables; per offset, none.
+        assert (pairs.tables is not None) == im2col
+        ctx = per_point_conv_in(model, coarse, 1)[0]
+        expect, expect_grads = self.run(
+            model, lambda: per_point_conv_in(model, coarse, 1)[1], g)
+
+        def assert_close(got, expect):
+            np.testing.assert_allclose(got, expect, rtol=0,
+                                       atol=1e-12 * np.abs(expect).max())
+
+        assert_close(table.data[patterns], ctx.data)
+        assert_close(got, expect)
+        assert sorted(expect_grads) == [
+            "embed.table", "global.conv_in.bias", "global.conv_in.weight",
+            "scale_mlp.inner.bias", "scale_mlp.inner.weight",
+            "scale_mlp.outer.bias", "scale_mlp.outer.weight"]
+        for name, grad in expect_grads.items():
+            assert grad.any(), name
+            assert_close(got_grads[name], grad)
+
+    def test_inputs_must_match(self):
+        coarse, _ = lookup_level("folded")
+        model = self.model()
+        table = model.scale_context(coarse, 0)
+        patterns = neighbor_occupancy(coarse)
+        with pytest.raises(ShapeError):
+            model.global_in.lookup(table, patterns[:-1], coarse)
+        with pytest.raises(ShapeError):
+            ad.lookup_conv(ad.constant(table.data[:, :-1]), patterns,
+                           model.global_in.weight, model.global_in.bias,
+                           coarse.kernel_pairs(3))
+        patterns[0] = FACE_PATTERNS
+        with pytest.raises(IndexError):
+            model.global_in.lookup(table, patterns, coarse)
 
 
 class TestStagedPrediction:

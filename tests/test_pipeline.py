@@ -5,11 +5,13 @@ coordinate-exactly.  Structural cases parse the container with an
 independent walker built from the documented layout.
 """
 import os
+import re
 import struct
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from linr import autodiff as ad
-from linr import pipeline
+from linr import params, pipeline
 from linr.errors import CountMismatchError, DecodeError, LinrError
 from linr.network import NUM_STAGES, ModelConfig, OccupancyModel
 from linr.params import (BLOCK_HEADER_SIZE, decompress_params, quantize,
@@ -639,8 +641,9 @@ class TestDecodeRobustness:
         # block on levels of at most 2,048 points only; 7: isolated
         # parents evaluated one by one, not one per coded-slot prefix;
         # 8: isolated parents' masks coded as eight binary events, u32
-        # length prefixes and a payload on every delta block.
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 10):
+        # length prefixes and a payload on every delta block; 9: the
+        # context MLP and global.conv_in evaluated per point.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):
@@ -960,6 +963,133 @@ class TestZeroDelta:
             with pytest.raises(DecodeError, match="payload without parameters"):
                 read(corrupt)
 
+
+BLOCK_FIELDS = ("min", "max", "mu", "b", "bits", "count", "payload_len", "kind")
+
+
+def field_offsets(fmt, names, base=0):
+    """Each named field of the struct format ``fmt``: its byte offset plus
+    ``base``, and its own format."""
+    codes = re.findall(r"\d*[a-zA-Z]", fmt[1:])
+    assert len(codes) == len(names)
+    return {name: (base + struct.calcsize(fmt[0] + "".join(codes[:i])), fmt[0] + code)
+            for i, (name, code) in enumerate(zip(names, codes))}
+
+
+class TestFieldInflation:
+    """Every header and parameter-block field, the lowest-scale point count
+    and a stage payload length, each at its largest value."""
+
+    # The first stage payload's length prefix: 2^28 - 1, the largest a
+    # 4-byte LEB128 holds.
+    LEB128_MAX = b"\xff\xff\xff\x7f"
+
+    @pytest.fixture(scope="class")
+    def container(self):
+        rng = np.random.default_rng(12)
+        frames = [random_frame(rng, n=150)]
+        data, _ = encode_sequence(frames, GopConfig(gop_size=1, epochs_first=1))
+        return data, frames
+
+    @staticmethod
+    def fields(data):
+        """name -> (offset, format) of every field of the first group's
+        header and block and of the first frame's point count."""
+        out = field_offsets(pipeline._HEADER_FMT, pipeline._Header._fields)
+        out.update(field_offsets(params._BLOCK_FMT, BLOCK_FIELDS, HEADER_SIZE))
+        payload_len = struct.unpack_from(out["payload_len"][1], data,
+                                         out["payload_len"][0])[0]
+        out["point_count"] = (HEADER_SIZE + BLOCK_HEADER_SIZE + payload_len, "<I")
+        return out
+
+    def inflated(self, data, name, fill=None):
+        """``data`` with field ``name`` set to ``fill``, by default all ones:
+        an integer's largest value, a float's NaN."""
+        fields = self.fields(data)
+        if name == "stage_length":
+            offset, count_fmt = fields["point_count"]
+            n = struct.unpack_from(count_fmt, data, offset)[0]
+            start = offset + struct.calcsize(count_fmt) + 6 * n
+            end = start + 1
+            while data[end - 1] & 0x80:
+                end += 1
+            return data[:start] + self.LEB128_MAX + data[end:]
+        offset, fmt = fields[name]
+        if fill is None:
+            fill = b"\xff" * struct.calcsize(fmt)
+        return data[:offset] + fill + data[offset + len(fill):]
+
+    def test_fields_cover_both_structs(self, container):
+        data, _ = container
+        fields = self.fields(data)
+        assert fields["param_bits"][0] + 1 == HEADER_SIZE
+        assert fields["kind"][0] + 1 == HEADER_SIZE + BLOCK_HEADER_SIZE
+
+    @pytest.mark.parametrize("name", [
+        "magic", "version", "bit_depth", "num_scales", "frame_count",
+        "param_bits", "min", "max", "mu", "bits", "count", "payload_len",
+        "kind", "point_count", "stage_length"])
+    def test_rejected_before_allocating(self, container, name):
+        data, _ = container
+        bad = self.inflated(data, name)
+        # container_summary walks the layout and decodes nothing, so the
+        # walker alone rejects the field.
+        with pytest.raises(LinrError):
+            container_summary(bad)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinrError):
+                decode_sequence(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The walker builds the network (about 60 kB of float32 parameters)
+        # and runs none of it.
+        assert peak < 1 << 20
+
+    def test_largest_group_size_is_a_valid_layout(self, container):
+        # One group of up to 65,535 frames holds the one frame there is.
+        data, frames = container
+        result = verify(self.inflated(data, "gop_size"), frames)
+        assert result.ok, result.message
+
+    @pytest.mark.parametrize("name, fill", [
+        ("max", struct.pack("<f", np.finfo(np.float32).max)),
+        ("mu", struct.pack("<f", np.finfo(np.float32).max)),
+        ("b", struct.pack("<f", np.finfo(np.float32).max)),
+        ("b", None),
+    ])
+    def test_inflated_values_fail_verify(self, container, name, fill):
+        # A finite range end, a Laplace mean or a Laplace scale (a b that is
+        # not a positive finite number selects the point mass) is a value
+        # of the layout; the parameters it decodes to code other geometry.
+        data, frames = container
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = verify(self.inflated(data, name, fill), frames)
+        assert not result.ok
+
+    def test_translated_lowest_block_decodes_and_fails_verify(self, container):
+        # The network sees no coordinate, so lowest-scale coordinates moved
+        # by one decode to the whole frame moved by 2^num_scales.
+        data, frames = container
+        fields = self.fields(data)
+        bit_depth, num_scales = data[fields["bit_depth"][0]], data[fields["num_scales"][0]]
+        offset = fields["point_count"][0]
+        n = struct.unpack_from("<I", data, offset)[0]
+        coords = np.frombuffer(data, "<u2", count=3 * n, offset=offset + 4).reshape(n, 3)
+        axis = int(np.argmin(coords.max(axis=0)))
+        assert coords[:, axis].max() + 1 < 1 << (bit_depth - num_scales)
+        moved = coords.astype(np.int64)
+        moved[:, axis] += 1
+        bad = (data[:offset + 4] + moved.astype("<u2").tobytes()
+               + data[offset + 4 + 6 * n:])
+        decoded, _ = decode_sequence(bad)
+        shift = np.zeros(3, dtype=np.int64)
+        shift[axis] = 1 << num_scales
+        assert np.array_equal(decoded[0].coords, frames[0].coords + shift)
+        result = verify(bad, frames)
+        assert not result.ok and "first mismatch at row 0" in result.message
 
 class TestMutationFuzz:
     """Seeded mutations of a real two-group container: every case must be

@@ -15,6 +15,7 @@ from linr.errors import (
 from linr.pipeline import GopConfig, decode_sequence, encode_sequence
 from linr.plyio import generate_fixture
 from linr.voxel import (
+    FACE_PATTERNS,
     FOLD_ROWS,
     KERNEL_OFFSETS_3,
     SparseVoxelSet,
@@ -22,6 +23,7 @@ from linr.voxel import (
     build_pyramid,
     child_occupancy,
     downsample,
+    neighbor_channels,
     neighbor_occupancy,
     reconstruct_children,
 )
@@ -194,13 +196,18 @@ class TestReconstructChildren:
         assert rows == sorted(rows)
 
 
+def channels(pc):
+    """The seven occupancy channels of each point of ``pc``."""
+    return neighbor_channels(neighbor_occupancy(pc))
+
+
 class TestNeighborOccupancy:
     def test_isolated_point(self):
-        nb = neighbor_occupancy(make_set([(5, 5, 5)]))
+        nb = channels(make_set([(5, 5, 5)]))
         assert nb.tolist() == [[0, 0, 0, 0, 0, 0, 1]]
 
     def test_plus_x_neighbor(self):
-        nb = neighbor_occupancy(make_set([(0, 0, 0), (1, 0, 0)]))
+        nb = channels(make_set([(0, 0, 0), (1, 0, 0)]))
         assert nb[0].tolist() == [1, 0, 0, 0, 0, 0, 1]
         assert nb[1].tolist() == [0, 1, 0, 0, 0, 0, 1]
 
@@ -208,13 +215,13 @@ class TestNeighborOccupancy:
         pts = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
         pc = make_set(pts)
         center = pc.lookup(np.array([[1, 1, 1]]))[0]
-        assert neighbor_occupancy(pc)[center].tolist() == [1] * 7
+        assert channels(pc)[center].tolist() == [1] * 7
 
     def test_against_set_oracle(self):
         rng = np.random.default_rng(23)
         pc = random_cloud(rng, 400, hi=16)
         occupied = {tuple(r) for r in pc.coords}
-        nb = neighbor_occupancy(pc)
+        nb = channels(pc)
         offsets = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                    (0, 0, 1), (0, 0, -1), (0, 0, 0)]
         for row, (x, y, z) in enumerate(map(tuple, pc.coords)):
@@ -234,11 +241,23 @@ class TestNeighborOccupancy:
         expect = np.stack([pc.lookup(pc.coords + off) >= 0 for off in offsets],
                           axis=1)
         assert expect.any(axis=0).all() and not expect[:, :6].all(axis=0).any()
-        assert np.array_equal(neighbor_occupancy(pc), expect.astype(np.float32))
+        assert np.array_equal(channels(pc), expect.astype(np.float32))
 
     def test_zero_boundary(self):
-        nb = neighbor_occupancy(make_set([(0, 0, 0)]))
+        nb = channels(make_set([(0, 0, 0)]))
         assert nb.tolist() == [[0, 0, 0, 0, 0, 0, 1]]
+
+    def test_patterns_are_face_bits(self):
+        # Bit ch of a pattern is channel ch, so the 64 patterns spell out
+        # every set of face neighbours once.
+        nb = neighbor_channels(np.arange(FACE_PATTERNS))
+        assert nb.shape == (FACE_PATTERNS, 7) and nb.dtype == np.float32
+        assert np.all(nb[:, 6] == 1)
+        assert np.array_equal(nb[:, :6] @ (1 << np.arange(6)), np.arange(FACE_PATTERNS))
+        pc = random_cloud(np.random.default_rng(25), 400, hi=16)
+        patterns = neighbor_occupancy(pc)
+        assert patterns.dtype == np.uint8 and patterns.shape == (len(pc),)
+        assert patterns.max() < FACE_PATTERNS
 
 
 class TestKernelPairs:
@@ -340,9 +359,9 @@ class TestFold:
                 assert in_rows.max() < len(fold.keep)
         (pair,) = fold.kernel_pairs(1)
         assert pair[0] is pair[1] and np.array_equal(pair[0], rows)
-        nb = neighbor_occupancy(fold)
-        assert nb.shape == (len(fold), 7)
-        assert np.all(nb[len(fold.keep):] == [0, 0, 0, 0, 0, 0, 1])
+        patterns = neighbor_occupancy(fold)
+        assert patterns.shape == (len(fold),)
+        assert np.all(patterns[len(fold.keep):] == 0)
 
     def test_parent_rows_spread_by_prefix(self):
         pc = mixed_level(200)
