@@ -741,6 +741,8 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
             for i, level in _coding_pass(model, level, num_scales, decode_stage):
                 t0, t1 = t1, time.perf_counter()
                 stats.scale_seconds[i] = stats.scale_seconds.get(i, 0.0) + t1 - t0
+            # The frame runs no conv; its link would keep level 1 alive.
+            level.unlink()
             frames.append(level)
     stats.total_seconds = time.perf_counter() - t_begin
     return frames, stats

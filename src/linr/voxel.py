@@ -8,7 +8,7 @@ features derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,12 +49,35 @@ KERNEL_OFFSETS_3 = tuple(
     for dy in (-1, 0, 1)
     for dz in (-1, 0, 1)
 )
-KERNEL_OFFSETS_1 = ((0, 0, 0),)
 
 # Octant offset (dx, dy, dz) of child slot j = 4*dx + 2*dy + dz, one row per slot.
 CHILD_OFFSETS = np.array(
     [((j >> 2) & 1, (j >> 1) & 1, j & 1) for j in range(8)], dtype=np.int64
 )
+
+# Packed key of each child slot's octant offset: a child's key is its
+# parent's key shifted left by one plus the key of its slot.
+_SLOT_KEYS = (CHILD_OFFSETS[:, 0] << _SHIFT_X) | (CHILD_OFFSETS[:, 1] << _SHIFT_Y) | CHILD_OFFSETS[:, 2]
+# Halving a key shifts each lane's low bit into the top of the lane below;
+# the parent key clears those two bits.
+_PARENT_KEY_MASK = ~((1 << (_SHIFT_Y - 1)) | (1 << (_SHIFT_X - 1)))
+
+# Per 8-bit child mask: its number of children, and in _MASK_SLOTS[8 * m + r]
+# the slot of its r-th child, slots ascending.
+_MASK_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+_POPCOUNT = _MASK_BITS.sum(axis=1)
+_MASK_SLOTS = np.argsort(1 - _MASK_BITS, axis=1, kind="stable").astype(np.uint8).ravel()
+
+# The neighbour of child slot a at offset KERNEL_OFFSETS_3[k], k < 13, is
+# child slot _NEIGHBOUR_SLOT[k, a] of the parent's neighbour at offset
+# KERNEL_OFFSETS_3[_PARENT_OFFSET[k, a]] (Samet, "Neighbor finding in
+# images represented by octrees", 1989): per axis, the child's low bit
+# plus the offset is 2 * parent step + neighbour's low bit.
+_AXIS_STEP = CHILD_OFFSETS[None, :, :] + np.array(KERNEL_OFFSETS_3[:13])[:, None, :]
+_PARENT_OFFSET = ((_AXIS_STEP >> 1) + 1) @ np.array([9, 3, 1])
+_NEIGHBOUR_SLOT = (_AXIS_STEP & 1) @ np.array([4, 2, 1])
+_CENTRE = KERNEL_OFFSETS_3.index((0, 0, 0))
+_SIDE_OFFSETS = np.delete(np.arange(len(KERNEL_OFFSETS_3)), _CENTRE)
 
 # Stand-in rows of a folded level (:meth:`SparseVoxelSet.fold`): one per
 # prefix of coded child slots, of which the last stage reads 7.  A level
@@ -78,11 +101,6 @@ def unpack_coords(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offset_delta(offset) -> int:
-    dx, dy, dz = offset
-    return (dx << _SHIFT_X) + (dy << _SHIFT_Y) + dz
-
-
 class SparseVoxelSet:
     """Sorted, deduplicated set of occupied voxel coordinates.
 
@@ -90,7 +108,7 @@ class SparseVoxelSet:
     lexicographic order.
     """
 
-    __slots__ = ("coords", "_keys", "_kernel_pairs", "_fold")
+    __slots__ = ("coords", "_keys", "_kernel_pairs", "_fold", "_link", "__weakref__")
 
     def __init__(self, coords: np.ndarray, *, assume_sorted: bool = False):
         coords = np.asarray(coords, dtype=np.int64)
@@ -108,6 +126,14 @@ class SparseVoxelSet:
         self._keys: Optional[np.ndarray] = None
         self._kernel_pairs: dict = {}
         self._fold = None
+        self._link: Optional[_Link] = None
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray) -> "SparseVoxelSet":
+        """The set of sorted, distinct packed ``keys``."""
+        out = cls(unpack_coords(keys), assume_sorted=True)
+        out._keys = keys
+        return out
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -138,20 +164,11 @@ class SparseVoxelSet:
                 f"(max component {int(self.coords.max())})"
             )
 
-    def lookup(self, coords: np.ndarray) -> np.ndarray:
-        """Row index of each query coordinate, or -1 when unoccupied."""
-        target = pack_coords(np.asarray(coords, dtype=np.int64))
-        return self._lookup_keys(target)
-
-    def _lookup_keys(self, target: np.ndarray) -> np.ndarray:
-        keys = self.keys
-        idx = np.searchsorted(keys, target)
-        idx_c = np.minimum(idx, len(keys) - 1) if len(keys) else idx
-        found = np.zeros(target.shape[0], dtype=bool)
-        if len(keys):
-            found = keys[idx_c] == target
-        out = np.where(found, idx_c, -1)
-        return out.astype(np.int64)
+    def unlink(self) -> None:
+        """Drop this set's link to its parent level (see
+        :func:`downsample`), so that it no longer keeps that level alive.
+        A later 3x3x3 map downsamples the set afresh."""
+        self._link = None
 
     def kernel_pairs(self, kernel_size: int = 3):
         """Gather lists for a submanifold convolution over this set.
@@ -176,28 +193,19 @@ class SparseVoxelSet:
 
         Offset k and offset ``len(offsets) - 1 - k`` are mirrors (-d and d):
         a translation keeps key order, so ``in_rows`` of d ascends too and
-        is ``out_rows`` of -d.  Only the first half of the offsets is looked
-        up; each mirror takes the same two arrays, swapped.
+        is ``out_rows`` of -d.  Only the first half of the offsets is
+        derived (:func:`_derived_pairs`, from the parent level's map); each
+        mirror takes the same two arrays, swapped.
         """
         if kernel_size not in (1, 3):
             raise ValueError("kernel size must be 1 or 3")
-        cached = self._kernel_pairs.get(kernel_size)
-        if cached is not None:
-            return cached
-        offsets = KERNEL_OFFSETS_3 if kernel_size == 3 else KERNEL_OFFSETS_1
-        keys = self.keys
-        half = len(offsets) // 2
-        pairs = []
-        for off in offsets[:half]:
-            idx = self._lookup_keys(keys + _offset_delta(off))
-            out_rows = np.nonzero(idx >= 0)[0].astype(np.int32)
-            pairs.append((out_rows, idx[out_rows].astype(np.int32)))
-        identity = np.arange(len(self), dtype=np.int32)
-        pairs.append((identity, identity))
-        pairs += [(in_rows, out_rows) for out_rows, in_rows in reversed(pairs[:half])]
-        pairs = KernelMap(pairs)
-        self._kernel_pairs[kernel_size] = pairs
-        return pairs
+        if kernel_size == 3:
+            return _map3(self)
+        cached = self._kernel_pairs.get(1)
+        if cached is None:
+            identity = np.arange(len(self), dtype=np.int32)
+            cached = self._kernel_pairs[1] = KernelMap([(identity, identity)])
+        return cached
 
     def fold(self):
         """The rows the occupancy network runs on: this set, or a
@@ -306,18 +314,45 @@ class ScalePyramid:
         return len(self.levels) - 1
 
     def masks(self, i: int) -> np.ndarray:
-        """Child-occupancy masks of transition i (levels i+1 -> i), cached."""
+        """Child-occupancy masks of transition i (levels i+1 -> i), cached;
+        :func:`build_pyramid` records them as it downsamples."""
         if i not in self._masks:
             self._masks[i] = child_occupancy(self.levels[i], self.levels[i + 1])
         return self._masks[i]
 
 
+class _Link(NamedTuple):
+    """A level's place under its parent level: the parent, and per point of
+    the level, in its order, the parent's row and the point's child slot."""
+
+    parent: SparseVoxelSet
+    rows: np.ndarray
+    slots: np.ndarray
+
+
+def _halve(keys: np.ndarray):
+    """Parent keys (sorted, distinct) of packed ``keys``, each key's row
+    among them and its child slot."""
+    parent_keys, rows = np.unique((keys >> 1) & _PARENT_KEY_MASK, return_inverse=True)
+    slots = ((keys >> (_SHIFT_X - 2)) & 4) | ((keys >> (_SHIFT_Y - 1)) & 2) | (keys & 1)
+    return parent_keys, rows, slots.astype(np.uint8)
+
+
 def downsample(pc: SparseVoxelSet) -> SparseVoxelSet:
-    """Halve the resolution: floor-div-2 then deduplicate."""
+    """Halve the resolution: floor-div-2 then deduplicate.
+
+    Records on ``pc`` its link to the result, from which
+    :func:`child_occupancy` counts the masks and
+    :meth:`SparseVoxelSet.kernel_pairs` derives ``pc``'s 3x3x3 map without
+    a search.  The map drops the link; :meth:`SparseVoxelSet.unlink` drops
+    it sooner.
+    """
     if len(pc) == 0:
         raise EmptyCloudError("cannot downsample an empty cloud")
-    keys = np.unique(pack_coords(pc.coords >> 1))
-    return SparseVoxelSet(unpack_coords(keys), assume_sorted=True)
+    parent_keys, rows, slots = _halve(pc.keys)
+    parent = SparseVoxelSet._from_keys(parent_keys)
+    pc._link = _Link(parent, rows, slots)
+    return parent
 
 
 def build_pyramid(pc: SparseVoxelSet, stop_at: int = 64,
@@ -326,13 +361,16 @@ def build_pyramid(pc: SparseVoxelSet, stop_at: int = 64,
 
     Stops once a level has at most ``stop_at`` points, unless ``num_scales``
     pins the number of transitions (used so every frame of a sequence shares
-    the scale count fixed by its first frame).
+    the scale count fixed by its first frame).  Every level but ``pc`` and
+    the coarsest keeps its link to the next until its 3x3x3 map is built:
+    ``pc`` runs no conv, so its link would only keep ``levels[1]`` alive.
     """
     if len(pc) == 0:
         raise EmptyCloudError("cannot build a pyramid from an empty cloud")
     if num_scales is None and stop_at < 1:
         raise ValueError("stop_at must be >= 1")
     levels = [pc]
+    masks = {}
     while True:
         if num_scales is not None:
             if len(levels) - 1 >= num_scales:
@@ -340,45 +378,121 @@ def build_pyramid(pc: SparseVoxelSet, stop_at: int = 64,
         elif len(levels[-1]) <= stop_at:
             break
         levels.append(downsample(levels[-1]))
-    return ScalePyramid(levels=levels)
-
-
-def child_index(coords: np.ndarray) -> np.ndarray:
-    """Octant slot of each point under its parent: 4*(x&1) + 2*(y&1) + (z&1)."""
-    c = np.asarray(coords, dtype=np.int64)
-    return ((c[:, 0] & 1) << 2) | ((c[:, 1] & 1) << 1) | (c[:, 2] & 1)
+        masks[len(levels) - 2] = child_occupancy(levels[-2], levels[-1])
+    pc.unlink()
+    return ScalePyramid(levels=levels, _masks=masks)
 
 
 def child_occupancy(fine: SparseVoxelSet, coarse: SparseVoxelSet) -> np.ndarray:
     """8-bit child mask per coarse point; bit j set iff child slot j exists.
 
-    Raises PyramidMismatchError unless ``coarse`` is exactly the
-    downsampling of ``fine``.
+    Reads ``fine``'s link when ``coarse`` is its parent; otherwise raises
+    PyramidMismatchError unless ``coarse`` is exactly the downsampling of
+    ``fine``.
     """
-    parents = coarse._lookup_keys(pack_coords(fine.coords >> 1))
-    if len(fine) and parents.min() < 0:
-        raise PyramidMismatchError("fine level has a point with no parent")
-    masks = np.zeros(len(coarse), dtype=np.uint8)
-    bits = (1 << child_index(fine.coords)).astype(np.uint8)
-    np.bitwise_or.at(masks, parents, bits)
-    if len(coarse) and masks.min() == 0:
-        raise PyramidMismatchError("coarse level has a point with no children")
-    return masks
+    link = fine._link
+    if link is not None and link.parent is coarse:
+        rows, slots = link.rows, link.slots
+    else:
+        parent_keys, rows, slots = _halve(fine.keys)
+        if not np.array_equal(parent_keys, coarse.keys):
+            raise PyramidMismatchError(
+                "coarse level is not the downsampling of the fine level")
+    # Each (parent, slot) occurs once, so the sum of the slot bits is their OR.
+    bits = np.bincount(rows, weights=1 << slots, minlength=len(coarse))
+    return bits.astype(np.uint8)
 
 
 def reconstruct_children(masks: np.ndarray, coarse: SparseVoxelSet) -> SparseVoxelSet:
-    """Exact inverse of :func:`child_occupancy`; output is sorted."""
+    """Exact inverse of :func:`child_occupancy`; output is sorted, and
+    linked to ``coarse`` as :func:`downsample` links it."""
     masks = np.asarray(masks, dtype=np.uint8)
     if masks.shape[0] != len(coarse):
         raise PyramidMismatchError("mask count must match coarse point count")
     if masks.shape[0] and masks.min() == 0:
         raise InvalidOccupancyError("zero child mask")
-    slots = np.arange(8, dtype=np.uint8)
-    present = (masks[:, None] >> slots[None, :]) & 1  # (n, 8)
-    parent_rows, slot_cols = np.nonzero(present)
-    children = (coarse.coords[parent_rows] << 1) + CHILD_OFFSETS[slot_cols]
-    order = np.argsort(pack_coords(children))
-    return SparseVoxelSet(children[order], assume_sorted=True)
+    counts = _POPCOUNT[masks]
+    rows = np.repeat(np.arange(len(masks)), counts)
+    # Child r of parent p is child slot _MASK_SLOTS[8 * masks[p] + r].
+    firsts = np.cumsum(counts) - counts
+    slots = _MASK_SLOTS[np.repeat(8 * masks.astype(np.intp) - firsts, counts)
+                        + np.arange(len(rows))]
+    keys = np.repeat(coarse.keys << 1, counts) + _SLOT_KEYS[slots]
+    order = np.argsort(keys)
+    children = SparseVoxelSet._from_keys(keys[order])
+    children._link = _Link(coarse, rows[order], slots[order])
+    return children
+
+
+def _map3(level: SparseVoxelSet) -> KernelMap:
+    """``level``'s 3x3x3 map (:meth:`SparseVoxelSet.kernel_pairs`), built on
+    first use, which drops the level's link.  A derivation reaches its
+    parent's map through here, not through the method, so a benchmark
+    that wraps the method sees one build per map it asked for."""
+    pairs = level._kernel_pairs.get(3)
+    if pairs is None:
+        firsts = _derived_pairs(level)
+        identity = np.arange(len(level), dtype=np.int32)
+        pairs = KernelMap(firsts + [(identity, identity)]
+                          + [(in_rows, out_rows) for out_rows, in_rows in reversed(firsts)])
+        level._kernel_pairs[3] = pairs
+        level._link = None
+    return pairs
+
+
+def _derived_pairs(level: SparseVoxelSet) -> list:
+    """The first 13 offsets of ``level``'s 3x3x3 map, derived from its
+    parent level's map: the neighbour of a child is a child of its parent
+    or of a neighbour of its parent, fixed per slot and offset by
+    :data:`_PARENT_OFFSET` and :data:`_NEIGHBOUR_SLOT`.  A level without a
+    link downsamples itself for one.
+    """
+    n = len(level)
+    if n <= 1:
+        return [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32))] * _CENTRE
+    if level._link is None:
+        downsample(level)
+    parent, rows, slots = level._link
+    n_parent = len(parent)
+    pairs = _map3(parent)
+    # ``table[27 r + d]`` is the row of parent r's neighbour at parent
+    # offset d, or n_parent where there is none, and
+    # ``rank[(n_parent + 1) b + p]`` the row of parent p's child in slot b,
+    # or -1.  A parent whose convs ran as im2col has its gather table
+    # cached on its map, in that layout (``autodiff._neighbour_tables``).
+    width = len(KERNEL_OFFSETS_3)
+    if pairs.tables is not None:
+        table = pairs.tables[0].ravel()
+        cand = np.arange(n)
+        parent_rows = rows
+    else:
+        # Elsewhere only the children of a parent with a neighbour (an out
+        # row of some offset) or a sibling can have a neighbour, and the
+        # table holds the rows of their parents alone.
+        side = [pair for k, pair in enumerate(pairs) if k != _CENTRE]
+        out_p = np.concatenate([out_rows for out_rows, _ in side])
+        in_p = np.concatenate([in_rows for _, in_rows in side])
+        cols = np.repeat(_SIDE_OFFSETS, [len(out_rows) for out_rows, _ in side])
+        keep = np.bincount(rows, minlength=n_parent) > 1
+        keep[out_p] = True
+        kept = np.flatnonzero(keep)
+        pos = np.cumsum(keep) - 1
+        table = np.full(width * len(kept), n_parent, dtype=np.int32)
+        table[width * np.arange(len(kept)) + _CENTRE] = kept
+        table[width * pos[out_p] + cols] = in_p
+        cand = np.flatnonzero(keep[rows])
+        parent_rows = pos[rows[cand]]
+    rank = np.full(8 * (n_parent + 1), -1, dtype=np.int32)
+    rank[(n_parent + 1) * np.arange(8)[slots] + rows] = np.arange(n, dtype=np.int32)
+    a = slots[cand]
+    found = rank[table[width * parent_rows + _PARENT_OFFSET[:, a]]
+                 + (n_parent + 1) * _NEIGHBOUR_SLOT[:, a]]  # (13, candidates)
+    cand = cand.astype(np.int32)
+    out = []
+    for row in found:
+        hit = (row >= 0).nonzero()[0]
+        out.append((cand[hit], row[hit]))
+    return out
 
 
 def neighbor_occupancy(pc) -> np.ndarray:

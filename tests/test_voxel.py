@@ -1,11 +1,16 @@
 """Voxel set, pyramid, and child-occupancy tests.
 
 Randomized cases are checked against independent brute-force oracles built
-from Python sets and dicts, never against the vectorized implementation.
+from Python sets and dicts, or against in-test references that search for
+every neighbour, never against the vectorized implementation.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from linr import autodiff, pipeline
 from linr.errors import (
     DepthError,
     EmptyCloudError,
@@ -15,16 +20,18 @@ from linr.errors import (
 from linr.pipeline import GopConfig, decode_sequence, encode_sequence
 from linr.plyio import generate_fixture
 from linr.voxel import (
+    CHILD_OFFSETS,
     FACE_PATTERNS,
     FOLD_ROWS,
     KERNEL_OFFSETS_3,
+    FoldedLevel,
     SparseVoxelSet,
-    _offset_delta,
     build_pyramid,
     child_occupancy,
     downsample,
     neighbor_channels,
     neighbor_occupancy,
+    pack_coords,
     reconstruct_children,
 )
 
@@ -55,6 +62,88 @@ def isolated_oracle(pc):
             if not any((x + dx, y + dy, z + dz) in occupied for dx, dy, dz in near)]
 
 
+def lookup_keys(pc, target):
+    """Row of each packed query key in ``pc``, or -1: a binary search."""
+    keys = pack_coords(pc.coords)
+    idx = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+    return np.where(keys[idx] == target, idx, -1)
+
+
+def lookup(pc, coords):
+    return lookup_keys(pc, pack_coords(np.asarray(coords)))
+
+
+def offset_key(off):
+    """Key step of a +-1 offset.  Lanes are 21 bits and coordinates 16, so
+    a step below 0 borrows into a lane value no point has."""
+    dx, dy, dz = off
+    return (dx << 42) + (dy << 21) + dz
+
+
+def reference_pairs(pc):
+    """The 3x3x3 map of ``pc`` found by a binary search per offset."""
+    keys = pack_coords(pc.coords)
+    pairs = []
+    for off in KERNEL_OFFSETS_3:
+        idx = lookup_keys(pc, keys + offset_key(off))
+        out_rows = np.flatnonzero(idx >= 0)
+        pairs.append((out_rows, idx[out_rows]))
+    return pairs
+
+
+def assert_same_map(got, want):
+    assert len(got) == len(want) == len(KERNEL_OFFSETS_3)
+    for k, ((out_rows, in_rows), (want_out, want_in)) in enumerate(zip(got, want)):
+        assert out_rows.dtype == in_rows.dtype == np.int32, k
+        assert np.array_equal(out_rows, want_out), k
+        assert np.array_equal(in_rows, want_in), k
+        mirror = got[len(got) - 1 - k]
+        assert mirror[0] is in_rows and mirror[1] is out_rows, k
+
+
+def assert_fold_matches_reference(pc):
+    """``pc.fold()`` equals the fold of its reference map."""
+    want = reference_pairs(pc)
+    linked = np.zeros(len(pc), dtype=bool)
+    for k, (out_rows, _) in enumerate(want):
+        if KERNEL_OFFSETS_3[k] != (0, 0, 0):
+            linked[out_rows] = True
+    fold = pc.fold()
+    if np.count_nonzero(~linked) <= FOLD_ROWS:
+        assert fold is pc
+        return
+    ref = FoldedLevel(np.flatnonzero(linked), np.flatnonzero(~linked), want)
+    assert np.array_equal(fold.keep, ref.keep) and np.array_equal(fold.iso, ref.iso)
+    assert_same_map(fold.kernel_pairs(3), ref.kernel_pairs(3))
+
+
+def reference_children(masks, coarse):
+    """reconstruct_children as a nonzero over (n, 8) bits and an argsort."""
+    present = (masks[:, None] >> np.arange(8)) & 1
+    rows, slots = np.nonzero(present)
+    children = (coarse.coords[rows] << 1) + CHILD_OFFSETS[slots]
+    return children[np.argsort(pack_coords(children))]
+
+
+def reference_masks(fine, coarse):
+    """child_occupancy as an OR of each point's slot bit into its parent's
+    mask, the parent found by a binary search."""
+    parents = lookup(coarse, fine.coords >> 1)
+    assert parents.min() >= 0
+    slots = ((fine.coords[:, 0] & 1) << 2) | ((fine.coords[:, 1] & 1) << 1) | (fine.coords[:, 2] & 1)
+    masks = np.zeros(len(coarse), dtype=np.uint8)
+    np.bitwise_or.at(masks, parents, (1 << slots).astype(np.uint8))
+    return masks
+
+
+def workload_frame(name):
+    """The first seed-101 frame of a benchmark workload (see perfbench)."""
+    if name == "random-sparse":
+        return generate_fixture("random", 20000, seed=101)
+    return generate_fixture("sphere-shell", 40 if name == "sphere-train" else 24,
+                            offset=101 % 64)
+
+
 class TestSparseVoxelSet:
     def test_sorted_and_deduplicated(self):
         pc = SparseVoxelSet(np.array([[2, 0, 0], [0, 0, 0], [2, 0, 0]]))
@@ -77,11 +166,6 @@ class TestSparseVoxelSet:
         pc.check_bit_depth(10)
         with pytest.raises(DepthError):
             pc.check_bit_depth(9)
-
-    def test_lookup(self):
-        pc = make_set([(0, 0, 0), (1, 1, 1), (5, 5, 5)])
-        idx = pc.lookup(np.array([[1, 1, 1], [2, 2, 2], [5, 5, 5]]))
-        assert idx.tolist() == [1, -1, 2]
 
 
 class TestDownsample:
@@ -214,7 +298,7 @@ class TestNeighborOccupancy:
     def test_dense_cube_center(self):
         pts = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
         pc = make_set(pts)
-        center = pc.lookup(np.array([[1, 1, 1]]))[0]
+        center = lookup(pc, [[1, 1, 1]])[0]
         assert channels(pc)[center].tolist() == [1] * 7
 
     def test_against_set_oracle(self):
@@ -238,7 +322,7 @@ class TestNeighborOccupancy:
                                            rng.integers(1, 7, size=(150, 3))]))
         offsets = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                             (0, 0, 1), (0, 0, -1), (0, 0, 0)])
-        expect = np.stack([pc.lookup(pc.coords + off) >= 0 for off in offsets],
+        expect = np.stack([lookup(pc, pc.coords + off) >= 0 for off in offsets],
                           axis=1)
         assert expect.any(axis=0).all() and not expect[:, :6].all(axis=0).any()
         assert np.array_equal(channels(pc), expect.astype(np.float32))
@@ -296,7 +380,7 @@ class TestKernelPairs:
         pairs = pc.kernel_pairs(3)
         assert len(pairs) == len(KERNEL_OFFSETS_3)
         for k, off in enumerate(KERNEL_OFFSETS_3):
-            idx = pc._lookup_keys(pc.keys + _offset_delta(off))
+            idx = lookup_keys(pc, pc.keys + offset_key(off))
             expect_out = np.nonzero(idx >= 0)[0]
             out_rows, in_rows = pairs[k]
             assert out_rows.dtype == in_rows.dtype == np.int32
@@ -415,3 +499,109 @@ class TestFold:
         frames, _ = decode_sequence(data)
         assert frames == [frame]
         assert frame.coords.max() == corner
+
+
+class TestDerivedMaps:
+    """Each level's 3x3x3 map is derived from its parent level's map; it
+    must equal a binary search per offset, pair for pair."""
+
+    @pytest.mark.parametrize("name", ["sphere-train", "random-sparse", "multi-gop"])
+    def test_workload_pyramids_and_rebuilt_levels(self, name):
+        frame = workload_frame(name)
+        pyr = build_pyramid(frame, stop_at=64)
+        for level in reversed(pyr.levels):
+            assert_same_map(level.kernel_pairs(3), reference_pairs(level))
+            assert_fold_matches_reference(level)
+        # The decoder's levels, rebuilt from the masks, with each parent's
+        # im2col gather table cached as the convs leave it.
+        level = SparseVoxelSet(pyr.levels[-1].coords)
+        for i in range(pyr.num_scales - 1, -1, -1):
+            autodiff._neighbour_tables(level.kernel_pairs(3), len(level))
+            level = reconstruct_children(pyr.masks(i), level)
+            assert level == pyr.levels[i]
+            assert_same_map(level.kernel_pairs(3), reference_pairs(level))
+        if name == "random-sparse":
+            assert sum(lv.fold() is not lv for lv in pyr.levels) >= 2
+
+    @pytest.mark.parametrize("hi", [4, 64, 2048])
+    def test_random_sets_at_three_densities(self, hi):
+        rng = np.random.default_rng(hi)
+        pc = random_cloud(rng, 3000, hi=hi)
+        # A set built from coordinates downsamples itself for a link.
+        assert_same_map(pc.kernel_pairs(3), reference_pairs(pc))
+        pyr = build_pyramid(random_cloud(rng, 3000, hi=hi), stop_at=8)
+        for level in pyr.levels[1:]:
+            assert_same_map(level.kernel_pairs(3), reference_pairs(level))
+
+    def test_single_point(self):
+        pc = make_set([(7, 0, 65535)])
+        pairs = pc.kernel_pairs(3)
+        assert_same_map(pairs, reference_pairs(pc))
+        assert pairs.pair_rows == 1
+
+    def test_points_on_the_lane_bounds(self):
+        top = (1 << 16) - 1
+        corners = [(x, y, z) for x in (0, 1, top - 1, top) for y in (0, 1, top - 1, top)
+                   for z in (0, 1, top - 1, top)]
+        pc = make_set(corners)
+        assert_same_map(pc.kernel_pairs(3), reference_pairs(pc))
+        pyr = build_pyramid(make_set(corners), stop_at=1)
+        for level in pyr.levels[1:]:
+            assert_same_map(level.kernel_pairs(3), reference_pairs(level))
+
+    def test_pinned_scale_count(self):
+        pc = random_cloud(np.random.default_rng(3), 500, hi=64)
+        pyr = build_pyramid(pc, num_scales=9)
+        assert len(pyr.levels[-1]) == 1
+        for level in reversed(pyr.levels):
+            assert_same_map(level.kernel_pairs(3), reference_pairs(level))
+
+
+class TestLinks:
+    def test_pyramid_masks_equal_child_occupancy(self):
+        for pc in (random_cloud(np.random.default_rng(8), 3000),
+                   generate_fixture("sphere-shell", 12)):
+            pyr = build_pyramid(pc, stop_at=8)
+            for i in range(pyr.num_scales):
+                want = reference_masks(pyr.levels[i], pyr.levels[i + 1])
+                assert np.array_equal(pyr.masks(i), want)
+                # Unlinked copies take the path that halves the keys.
+                fine = SparseVoxelSet(pyr.levels[i].coords)
+                coarse = SparseVoxelSet(pyr.levels[i + 1].coords)
+                assert np.array_equal(child_occupancy(fine, coarse), want)
+
+    def test_reconstruct_children_matches_nonzero_form(self):
+        rng = np.random.default_rng(9)
+        coarse = random_cloud(rng, 2000, hi=1 << 15)
+        masks = rng.integers(1, 256, size=len(coarse)).astype(np.uint8)
+        out = reconstruct_children(masks, coarse)
+        assert np.array_equal(out.coords, reference_children(masks, coarse))
+        assert np.array_equal(child_occupancy(out, coarse), masks)
+
+    def test_map_drops_the_link(self):
+        pyr = build_pyramid(random_cloud(np.random.default_rng(10), 2000), stop_at=64)
+        assert pyr.levels[0]._link is None
+        assert pyr.levels[-1]._link is None
+        level = pyr.levels[1]
+        assert level._link.parent is pyr.levels[2]
+        level.kernel_pairs(3)
+        assert level._link is None
+        rebuilt = reconstruct_children(pyr.masks(1), pyr.levels[2])
+        assert rebuilt._link.parent is pyr.levels[2]
+        rebuilt.fold()
+        assert rebuilt._link is None
+
+    def test_decoded_frames_keep_no_coarser_level(self, monkeypatch):
+        frame = generate_fixture("sphere-shell", 10)
+        data, _ = encode_sequence([frame], GopConfig(gop_size=1, epochs_first=0))
+        coarser = []
+
+        def tracked(masks, coarse):
+            coarser.append(weakref.ref(coarse))
+            return reconstruct_children(masks, coarse)
+
+        monkeypatch.setattr(pipeline, "reconstruct_children", tracked)
+        frames, _ = decode_sequence(data)
+        assert frames == [frame] and len(coarser) >= 2
+        gc.collect()
+        assert all(ref() is None for ref in coarser)
