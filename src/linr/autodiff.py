@@ -364,21 +364,6 @@ def broadcast_row(table: Tensor, index: int, num_points: int) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Row ``index[i]`` of ``a`` as row i; rows may repeat.  Backward sums
-    each row's gradients with ``np.bincount``, so ``index`` must stay
-    unchanged until the backward pass has run."""
-    rows = a.data.shape[0]
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.stack(
-                [np.bincount(index, weights=col, minlength=rows) for col in g.T],
-                axis=1).astype(g.dtype, copy=False))
-
-    return _make(a.data.take(index, axis=0), (a,), backward)
-
-
 class _Rows:
     """A matrix as a 1-D array of opaque rows, for whole-row scatters.
 
@@ -772,35 +757,29 @@ def lookup_conv(table: Tensor, patterns: np.ndarray, weight: Tensor,
     return _make(out, (table, weight, bias), backward)
 
 
-def cross_entropy_bits(p: np.ndarray, t: np.ndarray, f=None):
-    """Summed binary cross-entropy in bits of targets ``t`` under ``p``, in
-    their dtype, with ``p`` clamped to [BCE_EPS, 1 - BCE_EPS] so the result
-    is finite for any input.  ``f`` weighs the zeros' terms, by default
-    ``1 - t``; counts in ``t`` and ``f`` score each row as that many ones
-    and zeros."""
+def cross_entropy_bits(p: np.ndarray, t: np.ndarray):
+    """Summed binary cross-entropy in bits of 0/1 targets ``t`` under ``p``,
+    in their dtype, with ``p`` clamped to [BCE_EPS, 1 - BCE_EPS] so the
+    result is finite for any input."""
     p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    if f is None:
-        f = 1.0 - t
-    return -(t * np.log2(p) + f * np.log2(1.0 - p)).sum()
+    return -(t * np.log2(p) + (1.0 - t) * np.log2(1.0 - p)).sum()
 
 
-def bce_bits(probs: Tensor, targets: np.ndarray, misses=None) -> Tensor:
-    """Binary cross-entropy in bits (base-2 logs), summed over points; with
-    ``misses``, row k counts ``targets[k]`` ones and ``misses[k]`` zeros.
+def bce_bits(probs: Tensor, targets: np.ndarray) -> Tensor:
+    """Binary cross-entropy in bits (base-2 logs), summed over points.
 
     The probability clamp of :func:`cross_entropy_bits` passes no gradient.
     """
     t = np.asarray(targets, dtype=probs.data.dtype)
-    f = 1.0 - t if misses is None else np.asarray(misses, dtype=probs.data.dtype)
-    if t.shape != probs.data.shape or f.shape != t.shape:
+    if t.shape != probs.data.shape:
         raise ShapeError(f"bce shape mismatch: {t.shape} vs {probs.data.shape}")
-    bits = cross_entropy_bits(probs.data, t, f)
+    bits = cross_entropy_bits(probs.data, t)
 
     def backward(g):
         if probs.requires_grad:
             p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
             inside = (probs.data > BCE_EPS) & (probs.data < 1.0 - BCE_EPS)
-            dp = (-(t / p) + f / (1.0 - p)) / _LN2
+            dp = (-(t / p) + (1.0 - t) / (1.0 - p)) / _LN2
             probs._accumulate(g * dp * inside)
 
     return _make(np.asarray(bits, dtype=probs.data.dtype), (probs,), backward)

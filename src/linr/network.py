@@ -155,10 +155,13 @@ class OccupancyModel:
 
         ``context`` is :meth:`scale_context`'s table.  conv_in reads row i's
         input as the table row of its face-neighbor pattern
-        (:func:`neighbor_occupancy`; 0 for a stand-in row), so it runs as
-        :func:`autodiff.lookup_conv` and no per-point context is built.
+        (:func:`neighbor_occupancy`), so it runs as
+        :func:`autodiff.lookup_conv` and no per-point context is built.  A
+        level without rows (all of its parents isolated) runs no conv.
         """
         rows = coarse.fold()
+        if not len(rows):
+            return ad.constant(np.zeros((0, CONV_CHANNELS), dtype=self.dtype))
         x = ad.relu(self.global_in.lookup(context, neighbor_occupancy(rows), rows))
         branches = ad.concat_channels([self.global_a2(self.global_a1(x, rows), rows),
                                        self.global_b(x, rows)])
@@ -174,6 +177,8 @@ class OccupancyModel:
             raise ShapeError(f"stage {j} needs {j} coded slot columns, "
                              f"got {len(coded_slots)}")
         rows = coarse.fold()
+        if not len(rows):
+            return ad.constant(np.zeros((0, 1), dtype=self.dtype))
         if j == 0:
             merged = g_feat
         else:
@@ -191,72 +196,53 @@ class OccupancyModel:
         gives bits for.
 
         The network runs on the rows of ``coarse.fold()``, as do
-        :meth:`scale_context`, :meth:`global_features` and
-        :meth:`stage_probability`.  For each stage j it calls ``next_bits(j,
-        p)`` with the stage's (rows, 1) probability tensor; that returns the
-        stage's 0/1 bit of every parent, or on a folded level of every
-        linked parent (the ground truth in training and on encode, the
-        range-decoded bits on decode).  The bits condition every later
-        stage and set bit j of the masks.  A stand-in row is conditioned on
-        its own prefix, so no bit of an isolated parent reaches the network:
-        its eight probabilities are those of the stand-ins of its prefixes.
+        :meth:`global_features` and :meth:`stage_probability`: every parent,
+        or on a folded level every linked parent.  For each stage j it calls
+        ``next_bits(j, p)`` with the stage's (rows, 1) probability tensor;
+        that returns the stage's 0/1 bit of each of those parents (the
+        ground truth in training and on encode, the range-decoded bits on
+        decode).  The bits condition every later stage and set bit j of the
+        masks.
         """
-        rows = coarse.fold()
         slots = []
-        masks = np.zeros(len(coarse) if rows is coarse else len(rows.keep),
-                         dtype=np.uint8)
+        masks = np.zeros(len(coarse.fold()), dtype=np.uint8)
         for j in range(NUM_STAGES):
             p = self.stage_probability(j, g_feat, slots, coarse)
             bits_j = next_bits(j, p)
             masks |= bits_j.astype(np.uint8) << j
-            if rows is not coarse:
-                bits_j = rows.fold_bits(bits_j, j)
             slots.append(bits_j.astype(self.dtype))
         return masks
 
     def _stage_loss(self, j: int, p: ad.Tensor, coarse: SparseVoxelSet,
                     masks: np.ndarray):
         """Stage j's cross-entropy in bits under ``p``, on the rows of
-        ``coarse.fold()``, and the stage's bits for :meth:`transition`.
-
-        On a folded level each stand-in scores the bits of the isolated
-        parents that read it, weighted by their counts, which sums the
-        same terms as scoring every parent on its own row.
-        """
+        ``coarse.fold()``, and the stage's bits for :meth:`transition`."""
         bits_j = (masks >> j) & 1
         rows = coarse.fold()
-        if rows is coarse:
-            return ad.bce_bits(p, bits_j[:, None]), bits_j
-        bits_j = bits_j[rows.keep]
-        zeros, ones = rows.stand_in_counts(masks, j)
-        hits = np.concatenate([bits_j, ones])
-        misses = np.concatenate([1 - bits_j, zeros])
-        return ad.bce_bits(p, hits[:, None], misses[:, None]), bits_j
+        if rows is not coarse:
+            bits_j = bits_j[rows.keep]
+        return ad.bce_bits(p, bits_j[:, None]), bits_j
 
     def predict_children(self, context: ad.Tensor, coarse: SparseVoxelSet,
                          truth_masks):
         """Run all eight stages with ground-truth conditioning.
 
-        Returns (per-stage probability tensors, one row per parent, and the
-        total cross-entropy bits).  The ground truth doubles as the
-        coded-slot context, which is exactly what the decoder reconstructs
-        in lossless operation.  On a folded level an isolated parent's row
-        is the stand-in row of its prefix.
+        Returns (per-stage probability tensors, one row per row of
+        ``coarse.fold()``, and their total cross-entropy bits).  The ground
+        truth doubles as the coded-slot context, which is exactly what the
+        decoder reconstructs in lossless operation.
         """
         if truth_masks is None:
             raise MissingGroundTruthError("eight-stage pass needs child masks")
         masks = np.asarray(truth_masks)
         if masks.shape[0] != len(coarse):
             raise ShapeError("mask count must match parent count")
-        rows = coarse.fold()
         probs = []
         loss = None
 
         def truth(j, p):
             nonlocal loss
             stage_loss, bits_j = self._stage_loss(j, p, coarse, masks)
-            if rows is not coarse:
-                p = ad.take_rows(p, rows.parent_rows(masks & ((1 << j) - 1)))
             probs.append(p)
             loss = stage_loss if loss is None else ad.add(loss, stage_loss)
             return bits_j
@@ -268,7 +254,9 @@ class OccupancyModel:
         """Estimated occupancy bits of one frame plus the L2 penalty.
 
         Sums the eight-stage cross-entropy over every scale transition,
-        coarse to fine, then the L2 penalty.  With gradients enabled each
+        coarse to fine, then the L2 penalty.  On a folded level only the
+        linked parents' bits count: the coder counts the isolated parents'
+        masks, which no parameter changes.  With gradients enabled each
         stage is backpropagated as soon as its forward pass ends, into a
         leaf that stands in for the transition's global features ``g``:
         the stages share nothing else, since every other input of a stage

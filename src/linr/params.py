@@ -161,6 +161,8 @@ def decompress_params(payload: bytes, header: QuantHeader,
                            header.count)
     if dec.truncated:
         raise DecodeError("parameter payload truncated")
+    if not dec.ended:
+        raise DecodeError("parameter payload does not end where its symbols do")
     return q
 
 

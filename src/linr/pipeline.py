@@ -3,14 +3,16 @@
 Encoding a sequence: freeze the scale count from the first frame, split the
 frames into groups, overfit the network to each group, quantize and reload
 the network so both sides run identical arithmetic, then range-code every
-child-occupancy bit under the network's predictions.  One model and one
-Adam run serve the whole sequence: every group after the first continues
-training from the previous group's transmitted (dequantized) parameters,
-which the decoder holds too, with the optimizer's moments and step count
-carried over, and ships its parameters as a delta block against them when
-every change fits the symbol table.  A warm group whose step budget
-provably cannot move any parameter by half a quantization step
-(:meth:`Adam.max_displacement`) runs no epoch and ships the all-zero delta.
+linked parent's child-occupancy bits under the network's predictions and
+every isolated parent's child mask under a table of integer counts.  One
+model and one Adam run serve the whole sequence: every group after the
+first continues training from the previous group's transmitted
+(dequantized) parameters, which the decoder holds too, with the
+optimizer's moments and step count carried over, and ships its parameters
+as a delta block against them when every change fits the symbol table.  A
+warm group whose step budget provably cannot move any parameter by half a
+quantization step (:meth:`Adam.max_displacement`) runs no epoch and ships
+the all-zero delta.
 
 Encoder and decoder share one coding loop, :func:`_coding_pass`: per scale
 transition, coarse to fine, it computes the scale context and the global
@@ -34,7 +36,9 @@ Container layout (`.linr`, all integers little-endian):
                 then the occupancy payload: the stage's bits of every
                 parent, or on a folded level of every linked parent; on a
                 folded level stage 7's stream goes on with one mask symbol
-                per isolated parent, in ``FoldedLevel.iso`` order
+                per isolated parent, in ``FoldedLevel.iso`` order, under
+                a table of the counts of the masks coded before it in the
+                frame (``_MASK_PRIOR``, :class:`rangecoder.CountModel`)
 
 One walker, :func:`_walk`, reads and validates this layout for both
 :func:`decode_sequence` and :func:`container_summary`.  Every decode times
@@ -70,7 +74,7 @@ from .params import (
     unpack_param_block,
     zero_delta_within,
 )
-from .rangecoder import (PROB_ONE, RangeDecoder, RangeEncoder, mask_table,
+from .rangecoder import (PROB_ONE, CountModel, RangeDecoder, RangeEncoder,
                          quantize_probabilities)
 from .voxel import (
     CHILD_OFFSETS,
@@ -83,11 +87,16 @@ from .voxel import (
 )
 
 MAGIC = b"LNRP"
-VERSION = 10
+VERSION = 11
 FILE_EXTENSION = ".linr"
 
 # The largest finite float32: no transmitted parameter may exceed it in magnitude.
 _F32_MAX = float(np.finfo(np.float32).max)
+
+# The count model's prior weight of each isolated parent's mask symbol,
+# mask - 1: 32 for the eight single-child masks, 1 for the rest.  Almost
+# every isolated parent of a sparse cloud has a single child.
+_MASK_PRIOR = np.where((np.arange(1, 256) & np.arange(255)) == 0, 32, 1)
 
 _HEADER_FMT = "<4sBBBHIB"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
@@ -366,39 +375,37 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
     ``transition``, all without gradients.  Each stage ``j`` quantizes the
     probabilities of the parents the network conditions on (every parent,
     or the linked ones of a folded level) once and calls ``stage_bits(i,
-    j, coarse, probs, quantized, table)``.  That returns the stage's 0/1
+    j, coarse, probs, quantized, counts)``.  That returns the stage's 0/1
     bits of those parents, one int64 each: the ground truth on encode, the
     range-decoded bits on decode.  The bits condition the later stages and
     form the child masks.
 
     On a folded level (:meth:`SparseVoxelSet.fold`) an isolated parent's
-    mask is one symbol.  Each stage quantizes the probabilities of the
-    stand-ins of its 2^j prefixes too, and stage 7 passes the
-    :func:`mask_table` they build as ``table`` (None otherwise); with it,
+    mask is one symbol.  Stage 7 passes the frame's :class:`CountModel`
+    over the 255 masks as ``counts`` (None otherwise); with it,
     ``stage_bits`` codes every isolated parent's mask in the same stream,
     after the stage's bits, and returns those masks as a second value.
+    The counts carry from coarse to fine and start afresh with each frame:
+    on seed-101 to 103 ``random-sparse`` frames that gave 0.35% fewer bytes
+    than counts that start afresh on each level, and 0.8-2.3% fewer on
+    frames of 150-2,000 random points.
 
     Yields ``(i, finer level)`` after each transition.  The finer level is
     rebuilt from the masks, unless the encoder passes the ``pyramid`` it
     trained on, whose levels already carry their kernel pairs.
     """
+    frame_counts = CountModel(_MASK_PRIOR)
     for i in range(num_scales - 1, -1, -1):
         coarse = level
         rows = coarse.fold()
-        linked = len(rows.keep) if rows is not coarse else len(coarse)
-        stand_ins = []
+        counts = None if rows is coarse else frame_counts
         isolated = None
 
         def next_bits(j, p):
             nonlocal isolated
-            table = None
-            if rows is not coarse:
-                stand_ins.append(quantize_probabilities(p.data[linked:linked + (1 << j), 0]))
-                if j == NUM_STAGES - 1:
-                    table = mask_table(stand_ins)
-            probs = p.data[:linked, 0]
-            bits_j, masks = stage_bits(i, j, coarse, probs,
-                                       quantize_probabilities(probs), table)
+            probs = p.data[:, 0]
+            bits_j, masks = stage_bits(i, j, coarse, probs, quantize_probabilities(probs),
+                                       counts if j == NUM_STAGES - 1 else None)
             if masks is not None:
                 isolated = masks
             return bits_j
@@ -430,10 +437,12 @@ def _leb128(n: int) -> bytes:
 
 def _stage_encoder(pyramid, parts: list, records: list):
     """Stage callback of the encoder: range-codes the ground-truth bits,
-    and with a ``table`` the isolated parents' masks, appending each
-    length-prefixed payload to ``parts``."""
+    and with ``counts`` the isolated parents' masks, appending each
+    length-prefixed payload to ``parts``.  A stage's estimate is the ideal
+    bits of what it codes under the probabilities and tables it codes it
+    with."""
 
-    def encode_stage(i, j, coarse, probs, quantized, table):
+    def encode_stage(i, j, coarse, probs, quantized, counts):
         masks = pyramid.masks(i)
         rows = coarse.fold()
         bits_j = ((masks >> j) & 1).astype(np.int64)
@@ -443,10 +452,9 @@ def _stage_encoder(pyramid, parts: list, records: list):
         enc.encode_bits(quantized, bits_j)
         estimated = float(ad.cross_entropy_bits(probs.astype(np.float64),
                                                 bits_j.astype(np.float64)))
-        if table is not None:
-            symbols = masks[rows.iso].astype(np.int64) - 1
-            enc.encode_symbols(table, symbols)
-            estimated += table.ideal_bits(symbols)
+        if counts is not None:
+            freqs = enc.encode_adaptive(counts, masks[rows.iso].astype(np.int64) - 1)
+            estimated += float(-np.log2(freqs / PROB_ONE).sum())
         payload = enc.finish()
         parts.append(_leb128(len(payload)))
         parts.append(payload)
@@ -461,20 +469,25 @@ def _stage_decoder(payloads: list, point_costs: Optional[list]):
     """Stage callback of the decoder: range-decodes the next payload, and
     appends each decoded child's coded bits to ``point_costs`` if given.
     A child of an isolated parent is charged an equal share of its
-    parent's mask symbol."""
+    parent's mask symbol under the table it was decoded with."""
     payloads = iter(payloads)
 
-    def decode_stage(i, j, coarse, probs, quantized, table):
+    def decode_stage(i, j, coarse, probs, quantized, counts):
         rows = coarse.fold()
         dec = RangeDecoder(next(payloads))
         bits_j = dec.decode_bits(quantized)
         masks = None
-        if table is not None:
-            symbols = dec.decode_symbols(table, len(rows.iso))
+        if counts is not None:
+            symbols, freqs = dec.decode_adaptive(counts, len(rows.iso))
             masks = (symbols + 1).astype(np.uint8)
         if dec.truncated:
             raise DecodeError(
                 f"occupancy payload truncated at scale {i} stage {j}"
+            )
+        if not dec.ended:
+            raise DecodeError(
+                f"occupancy payload at scale {i} stage {j} does not end "
+                f"where its events do"
             )
         if point_costs is not None:
             parents = coarse.coords if rows is coarse else coarse.coords[rows.keep]
@@ -485,7 +498,7 @@ def _stage_decoder(payloads: list, point_costs: Optional[list]):
             if masks is not None:
                 iso, slot = np.nonzero((masks[:, None] >> np.arange(8)) & 1)
                 child = (coarse.coords[rows.iso[iso]] << 1) + CHILD_OFFSETS[slot]
-                bits = -np.log2(table.freq[symbols] / PROB_ONE)
+                bits = -np.log2(freqs / PROB_ONE)
                 point_costs.append((child, i, bits[iso] / np.bincount(iso)[iso]))
         return bits_j, masks
 

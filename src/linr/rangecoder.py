@@ -13,15 +13,17 @@ added into the bytes already emitted, walking back over their trailing
 (``encode_bits`` / ``decode_bits``) and one for the symbols of a
 :class:`FrequencyTable` (``encode_symbols`` / ``decode_symbols``), with
 the registers in locals; ``encode_bit`` / ``decode_bit`` code one event.
-:func:`mask_table` turns a chain of eight binary stages into the table of
-an 8-bit child mask.
+A :class:`CountModel` is an adaptive table, rebuilt from integer counts
+of the symbols coded so far (``encode_adaptive`` / ``decode_adaptive``).
 
 Streams are not self-delimiting: the container records each payload's byte
 length, and the event count is known from the geometry.  The decoder keeps
 its code relative to ``low`` and reads payload bytes directly.  A healthy
 payload reads exactly 3 zero bytes past its end; at the first read beyond
 them the decoder stops, and its ``truncated`` property gives the caller the
-verdict.  An empty payload therefore decodes no event.
+verdict.  An empty payload therefore decodes no event.  After its last
+event a payload must also end as ``finish`` ends it (``ended``), so a
+changed bit that leaves every event as it was is still caught.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ PROB_MAX = PROB_ONE - 1
 
 _FULL = 1 << 32  # the whole interval [0, 1) in register units
 _PAD = 3  # zero bytes past the payload that a healthy decode reads
+RESCALE = 256  # symbols an adaptive table codes before it is rebuilt
 
 
 def quantize_probability(p: float) -> int:
@@ -120,10 +123,14 @@ class RangeEncoder:
         s = np.asarray(symbols, dtype=np.int64)
         if s.size and (s.min() < 0 or s.max() >= len(table.freq)):
             raise ValueError("symbol outside the table")
-        cum = table.cum.tolist()
+        self._encode_symbols(table.cum.tolist(), s.tolist())
+
+    def _encode_symbols(self, cum, symbols) -> None:
+        """The loop of :meth:`encode_symbols`, on Python ints: symbol s
+        takes ``[cum[s], cum[s + 1])``."""
         low, rng = self.low, self.range
         out = self._out
-        for s in s.tolist():
+        for s in symbols:
             lo = (rng * cum[s]) >> 16
             rng = ((rng * cum[s + 1]) >> 16) - lo
             if lo:
@@ -136,6 +143,23 @@ class RangeEncoder:
                 low = (low << 8) & 0xFFFFFFFF
                 rng <<= 8
         self.low, self.range = low, rng
+
+    def encode_adaptive(self, model: "CountModel", symbols) -> np.ndarray:
+        """Code ``symbols`` under ``model``'s table, rebuilt every
+        :data:`RESCALE` symbols, and count them in.  Returns each symbol's
+        frequency in the table it was coded under."""
+        symbols = np.asarray(symbols, dtype=np.int64)
+        if symbols.size and (symbols.min() < 0 or symbols.max() >= len(model.weights)):
+            raise ValueError("symbol outside the table")
+        listed = symbols.tolist()
+        freqs = [symbols[:0]]
+        for start in range(0, len(symbols), RESCALE):
+            run = symbols[start:start + RESCALE]
+            table = model.table()
+            self._encode_symbols(table.cum.tolist(), listed[start:start + RESCALE])
+            model.update(run)
+            freqs.append(table.freq[run])
+        return np.concatenate(freqs)
 
     def finish(self) -> bytes:
         """Terminate the stream with one byte: the top byte of the multiple
@@ -172,6 +196,15 @@ class RangeDecoder:
         """True once decoding has read past the padding: the stream ended
         before its events did."""
         return self.bits_consumed > 8 * len(self._data)
+
+    @property
+    def ended(self) -> bool:
+        """True when the events so far end the payload as
+        :meth:`RangeEncoder.finish` ends it: every byte was read, up to the
+        padding, and the code is below 2^24, as the finishing byte leaves
+        it.  A changed payload bit that decodes to the same events moves
+        the code by at least 2^24, so this rejects it."""
+        return self.bits_consumed == 8 * len(self._data) and self.code < 0x1000000
 
     def decode_bits(self, p1) -> np.ndarray:
         """Decode one bit per fixed-point probability ``p1[k]`` of bit=1, as
@@ -224,7 +257,13 @@ class RangeDecoder:
         data, pos = self._data, self._pos
         if pos > len(data):
             return np.zeros(0, dtype=np.int64)
-        cum, symbol_of = table.cum.tolist(), table.symbol_of
+        # The symbol of each of the 2^16 targets, as a view of uint16s: a
+        # few microseconds to build per table, where a list of them takes
+        # about half a millisecond and a bisection of ``cum`` per symbol
+        # made the loop about 40% slower.
+        symbol_of = memoryview(np.repeat(np.arange(len(table.freq), dtype=np.uint16),
+                                         table.freq))
+        cum = table.cum.tolist()
         rng, code = self.range, self.code
         out = [0] * count
         done = count
@@ -248,65 +287,67 @@ class RangeDecoder:
         self.range, self.code, self._pos = rng, code, pos
         return np.array(out[:done], dtype=np.int64)
 
+    def decode_adaptive(self, model: "CountModel", count: int):
+        """Decode ``count`` symbols as :meth:`RangeEncoder.encode_adaptive`
+        coded them, fewer if the stream proves truncated; returns them and
+        each one's frequency in the table it was decoded under."""
+        symbols = [np.zeros(0, dtype=np.int64)]
+        freqs = symbols[:]
+        for start in range(0, count, RESCALE):
+            table = model.table()
+            run = self.decode_symbols(table, min(RESCALE, count - start))
+            model.update(run)
+            symbols.append(run)
+            freqs.append(table.freq[run])
+            if len(run) < RESCALE:  # the last run, or a truncated stream
+                break
+        return np.concatenate(symbols), np.concatenate(freqs)
+
 
 class FrequencyTable:
     """Integer frequencies of symbols 0..n-1, each at least 1, summing to
     2^16, and their cumulative table ``cum`` (``cum[s]`` is the total below
-    symbol s).  The decoder's index from a 16-bit target to its symbol is
-    built once per table, on first use."""
+    symbol s)."""
 
     def __init__(self, freq):
         freq = np.asarray(freq, dtype=np.int64)
-        if freq.ndim != 1 or not freq.size or freq.min() < 1 or freq.sum() != PROB_ONE:
+        cum = np.zeros(freq.size + 1, dtype=np.int64)
+        np.cumsum(freq, out=cum[1:])
+        if freq.ndim != 1 or not freq.size or freq.min() < 1 or cum[-1] != PROB_ONE:
             raise ValueError("frequencies must be >= 1 and sum to 2^16")
         self.freq = freq
-        self.cum = np.concatenate(([0], np.cumsum(freq)))
-        self._symbol_of = None
-
-    @property
-    def symbol_of(self) -> list:
-        """Symbol s at each of the 2^16 targets in ``[cum[s], cum[s + 1])``."""
-        if self._symbol_of is None:
-            self._symbol_of = np.repeat(np.arange(len(self.freq), dtype=np.uint16),
-                                        self.freq).tolist()
-        return self._symbol_of
+        self.cum = cum
 
     def ideal_bits(self, symbols) -> float:
         """Cross-entropy of the data under this table, in bits."""
         return float(-np.log2(self.freq[np.asarray(symbols)] / PROB_ONE).sum())
 
 
-def mask_table(p1) -> FrequencyTable:
-    """The table of the 8-bit child masks 1..255, as symbols 0..254, under a
-    chain of eight binary stages.
+class CountModel:
+    """An adaptive table over symbols 0..n-1 (Krichevsky & Trofimov, 1981):
+    symbol s weighs ``weights[s] = 2 * count(s) + prior[s]``, where
+    count(s) counts the symbols s coded so far and ``prior`` is a positive
+    integer per symbol.  :meth:`table` renormalizes the weights to 2^16
+    with a floor of 1, each symbol its share rounded down and the first
+    largest weight the remainder, in integer arithmetic alone, so every
+    CPU builds the same table.  Encoder and decoder update it alike
+    (``encode_adaptive`` / ``decode_adaptive``)."""
 
-    ``p1[j][r]`` is the fixed-point probability that bit j is set given
-    bits 0..j-1 equal to r, for every r < 2^j.  The chain gives mask m the
-    integer weight P(m), the product over j of ``p1[j][m & (2^j - 1)]`` or
-    2^16 minus it, as bit j of m is set or not.  Mask 0 is left out, and
-    the other weights are renormalized to 2^16 with a floor of 1 as in
-    :class:`LaplaceTable`; the largest weight takes the remainder.  Only
-    Python integers are involved, so every CPU builds the same table.
-    """
-    weights = [1]
-    for j, p in enumerate(p1):
-        p = [int(v) for v in p]
-        if len(p) != 1 << j:
-            raise ValueError(f"stage {j} needs {1 << j} probabilities")
-        nxt = weights + weights  # bit j clear in the lower half, set above
-        for r, w in enumerate(weights):
-            one = w * p[r]
-            nxt[r] = w * PROB_ONE - one
-            nxt[r + len(weights)] = one
-        weights = nxt
-    if len(weights) != 256:
-        raise ValueError("a mask table needs eight stages")
-    weights = weights[1:]
-    total = sum(weights)
-    budget = PROB_ONE - len(weights)
-    freq = [1 + w * budget // total for w in weights]
-    freq[weights.index(max(weights))] += PROB_ONE - sum(freq)
-    return FrequencyTable(freq)
+    __slots__ = ("weights",)
+
+    def __init__(self, prior):
+        self.weights = np.array(prior, dtype=np.int64)
+
+    def table(self) -> FrequencyTable:
+        w = self.weights
+        freq = w * (PROB_ONE - len(w))
+        freq //= int(w.sum())
+        freq += 1
+        freq[int(w.argmax())] += PROB_ONE - int(freq.sum())
+        return FrequencyTable(freq)
+
+    def update(self, symbols) -> None:
+        self.weights += 2 * np.bincount(symbols, minlength=len(self.weights))
 
 
 class LaplaceTable(FrequencyTable):

@@ -79,12 +79,6 @@ _NEIGHBOUR_SLOT = (_AXIS_STEP & 1) @ np.array([4, 2, 1])
 _CENTRE = KERNEL_OFFSETS_3.index((0, 0, 0))
 _SIDE_OFFSETS = np.delete(np.arange(len(KERNEL_OFFSETS_3)), _CENTRE)
 
-# Stand-in rows of a folded level (:meth:`SparseVoxelSet.fold`): one per
-# prefix of coded child slots, of which the last stage reads 7.  A level
-# folds only when it has more isolated points than this.
-FOLD_ROWS = 128
-_PREFIXES = np.arange(FOLD_ROWS)
-
 
 def pack_coords(coords: np.ndarray) -> np.ndarray:
     """Pack (n, 3) integer coordinates into sorted-compatible int64 keys."""
@@ -209,13 +203,14 @@ class SparseVoxelSet:
 
     def fold(self):
         """The rows the occupancy network runs on: this set, or a
-        :class:`FoldedLevel` when more than :data:`FOLD_ROWS` of its points
-        are isolated (no point among their 26 neighbours).
+        :class:`FoldedLevel` of its linked points when any point is isolated
+        (no point among its 26 neighbours).
 
         An isolated point's conv outputs depend on its own row alone, and its
-        context is that of every other isolated point, so all of them share
-        one row per coded-slot prefix.  Cached; the cache holds no reference
-        to this set, which is thus freed without the cyclic collector.
+        context is that of every other isolated point, so the network could
+        learn only one distribution for all of them; the coder counts their
+        masks instead.  Cached; the cache holds no reference to this set,
+        which is thus freed without the cyclic collector.
         """
         if self._fold is None:
             pairs = self.kernel_pairs(3)
@@ -224,7 +219,7 @@ class SparseVoxelSet:
                 linked[out_rows] = True
                 linked[in_rows] = True
             keep = np.flatnonzero(linked)
-            if len(self) - len(keep) <= FOLD_ROWS:
+            if len(keep) == len(self):
                 self._fold = False
             else:
                 self._fold = FoldedLevel(keep, np.flatnonzero(~linked), pairs)
@@ -232,15 +227,13 @@ class SparseVoxelSet:
 
 
 class FoldedLevel:
-    """A level's linked points, in order, then :data:`FOLD_ROWS` stand-in
-    rows for its isolated points (see :meth:`SparseVoxelSet.fold`).
+    """A level's linked points, in order (see :meth:`SparseVoxelSet.fold`);
+    ``iso`` lists the rest, its isolated points.
 
     It offers what the network reads of a level: its row count and kernel
-    maps.  Stand-ins have no coordinates, so no code can read them.  The
-    3x3x3 map is the level's, renumbered through ``keep``: linked points
-    neighbour only linked points, and renumbering keeps each offset's rows
-    ascending, free of repeats and mirror-symmetric.  Stand-ins carry the
-    identity offset alone.
+    maps.  The 3x3x3 map is the level's, renumbered through ``keep``: linked
+    points neighbour only linked points, and renumbering keeps each
+    offset's rows ascending, free of repeats and mirror-symmetric.
     """
 
     __slots__ = ("keep", "iso", "_maps")
@@ -252,41 +245,16 @@ class FoldedLevel:
         rank[keep] = np.arange(len(keep), dtype=np.int32)
         half = len(pairs) // 2
         firsts = [(rank[out_rows], rank[in_rows]) for out_rows, in_rows in pairs[:half]]
-        identity = np.arange(len(self), dtype=np.int32)
+        identity = np.arange(len(keep), dtype=np.int32)
         mirrors = [(in_rows, out_rows) for out_rows, in_rows in reversed(firsts)]
         self._maps = {3: KernelMap(firsts + [(identity, identity)] + mirrors),
                       1: KernelMap([(identity, identity)])}
 
     def __len__(self) -> int:
-        return len(self.keep) + FOLD_ROWS
+        return len(self.keep)
 
     def kernel_pairs(self, kernel_size: int = 3):
         return self._maps[kernel_size]
-
-    def parent_rows(self, masks: np.ndarray) -> np.ndarray:
-        """The folded row of each point of the level: its own, or for an
-        isolated point the stand-in of its coded-slot prefix ``masks``."""
-        index = np.empty(len(self.keep) + len(self.iso), dtype=np.intp)
-        index[self.keep] = np.arange(len(self.keep))
-        # Cast first: uint8 plus a Python int stays uint8 under numpy 2.
-        index[self.iso] = masks[self.iso].astype(np.intp) + len(self.keep)
-        return index
-
-    def fold_bits(self, bits: np.ndarray, j: int) -> np.ndarray:
-        """Stage ``j``'s bits on the folded rows: ``bits`` of the linked
-        points, then bit j of each stand-in's index, so that the coded
-        slots of stand-in r spell out prefix r."""
-        return np.concatenate([bits, (_PREFIXES >> j) & 1])
-
-    def stand_in_counts(self, masks: np.ndarray, j: int):
-        """How many isolated points read each stand-in at stage ``j`` (the
-        one of their prefix ``masks & (2^j - 1)``) with bit j of ``masks``
-        clear, and how many with it set: two float arrays of
-        :data:`FOLD_ROWS`, zero past prefix 2^j - 1."""
-        m = masks[self.iso].astype(np.intp)
-        counts = np.bincount((m & ((1 << j) - 1)) + FOLD_ROWS * ((m >> j) & 1),
-                             minlength=2 * FOLD_ROWS).astype(np.float64)
-        return counts[:FOLD_ROWS], counts[FOLD_ROWS:]
 
     def unfold(self, linked: np.ndarray, isolated: np.ndarray) -> np.ndarray:
         """The level's child masks from those of its linked points and
@@ -498,8 +466,7 @@ def _derived_pairs(level: SparseVoxelSet) -> list:
 def neighbor_occupancy(pc) -> np.ndarray:
     """The face-neighbor pattern of each row of a SparseVoxelSet or
     FoldedLevel: a ``uint8`` below :data:`FACE_PATTERNS` whose bit ch is set
-    when the neighbor at ``NEIGHBOR_OFFSETS[ch]`` is occupied, ch < 6.  A
-    stand-in row of a FoldedLevel has pattern 0.
+    when the neighbor at ``NEIGHBOR_OFFSETS[ch]`` is occupied, ch < 6.
 
     :func:`neighbor_channels` spells a pattern out as the seven channels
     the context MLP reads.  Reads the cached 3x3x3 kernel map, whose

@@ -28,7 +28,6 @@ from linr.network import (
 from linr.plyio import generate_fixture
 from linr.voxel import (
     FACE_PATTERNS,
-    FOLD_ROWS,
     SparseVoxelSet,
     build_pyramid,
     neighbor_channels,
@@ -37,7 +36,9 @@ from linr.voxel import (
 )
 
 
-def toy_pyramid(rng, n=60, hi=64, num_scales=None):
+def toy_pyramid(rng, n=60, hi=16, num_scales=None):
+    """Random points, dense enough that most parents of every transition
+    are linked: the network runs on those."""
     pc = SparseVoxelSet(rng.integers(0, hi, size=(n, 3)))
     return build_pyramid(pc, stop_at=8, num_scales=num_scales)
 
@@ -150,7 +151,7 @@ class TestLookupConv:
             assert len(np.unique(patterns)) == FACE_PATTERNS
             assert len(rows) > 4 * ad.IM2COL_BLOCK_ROWS
         if kind == "folded":
-            assert rows is not coarse and np.all(patterns[len(rows.keep):] == 0)
+            assert rows is not coarse and len(rows) == len(rows.keep) == 64
         if kind == "per-offset":
             assert rows is coarse and len(rows) > ad.DENSE_MAX_POINTS
             assert pairs.pair_rows < ad.SPARSE_PAIRS_PER_POINT * len(rows)
@@ -206,20 +207,22 @@ class TestStagedPrediction:
         coarse = pyr.levels[1]
         ctx = model.scale_context(coarse, 0)
         probs, loss = model.predict_children(ctx, coarse, pyr.masks(0))
+        rows = len(coarse.fold())
+        assert rows >= 30
         for p in probs:
-            assert np.all(p.data == 0.5)
-        assert loss.item() == 8.0 * len(coarse)
+            assert p.data.shape == (rows, 1) and np.all(p.data == 0.5)
+        assert loss.item() == 8.0 * rows
 
     def test_stage_one_sees_single_slot_column(self):
         model = OccupancyModel(ModelConfig(num_scales=1), seed=4)
-        coarse = SparseVoxelSet(np.array([[0, 0, 0]]))
-        masks = np.array([0b00000001], dtype=np.uint8)
+        coarse = SparseVoxelSet(np.array([[0, 0, 0], [0, 0, 1]]))
+        masks = np.array([0b00000001, 0b00000010], dtype=np.uint8)
         ctx = model.scale_context(coarse, 0)
         g = model.global_features(ctx, coarse)
         slot0 = ((masks >> 0) & 1).astype(np.float32)
-        assert np.stack([slot0], axis=1).tolist() == [[1.0]]
+        assert np.stack([slot0], axis=1).tolist() == [[1.0], [0.0]]
         p1 = model.stage_probability(1, g, [slot0], coarse)
-        assert p1.data.shape == (1, 1)
+        assert p1.data.shape == (2, 1)
         with pytest.raises(ShapeError):
             model.stage_probability(2, g, [slot0], coarse)
 
@@ -268,6 +271,9 @@ class TestStagedPrediction:
             masks = pyr.masks(i)
             ctx = model.scale_context(coarse, i)
             probs, _ = model.predict_children(ctx, coarse, masks)
+            rows = coarse.fold()
+            if rows is not coarse:
+                masks = masks[rows.keep]
             for j in range(NUM_STAGES):
                 expect += bce_oracle(probs[j].data, (masks >> j) & 1)
         got = model.frame_loss(pyr).item()
@@ -280,7 +286,8 @@ class TestFrameLoss:
         pyr = toy_pyramid(rng, n=70)
         model = OccupancyModel(ModelConfig(num_scales=pyr.num_scales), seed=10)
         model.load_flat(np.zeros(model.num_parameters()))
-        parents = sum(len(pyr.levels[i + 1]) for i in range(pyr.num_scales))
+        # The network codes the linked parents only.
+        parents = sum(len(pyr.levels[i + 1].fold()) for i in range(pyr.num_scales))
         assert model.frame_loss(pyr).item() == 8.0 * parents
 
     def test_l2_of_zero_params_is_zero(self):
@@ -451,7 +458,7 @@ class TestBackwardPerTransition:
         # penalty last.
         expect = []
         for i in range(pyr.num_scales - 1, -1, -1):
-            expect += [()] * NUM_STAGES + [(len(pyr.levels[i + 1]), CONV_CHANNELS)]
+            expect += [()] * NUM_STAGES + [(len(pyr.levels[i + 1].fold()), CONV_CHANNELS)]
         assert roots == expect + [()]
         roots.clear()
         with ad.no_grad():
@@ -624,38 +631,41 @@ class TestGradientIntegrity:
         assert checked > 100
 
 
-def folding_pyramid(rng):
-    """Two scales whose finer transition's parents mix a dense 4x4x4 cube
-    with 300 isolated points, among them parents whose only child is slot
-    7 (stage-7 prefix 0) and parents with all of slots 0-6 (prefix 127)."""
+def folding_pyramid(rng, num_scales=2):
+    """Scales whose finest transition's parents mix a dense 4x4x4 cube with
+    300 isolated points."""
     cube = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
     grid = [(10 + 3 * (k % 10), 10 + 3 * (k // 10 % 10), 10 + 3 * (k // 100))
             for k in range(300)]
     coarse = SparseVoxelSet(np.array(cube + grid))
     masks = rng.integers(1, 256, size=len(coarse)).astype(np.uint8)
-    iso = coarse.fold().iso
-    masks[iso[:20]] = 0x80
-    masks[iso[20:30]] = 0x7F
-    masks[iso[30:40]] = 0xFF
-    pyr = build_pyramid(reconstruct_children(masks, coarse), num_scales=2)
+    pyr = build_pyramid(reconstruct_children(masks, coarse), num_scales=num_scales)
     assert pyr.levels[1] == coarse and np.array_equal(pyr.masks(0), masks)
-    assert pyr.levels[1].fold() is not pyr.levels[1] and len(iso) == 300 > FOLD_ROWS
+    rows = pyr.levels[1].fold()
+    assert rows is not pyr.levels[1] and (len(rows.keep), len(rows.iso)) == (64, 300)
     return pyr
 
 
 class TestFold:
-    """Running a level's linked parents plus one stand-in row per coded-slot
-    prefix gives what running every parent gives."""
+    """On a folded level the network runs on the linked parents alone and
+    gives them what running every parent gives, and what running the
+    linked parents as a cloud of their own gives."""
 
-    def run(self, fold, monkeypatch):
+    def run(self, kind, monkeypatch):
         rng = np.random.default_rng(31)
-        pyr = folding_pyramid(rng)
-        if not fold:
+        pyr = folding_pyramid(rng, num_scales=1)
+        if kind == "plain":
             monkeypatch.setattr(SparseVoxelSet, "fold", lambda self: self)
-        model = OccupancyModel(ModelConfig(num_scales=2), seed=31, dtype=np.float64)
+        if kind == "linked":
+            keep = pyr.levels[1].fold().keep
+            coarse = SparseVoxelSet(pyr.levels[1].coords[keep], assume_sorted=True)
+            pyr = build_pyramid(reconstruct_children(pyr.masks(0)[keep], coarse),
+                                num_scales=1)
+            assert pyr.levels[1] == coarse and coarse.fold() is coarse
+        model = OccupancyModel(ModelConfig(num_scales=1), seed=31, dtype=np.float64)
         # A generic point whose logits stay small (every probability within
-        # 0.42-0.56), so that the different float order of the two runs
-        # moves probabilities by ulps, not by a large logit's rounding.
+        # 0.42-0.56), so that the different float order of the runs moves
+        # probabilities by ulps, not by a large logit's rounding.
         model.load_flat(rng.normal(scale=0.1, size=model.num_parameters()))
         coarse = pyr.levels[1]
         with ad.no_grad():
@@ -668,14 +678,18 @@ class TestFold:
         return [p.data for p in probs], bits.item(), loss, grads
 
     def test_float64_fold_matches_every_parent(self, monkeypatch):
-        folded = self.run(True, monkeypatch)
-        plain = self.run(False, monkeypatch)
-        for j, (a, b) in enumerate(zip(folded[0], plain[0])):
-            assert a.shape == b.shape == (364, 1)
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=f"stage {j}")
-        assert folded[1] == pytest.approx(plain[1], rel=1e-12)
-        assert folded[2] == pytest.approx(plain[2], rel=1e-12)
-        for name, g in plain[3].items():
+        folded = self.run("folded", monkeypatch)
+        plain = self.run("plain", monkeypatch)
+        linked = self.run("linked", monkeypatch)
+        keep = folding_pyramid(np.random.default_rng(31)).levels[1].fold().keep
+        for j, (a, b, c) in enumerate(zip(folded[0], plain[0], linked[0])):
+            assert a.shape == c.shape == (64, 1) and b.shape == (364, 1)
+            np.testing.assert_allclose(a, b[keep], rtol=1e-12, atol=0, err_msg=f"stage {j}")
+            np.testing.assert_allclose(a, c, rtol=1e-12, atol=0, err_msg=f"stage {j}")
+        # The isolated parents' bits are the coder's, not the network's.
+        assert plain[1] > folded[1] == pytest.approx(linked[1], rel=1e-12)
+        assert folded[2] == pytest.approx(linked[2], rel=1e-12)
+        for name, g in linked[3].items():
             assert g.any(), name
             np.testing.assert_allclose(folded[3][name], g, rtol=1e-12, atol=0,
                                        err_msg=name)

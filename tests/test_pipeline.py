@@ -37,12 +37,49 @@ from linr.pipeline import (
     train_gop,
     verify,
 )
-from linr.rangecoder import PROB_ONE, mask_table, quantize_probabilities
+from linr.rangecoder import PROB_ONE, RangeEncoder, quantize_probabilities
 from linr.voxel import SparseVoxelSet, build_pyramid, reconstruct_children
 
 
 def random_frame(rng, n=300, hi=256):
     return SparseVoxelSet(rng.integers(0, hi, size=(n, 3)))
+
+
+# The isolated parents' mask prior as the format states it: 32 for the
+# eight single-child masks, 1 for the other masks, symbol mask - 1.
+MASK_PRIOR = [32 if m & (m - 1) == 0 else 1 for m in range(1, 256)]
+
+
+def count_table(counts):
+    """The count table of the isolated parents' masks from Python integers:
+    weights 2 * count + prior, each one's share of 2^16 - 255 rounded down
+    plus 1, the remainder to the first largest weight."""
+    weights = [2 * c + p for c, p in zip(counts, MASK_PRIOR)]
+    budget = PROB_ONE - len(weights)
+    freq = [1 + w * budget // sum(weights) for w in weights]
+    freq[weights.index(max(weights))] += PROB_ONE - sum(freq)
+    return freq
+
+
+def mask_bits(pyr):
+    """Per scale transition, the ideal bits of its isolated parents' masks
+    under the frame's count tables: counts carry from coarse to fine, and
+    the table is rebuilt at each level's start and every 256 masks.  Also
+    the table in force at each folded level's start."""
+    counts = [0] * 255
+    bits, first_tables = {}, {}
+    for i in range(pyr.num_scales - 1, -1, -1):
+        rows = pyr.levels[i + 1].fold()
+        if rows is pyr.levels[i + 1]:
+            continue
+        bits[i] = 0.0
+        for k, m in enumerate(pyr.masks(i)[rows.iso].tolist()):
+            if k % 256 == 0:
+                freq = count_table(counts)
+                first_tables.setdefault(i, freq)
+            bits[i] -= np.log2(freq[m - 1] / PROB_ONE)
+            counts[m - 1] += 1
+    return bits, first_tables
 
 
 def cube_frame(size, offset=0):
@@ -495,8 +532,8 @@ class TestLosslessness:
         assert res.ok, res.message
 
     def test_zero_model_payload_near_one_bit_per_slot(self):
-        # Under p = 1/2 a linked parent's eight bits cost 8 bits, and an
-        # isolated parent's mask, one of 255 near-equal symbols, log2(255).
+        # Under p = 1/2 a linked parent's eight bits cost 8 bits; an
+        # isolated parent's mask costs its ideal bits under the count table.
         rng = np.random.default_rng(10)
         frame = random_frame(rng, n=300)
         pyr = build_pyramid(frame, stop_at=64)
@@ -507,23 +544,32 @@ class TestLosslessness:
         encode_stage = _stage_encoder(pyr, parts, stages)
         for _ in _coding_pass(model, base, pyr.num_scales, encode_stage, pyr):
             pass
+        iso_bits, _ = mask_bits(pyr)
+        assert len(iso_bits) >= 2
         ideal = 0.0
+        costs = 0.0  # each coded child's share, as the decoder charges it
         for i in range(pyr.num_scales):
             rows = pyr.levels[i + 1].fold()
-            if rows is pyr.levels[i + 1]:
-                ideal += 8 * len(rows)
-            else:
-                ideal += 8 * len(rows.keep) + np.log2(255) * len(rows.iso)
+            linked = len(rows)
+            ideal += 8 * linked + iso_bits.get(i, 0.0)
+            masks = pyr.masks(i) if rows is pyr.levels[i + 1] else pyr.masks(i)[rows.keep]
+            costs += np.unpackbits(masks).sum() + iso_bits.get(i, 0.0)
+            # The estimate is the ideal bits of what each stage codes.
+            got = [s.estimated_bits for s in stages if s.scale == i]
+            assert got[:7] == [float(linked)] * 7
+            assert got[7] == pytest.approx(linked + iso_bits.get(i, 0.0), rel=1e-12)
         assert ideal < 8 * sum(len(pyr.levels[i + 1]) for i in range(pyr.num_scales))
         measured = sum(s.payload_bits for s in stages)
         streams = len(stages)
         assert measured >= ideal - 1
         assert measured <= 1.02 * ideal + 16 * streams
         # parts alternates length prefixes and payloads.
-        decode_stage = _stage_decoder(parts[1::2], None)
+        point_costs = []
+        decode_stage = _stage_decoder(parts[1::2], point_costs)
         for _, level in _coding_pass(model, base, pyr.num_scales, decode_stage):
             pass
         assert level == frame
+        assert sum(c.sum() for _, _, c in point_costs) == pytest.approx(costs, rel=1e-12)
 
     def test_coding_pass_probabilities_match_training_pass(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -531,7 +577,7 @@ class TestLosslessness:
         model, pyr = trained.model, trained.pyramids[0]
         pipeline.reload_dequantized(model, *pipeline.quantize(model.flatten(), 8))
         # Every stage's probabilities on the rows of coarse.fold(), as the
-        # network computes them: linked parents, then the stand-ins.
+        # network computes them: every parent, or the linked ones.
         rows_seen = []
         stage_probability = model.stage_probability
 
@@ -543,15 +589,22 @@ class TestLosslessness:
         monkeypatch.setattr(model, "stage_probability", recording)
         coded = {}
 
-        def record(i, j, coarse, probs, quantized, table):
-            coded[i, j] = probs.tobytes(), quantized, table
+        def record(i, j, coarse, probs, quantized, counts):
             rows = coarse.fold()
             bits_j = ((pyr.masks(i) >> j) & 1).astype(np.int64)
+            table = None
+            if counts is not None:
+                # Code the masks as the encoder does, so the counts carry.
+                table = counts.table().freq.tolist()
+                RangeEncoder().encode_adaptive(
+                    counts, pyr.masks(i)[rows.iso].astype(np.int64) - 1)
+            coded[i, j] = probs.tobytes(), quantized, table
             return (bits_j, None) if rows is coarse else (bits_j[rows.keep], None)
 
         for _ in _coding_pass(model, pyr.levels[-1], pyr.num_scales, record, pyr):
             pass
         assert len(coded) == NUM_STAGES * pyr.num_scales
+        _, want_tables = mask_bits(pyr)
         coding_rows = rows_seen[:]
         rows_seen.clear()
         folded = 0
@@ -561,29 +614,24 @@ class TestLosslessness:
                                               coarse, masks)
             training_rows = rows_seen[-NUM_STAGES:]
             rows = coarse.fold()
-            linked = len(rows.keep) if rows is not coarse else len(coarse)
-            stand_ins = []
             for j in range(NUM_STAGES):
                 want = training_rows[j]
+                assert want.shape == (len(rows), 1)
                 assert coding_rows.pop(0).tobytes() == want.tobytes()
                 probs_j, quantized, table = coded[i, j]
-                assert probs_j == want[:linked, 0].tobytes()
-                assert np.array_equal(quantized, quantize_probabilities(want[:linked, 0]))
-                if rows is coarse:
-                    assert probs[j].data.tobytes() == want.tobytes()
+                assert probs_j == want[:, 0].tobytes()
+                assert np.array_equal(quantized, quantize_probabilities(want[:, 0]))
+                assert probs[j].data.tobytes() == want.tobytes()
+                if rows is coarse or j < NUM_STAGES - 1:
                     assert table is None
-                    continue
-                # One row per parent: its own, or its prefix's stand-in.
-                assert probs[j].data[rows.keep].tobytes() == want[:linked].tobytes()
-                prefix = (masks[rows.iso] & ((1 << j) - 1)).astype(np.intp)
-                assert (probs[j].data[rows.iso].tobytes()
-                        == want[linked + prefix].tobytes())
-                stand_ins.append(quantize_probabilities(want[linked:linked + (1 << j), 0]))
-                assert (table is None) == (j < NUM_STAGES - 1)
+                else:
+                    assert table == want_tables[i]
             if rows is not coarse:
                 folded += 1
-                assert np.array_equal(table.freq, mask_table(stand_ins).freq)
-        assert folded and not coding_rows
+                assert len(rows.iso) > 0
+        # Counts carried into a later level differ from a fresh table.
+        assert folded >= 2 and not coding_rows
+        assert want_tables[min(want_tables)] != count_table([0] * 255)
 
 class TestPayloadVsEstimate:
     def test_measured_bits_track_estimates(self):
@@ -642,8 +690,9 @@ class TestDecodeRobustness:
         # parents evaluated one by one, not one per coded-slot prefix;
         # 8: isolated parents' masks coded as eight binary events, u32
         # length prefixes and a payload on every delta block; 9: the
-        # context MLP and global.conv_in evaluated per point.
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11):
+        # context MLP and global.conv_in evaluated per point; 10: the
+        # isolated parents' masks coded under the stand-in rows' table.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):
@@ -845,12 +894,15 @@ class TestIsolatedMaskSymbols:
 
     CUBE = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
 
-    @pytest.mark.parametrize("case", ["no linked parent", "129 isolated",
-                                      "16-bit"])
+    @pytest.mark.parametrize("case", ["no linked parent", "1 isolated",
+                                      "129 isolated", "16-bit"])
     def test_lossless(self, case):
         rng = np.random.default_rng(60)
         if case == "no linked parent":
             frame, linked, isolated = folded_frame(rng, grid(200)), 0, 200
+        elif case == "1 isolated":
+            frame = folded_frame(rng, self.CUBE + grid(1))
+            linked, isolated = 64, 1
         elif case == "129 isolated":
             frame = folded_frame(rng, self.CUBE + grid(129))
             linked, isolated = 64, 129
@@ -871,6 +923,24 @@ class TestIsolatedMaskSymbols:
         # one bit under any table of 255 masks whose largest is < 2^16.
         finest = [s for s in report.frames[0].stages if s.scale == 0]
         assert finest[7].estimated_bits > isolated * np.log2(PROB_ONE / (PROB_ONE - 255))
+
+    def test_level_without_linked_parents_runs_no_network(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        frame = folded_frame(rng, grid(200))
+        rows_run = []
+        for name in ("sparse_conv", "lookup_conv"):
+            conv = getattr(ad, name)
+
+            def counted(*args, conv=conv, **kwargs):
+                out = conv(*args, **kwargs)
+                rows_run.append(out.data.shape[0])
+                return out
+
+            monkeypatch.setattr(ad, name, counted)
+        data, _ = encode_sequence([frame], GopConfig(gop_size=1, epochs_first=1))
+        assert decode_sequence(data)[0] == [frame]
+        # The coarser levels of the grid are linked and run the network.
+        assert rows_run and min(rows_run) > 0
 
     def test_truncated_stage_seven_payload_rejected(self):
         rng = np.random.default_rng(61)

@@ -12,8 +12,9 @@ from linr import rangecoder
 from linr.errors import DecodeError, LinrError, NumericError
 from linr.rangecoder import (
     PROB_ONE,
+    RESCALE,
+    CountModel,
     LaplaceTable,
-    mask_table,
     RangeDecoder,
     RangeEncoder,
     quantize_probability,
@@ -378,72 +379,187 @@ class TestLaplaceTable:
         assert abs(peak - mu) <= 1
 
 
-def stage_probabilities(rng, low=1, high=PROB_ONE):
-    """Seeded fixed-point stage probabilities: 2^j of them for stage j."""
-    return [rng.integers(low, high, size=1 << j) for j in range(8)]
+def reference_table(weights):
+    """The count model's table from Python integers alone: each weight's
+    share of 2^16 - n rounded down, plus 1, and the remainder to the first
+    largest weight."""
+    weights = [int(w) for w in weights]
+    budget = PROB_ONE - len(weights)
+    freq = [1 + w * budget // sum(weights) for w in weights]
+    freq[weights.index(max(weights))] += PROB_ONE - sum(freq)
+    return freq
 
 
-def chain_products(p1):
-    """The float probability of each mask 0..255 under the stage chain."""
-    out = np.ones(256)
-    for m in range(256):
-        for j in range(8):
-            q = p1[j][m & ((1 << j) - 1)] / PROB_ONE
-            out[m] *= q if (m >> j) & 1 else 1.0 - q
+def reference_adaptive(prior, symbols):
+    """Each symbol's frequency under the table in force when it is coded:
+    rebuilt from ``2 * counts + prior`` before every RESCALE-th symbol."""
+    counts = [0] * len(prior)
+    out = []
+    for k, s in enumerate(symbols):
+        if k % RESCALE == 0:
+            freq = reference_table([2 * c + p for c, p in zip(counts, prior)])
+        out.append(freq[s])
+        counts[s] += 1
     return out
 
 
+def skewed_symbols(rng, n, size=255):
+    """Mostly the eight single-child masks (as symbols mask - 1), some of
+    every other."""
+    single = (1 << rng.integers(0, 8, size=n)) - 1
+    return np.where(rng.random(n) < 0.9, single, rng.integers(0, size, size=n))
+
+
 class TestMaskTable:
+    """The count model that codes isolated parents' child masks, symbols
+    0..254 for masks 1..255."""
+
     # First 16 hex digits of the SHA-256 of one seeded table's frequencies.
-    SHA256 = "ea2d727729f208ac"
+    SHA256 = "4ddd3d6738fd3dac"
 
     def test_total_floor_and_no_zero_mask(self):
         rng = np.random.default_rng(50)
-        for low, high in ((1, PROB_ONE), (1, 2), (PROB_ONE - 1, PROB_ONE), (1, 40)):
-            table = mask_table(stage_probabilities(rng, low, high))
+        prior = rng.integers(1, 40, size=255)
+        for counts in (np.zeros(255), rng.integers(0, 3, size=255),
+                       np.where(np.arange(255) == 7, 10**9, 0),
+                       rng.integers(0, 10**6, size=255)):
+            model = CountModel(prior)
+            model.weights += 2 * counts.astype(np.int64)
+            table = model.table()
             assert table.freq.shape == (255,)  # masks 1..255 as symbols 0..254
             assert int(table.freq.sum()) == PROB_ONE
             assert int(table.freq.min()) >= 1
             assert table.cum[0] == 0 and table.cum[-1] == PROB_ONE
+            assert table.freq.tolist() == reference_table(2 * counts + prior)
 
-    def test_matches_the_chain_product(self):
+    def test_shares_follow_the_weights(self):
         rng = np.random.default_rng(51)
         for _ in range(5):
-            p1 = stage_probabilities(rng)
-            table = mask_table(p1)
-            chain = chain_products(p1)
-            want = PROB_ONE * chain[1:] / (1.0 - chain[0])
-            err = np.abs(table.freq - want)
+            model = CountModel(rng.integers(1, 64, size=255))
+            model.update(skewed_symbols(rng, 3000))
+            weights = model.weights
+            want = PROB_ONE * weights / weights.sum()
+            err = np.abs(model.table().freq - want)
             # The floors of 1 take 255 units from the proportional share,
             # then each rounds down; the largest takes the remainder.
             bound = 2.0 + 255.0 * want / PROB_ONE
-            top = int(np.argmax(chain[1:]))
+            top = int(np.argmax(weights))
             assert np.all(np.delete(err <= bound, top))
             assert err[top] <= 256.0
 
     def test_same_integers_same_bytes(self):
         rng = np.random.default_rng(52)
-        p1 = stage_probabilities(rng, 1000, 30000)
-        as_lists = mask_table([p.tolist() for p in p1])
-        table = mask_table(p1)
-        assert table.freq.tolist() == as_lists.freq.tolist()
+        prior = rng.integers(1, 40, size=255)
+        symbols = skewed_symbols(rng, 2000)
+        tables = []
+        for p in (prior, prior.tolist()):
+            model = CountModel(p)
+            model.update(symbols)
+            tables.append(model.table().freq.tolist())
+        assert tables[0] == tables[1]
         # Pure integer arithmetic: this table holds on every CPU.
-        assert hashlib.sha256(table.freq.tobytes()).hexdigest()[:16] == self.SHA256
-        symbols = rng.choice(255, size=2000, p=table.freq / PROB_ONE)
+        freq = np.array(tables[0], dtype=np.int64)
+        assert hashlib.sha256(freq.tobytes()).hexdigest()[:16] == self.SHA256
         payloads = []
-        for t in (table, as_lists):
+        for p in (prior, prior.tolist()):
             enc = RangeEncoder()
-            enc.encode_symbols(t, symbols)
+            freqs = enc.encode_adaptive(CountModel(p), symbols)
+            assert freqs.tolist() == reference_adaptive(prior, symbols.tolist())
             payloads.append(enc.finish())
         assert payloads[0] == payloads[1]
-        assert 8 * len(payloads[0]) <= table.ideal_bits(symbols) + 16
-        assert RangeDecoder(payloads[0]).decode_symbols(table, 2000).tolist() == symbols.tolist()
+        ideal = -np.log2(freqs / PROB_ONE).sum()
+        assert 8 * len(payloads[0]) <= ideal + 16
+        dec = RangeDecoder(payloads[0])
+        got, got_freqs = dec.decode_adaptive(CountModel(prior), len(symbols))
+        assert got.tolist() == symbols.tolist()
+        assert got_freqs.tolist() == freqs.tolist()
+        assert dec.ended and not dec.truncated
 
-    def test_needs_eight_stages_of_prefixes(self):
+    def test_model_carries_over_calls(self):
+        # Two calls on one model code what one call codes, when the first
+        # ends on a rebuild.
         rng = np.random.default_rng(53)
-        p1 = stage_probabilities(rng)
-        with pytest.raises(ValueError):
-            mask_table(p1[:7])
-        with pytest.raises(ValueError):
-            mask_table(p1[:3] + [p1[3][:4]] + p1[4:])
+        prior = rng.integers(1, 40, size=255)
+        symbols = skewed_symbols(rng, 3 * RESCALE + 17)
+        whole, split = RangeEncoder(), RangeEncoder()
+        whole.encode_adaptive(CountModel(prior), symbols)
+        model = CountModel(prior)
+        split.encode_adaptive(model, symbols[:2 * RESCALE])
+        split.encode_adaptive(model, symbols[2 * RESCALE:])
+        assert whole.finish() == split.finish()
+        assert model.weights.tolist() == (2 * np.bincount(symbols, minlength=255)
+                                          + prior).tolist()
 
+    def test_truncated_adaptive_stream_stops(self):
+        rng = np.random.default_rng(54)
+        prior = np.ones(255, dtype=np.int64)
+        symbols = rng.integers(0, 255, size=1000)
+        enc = RangeEncoder()
+        enc.encode_adaptive(CountModel(prior), symbols)
+        payload = enc.finish()
+        dec = RangeDecoder(payload[:len(payload) // 2])
+        got, freqs = dec.decode_adaptive(CountModel(prior), len(symbols))
+        assert dec.truncated and len(got) == len(freqs) < len(symbols)
+        assert got.tolist() == symbols[:len(got)].tolist()
+
+
+class TestCanonicalEnd:
+    """After its last event a payload must end as ``finish`` ends it, so
+    every bit flip either changes what decodes or fails the end check."""
+
+    def payloads(self):
+        rng = np.random.default_rng(55)
+        p1 = rng.integers(1, PROB_ONE, size=300)
+        bits = (rng.integers(0, PROB_ONE, size=300) < p1).astype(int)
+        table = LaplaceTable(7.0, 3.0, 4)
+        symbols = rng.choice(16, size=200, p=table.freq / PROB_ONE)
+        out = []
+        for kind, model, values in (("bits", p1, bits), ("symbols", table, symbols),
+                                    ("bits", np.full(40, 65000), np.ones(40, int))):
+            enc = RangeEncoder()
+            if kind == "bits":
+                enc.encode_bits(model, values)
+            else:
+                enc.encode_symbols(model, values)
+            out.append((kind, model, values, enc.finish()))
+        return out
+
+    def decode(self, kind, model, values, payload):
+        dec = RangeDecoder(payload)
+        if kind == "bits":
+            got = dec.decode_bits(model)
+        else:
+            got = dec.decode_symbols(model, len(values))
+        return got.tolist(), dec
+
+    def test_healthy_payloads_end(self):
+        for kind, model, values, payload in self.payloads():
+            got, dec = self.decode(kind, model, values, payload)
+            assert got == values.tolist()
+            assert dec.ended
+        # An empty stream ends at once: one zero byte.
+        enc = RangeEncoder()
+        payload = enc.finish()
+        assert payload == b"\x00" and RangeDecoder(payload).ended
+
+    def test_every_bit_flip_changes_the_events_or_fails_the_end(self):
+        checked = caught_by_end = 0
+        payloads = self.payloads()
+        for kind, model, values, payload in payloads:
+            for pos in range(len(payload)):
+                for bit in range(8):
+                    corrupt = bytearray(payload)
+                    corrupt[pos] ^= 1 << bit
+                    got, dec = self.decode(kind, model, values, bytes(corrupt))
+                    assert got != values.tolist() or not dec.ended, (kind, pos, bit)
+                    caught_by_end += got == values.tolist()
+                    checked += 1
+        assert checked == 8 * sum(len(p) for *_, p in payloads)
+        # Flips in the slack of the last bytes decode to the same events.
+        assert caught_by_end > 0
+
+    def test_appended_byte_fails_the_end(self):
+        for kind, model, values, payload in self.payloads():
+            for extra in (b"\x00", b"\x01\x00"):
+                got, dec = self.decode(kind, model, values, payload + extra)
+                assert not dec.ended

@@ -22,7 +22,6 @@ from linr.plyio import generate_fixture
 from linr.voxel import (
     CHILD_OFFSETS,
     FACE_PATTERNS,
-    FOLD_ROWS,
     KERNEL_OFFSETS_3,
     FoldedLevel,
     SparseVoxelSet,
@@ -109,7 +108,7 @@ def assert_fold_matches_reference(pc):
         if KERNEL_OFFSETS_3[k] != (0, 0, 0):
             linked[out_rows] = True
     fold = pc.fold()
-    if np.count_nonzero(~linked) <= FOLD_ROWS:
+    if linked.all():
         assert fold is pc
         return
     ref = FoldedLevel(np.flatnonzero(linked), np.flatnonzero(~linked), want)
@@ -406,7 +405,7 @@ class TestFold:
         assert len(fold.iso) == 200
         assert np.all(np.diff(fold.keep) > 0)
         assert sorted(fold.keep.tolist() + fold.iso.tolist()) == list(range(len(pc)))
-        assert len(fold) == len(fold.keep) + FOLD_ROWS == 66 + FOLD_ROWS
+        assert len(fold) == len(fold.keep) == 66
 
     @pytest.mark.parametrize("cloud", ["mixed", "random"])
     def test_map_is_the_linked_subsets_own(self, cloud):
@@ -432,7 +431,7 @@ class TestFold:
                 mirror = got[len(got) - 1 - k]
                 assert mirror[0] is in_rows and mirror[1] is out_rows
 
-    def test_stand_ins_carry_the_identity_offset_only(self):
+    def test_map_covers_the_linked_points_only(self):
         fold = mixed_level(200).fold()
         rows = np.arange(len(fold))
         for k, (out_rows, in_rows) in enumerate(fold.kernel_pairs(3)):
@@ -444,46 +443,35 @@ class TestFold:
         (pair,) = fold.kernel_pairs(1)
         assert pair[0] is pair[1] and np.array_equal(pair[0], rows)
         patterns = neighbor_occupancy(fold)
-        assert patterns.shape == (len(fold),)
-        assert np.all(patterns[len(fold.keep):] == 0)
+        assert patterns.shape == (len(fold),) == (66,)
+        linked = SparseVoxelSet(mixed_level(200).coords[fold.keep], assume_sorted=True)
+        assert np.array_equal(patterns, neighbor_occupancy(linked))
 
-    def test_parent_rows_spread_by_prefix(self):
-        pc = mixed_level(200)
-        fold = pc.fold()
-        masks = np.zeros(len(pc), dtype=np.uint8)
-        masks[fold.iso] = np.arange(200) % FOLD_ROWS
-        rows = fold.parent_rows(masks)
-        assert np.array_equal(rows[fold.keep], np.arange(len(fold.keep)))
-        assert np.array_equal(rows[fold.iso], len(fold.keep) + np.arange(200) % FOLD_ROWS)
-        assert rows.max() == len(fold) - 1
-        # Stand-in r is teacher-forced with the bits of r, after the bits
-        # of the linked points.
-        bits = np.arange(len(fold.keep)) % 2
-        slots = np.stack([fold.fold_bits(bits, j) for j in range(7)], axis=1)
-        assert np.array_equal(slots[:len(fold.keep), 0], bits)
-        prefix = (slots[len(fold.keep):] << np.arange(7)).sum(axis=1)
-        assert prefix.tolist() == list(range(FOLD_ROWS))
-
-    def test_stand_in_counts_and_unfold(self):
+    def test_unfold_inverts_the_split(self):
         pc = mixed_level(200)
         fold = pc.fold()
         rng = np.random.default_rng(44)
         masks = rng.integers(1, 256, size=len(pc)).astype(np.uint8)
-        for j in range(8):
-            zeros, ones = fold.stand_in_counts(masks, j)
-            assert zeros.shape == ones.shape == (FOLD_ROWS,)
-            for r in range(FOLD_ROWS):
-                readers = [int(m) for m in masks[fold.iso]
-                           if r < 1 << j and int(m) & ((1 << j) - 1) == r]
-                assert zeros[r] == sum(1 for m in readers if not m >> j & 1)
-                assert ones[r] == sum(1 for m in readers if m >> j & 1)
         assert np.array_equal(fold.unfold(masks[fold.keep], masks[fold.iso]), masks)
 
-    def test_at_most_fold_rows_isolated_points_stay_unfolded(self):
-        pc = mixed_level(FOLD_ROWS)
-        assert len(isolated_oracle(pc)) == FOLD_ROWS
-        assert pc.fold() is pc and pc.fold() is pc
-        assert mixed_level(FOLD_ROWS + 1).fold().iso.size == FOLD_ROWS + 1
+    @pytest.mark.parametrize("isolated", [0, 1, 2, 200])
+    def test_any_isolated_point_folds(self, isolated):
+        pc = mixed_level(isolated)
+        assert len(isolated_oracle(pc)) == isolated
+        if not isolated:
+            assert pc.fold() is pc and pc.fold() is pc
+        else:
+            assert pc.fold().iso.tolist() == isolated_oracle(pc)
+            assert len(pc.fold()) == 66
+
+    def test_all_isolated_level_folds_to_no_rows(self):
+        pc = make_set([(3 * k, 0, 0) for k in range(5)])
+        fold = pc.fold()
+        assert len(fold) == 0 and fold.iso.tolist() == list(range(5))
+        assert all(len(out_rows) == 0 for out_rows, _ in fold.kernel_pairs(3))
+        assert neighbor_occupancy(fold).shape == (0,)
+        single = make_set([(7, 7, 7)])
+        assert single.fold() is not single and single.fold().iso.tolist() == [0]
 
     def test_sixteen_bit_frame_with_extreme_coordinates_round_trips(self):
         rng = np.random.default_rng(43)
