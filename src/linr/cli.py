@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import LinrError
+from .network import NUM_STAGES
 from .pipeline import (
     FILE_EXTENSION,
     GopConfig,
@@ -194,24 +195,27 @@ def _cmd_stats(args) -> int:
     frames, stats = decode_sequence(data,
                                     collect_stats=bool(args.per_point_csv))
     points = sum(len(f) for f in frames)
-    # (name, bytes, decode seconds) per section.
-    sections = [("decoder params", summary["param_bytes"], stats.param_seconds),
-                ("lowest scale", summary["lowest_bytes"], stats.lowest_seconds)]
+    # (name, bytes, decode seconds, payloads coded from counts) per section.
+    sections = [("decoder params", summary["param_bytes"], stats.param_seconds, ""),
+                ("lowest scale", summary["lowest_bytes"], stats.lowest_seconds, "")]
+    payloads = summary["frame_count"] * NUM_STAGES
     for scale in sorted(summary["scale_bytes"], reverse=True):
         sections.append((f"scale {scale} occupancy",
                          summary["scale_bytes"][scale],
-                         stats.scale_seconds.get(scale, 0.0)))
-    body = sum(b for _, b, _ in sections)
+                         stats.scale_seconds.get(scale, 0.0),
+                         f"{summary['count_payloads'][scale]}/{payloads}"))
+    body = sum(b for _, b, _, _ in sections)
     print(f"{summary['frame_count']} frames, {points} points, "
           f"{summary['file_bytes']} bytes "
           f"({8 * summary['file_bytes'] / points:.3f} bpp), "
           f"{summary['gop_count']} groups, "
           f"container header {summary['header_bytes']} bytes")
-    print(f"{'section':<22}{'bytes':>10}{'share':>9}{'dec time':>10}")
+    print(f"{'section':<22}{'bytes':>10}{'share':>9}{'dec time':>10}"
+          f"{'from counts':>13}")
     t_total = max(stats.total_seconds, 1e-9)
-    for name, nbytes, t in sections:
+    for name, nbytes, t, counted in sections:
         print(f"{name:<22}{nbytes:>10}{100 * nbytes / body:>8.2f}%"
-              f"{100 * t / t_total:>9.2f}%")
+              f"{100 * t / t_total:>9.2f}%{counted:>13}")
     print(f"decode time {stats.total_seconds:.3f}s")
     print(f"{'group':<8}{'param block':<14}{'bytes':>10}")
     for k, (kind, nbytes) in enumerate(zip(summary["gop_param_kinds"],

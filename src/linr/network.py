@@ -17,6 +17,7 @@ bitstream, so sharing them is what keeps the transmitted network small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -189,26 +190,35 @@ class OccupancyModel:
             merged = ad.add(g_feat, local)
         return ad.sigmoid(self.head_mlps[j](self.head_conv(merged, rows)))
 
-    def transition(self, g_feat: ad.Tensor, coarse: SparseVoxelSet,
-                   next_bits) -> np.ndarray:
-        """The eight-stage loop of one scale transition on its global features
-        ``g_feat``; returns the child masks of the parents ``next_bits``
-        gives bits for.
+    def transition(self, features, coarse: SparseVoxelSet, next_bits) -> np.ndarray:
+        """The eight-stage loop of one scale transition; returns the child
+        masks of the parents ``next_bits`` gives bits for.
 
         The network runs on the rows of ``coarse.fold()``, as do
         :meth:`global_features` and :meth:`stage_probability`: every parent,
         or on a folded level every linked parent.  For each stage j it calls
-        ``next_bits(j, p)`` with the stage's (rows, 1) probability tensor;
-        that returns the stage's 0/1 bit of each of those parents (the
-        ground truth in training and on encode, the range-decoded bits on
-        decode).  The bits condition every later stage and set bit j of the
-        masks.
+        ``next_bits(j, probability)``; ``probability()`` computes the
+        stage's (rows, 1) probability tensor on demand, and ``features()``
+        the transition's global features, at most once, when a stage first
+        asks.  ``next_bits`` returns the stage's 0/1 bit of each of those
+        parents (the ground truth in training and on encode, the decoded
+        bits on decode).  The bits condition every later stage and set bit
+        j of the masks.  A stage whose bits come without its probability
+        runs no network, and a transition none of whose stages asks runs
+        no global features.
         """
         slots = []
         masks = np.zeros(len(coarse.fold()), dtype=np.uint8)
+        g_feat = None
+
+        def probability(j):
+            nonlocal g_feat
+            if g_feat is None:
+                g_feat = features()
+            return self.stage_probability(j, g_feat, slots, coarse)
+
         for j in range(NUM_STAGES):
-            p = self.stage_probability(j, g_feat, slots, coarse)
-            bits_j = next_bits(j, p)
+            bits_j = next_bits(j, partial(probability, j))
             masks |= bits_j.astype(np.uint8) << j
             slots.append(bits_j.astype(self.dtype))
         return masks
@@ -240,14 +250,15 @@ class OccupancyModel:
         probs = []
         loss = None
 
-        def truth(j, p):
+        def truth(j, probability):
             nonlocal loss
+            p = probability()
             stage_loss, bits_j = self._stage_loss(j, p, coarse, masks)
             probs.append(p)
             loss = stage_loss if loss is None else ad.add(loss, stage_loss)
             return bits_j
 
-        self.transition(self.global_features(context, coarse), coarse, truth)
+        self.transition(lambda: self.global_features(context, coarse), coarse, truth)
         return probs, loss
 
     def frame_loss(self, pyramid: ScalePyramid, l2_coeff: float = 0.0) -> ad.Tensor:
@@ -285,16 +296,16 @@ class OccupancyModel:
             leaf = ad.Tensor(g.data, requires_grad=g.requires_grad)
             bits = None
 
-            def truth(j, p):
+            def truth(j, probability):
                 nonlocal bits
-                stage, bits_j = self._stage_loss(j, p, coarse, masks)
+                stage, bits_j = self._stage_loss(j, probability(), coarse, masks)
                 if stage.requires_grad:
                     stage.backward()
                 bits = stage.data if bits is None else bits + stage.data
                 return bits_j
 
             with ad.recycling():
-                self.transition(leaf, coarse, truth)
+                self.transition(lambda: leaf, coarse, truth)
                 if g.requires_grad:
                     g.backward(leaf.grad)
             total = bits if total is None else total + bits

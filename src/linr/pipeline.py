@@ -2,25 +2,26 @@
 
 Encoding a sequence: freeze the scale count from the first frame, split the
 frames into groups, overfit the network to each group, quantize and reload
-the network so both sides run identical arithmetic, then range-code every
-linked parent's child-occupancy bits under the network's predictions and
-every isolated parent's child mask under a table of integer counts.  One
-model and one Adam run serve the whole sequence: every group after the
-first continues training from the previous group's transmitted
-(dequantized) parameters, which the decoder holds too, with the
-optimizer's moments and step count carried over, and ships its parameters
-as a delta block against them when every change fits the symbol table.  A
-warm group whose step budget provably cannot move any parameter by half a
-quantization step (:meth:`Adam.max_displacement`) runs no epoch and ships
-the all-zero delta.
+the network so both sides run identical arithmetic, then range-code each
+stage's linked-parent child-occupancy bits under the network's predictions
+or under adaptive integer counts, whichever needs fewer bits, and every
+isolated parent's child mask under a table of integer counts.  One model
+and one Adam run serve the whole sequence: every group after the first
+continues training from the previous group's transmitted (dequantized)
+parameters, which the decoder holds too, with the optimizer's moments and
+step count carried over, and ships its parameters as a delta block against
+them when every change fits the symbol table.  A warm group whose step
+budget provably cannot move any parameter by half a quantization step
+(:meth:`Adam.max_displacement`) runs no epoch and ships the all-zero delta.
 
 Encoder and decoder share one coding loop, :func:`_coding_pass`: per scale
-transition, coarse to fine, it computes the scale context and the global
-features, then each of the eight stages' quantized probabilities exactly
-once.  Only the source of each stage's bits differs: the encoder hands in
-the ground truth and range-codes it, the decoder range-decodes the bits
-from the payload.  Whatever the decoder computes, the encoder computed
-from the same values in the same order.
+transition, coarse to fine, the model's eight-stage ``transition``, which
+computes a stage's network probabilities only when the stage asks for
+them.  Only the source of each stage's bits differs: the encoder hands in
+the ground truth, weighs both kinds and range-codes it, the decoder
+range-decodes the bits from the payload under the kind its prefix names.
+Whatever the decoder computes, the encoder computed from the same values
+in the same order.
 
 Container layout (`.linr`, all integers little-endian):
 
@@ -32,13 +33,18 @@ Container layout (`.linr`, all integers little-endian):
     per frame:  lowest-scale block (point_count u32, then 3 x u16 per point,
                 each below 2^(bit_depth - num_scales))
                 per scale transition, coarse to fine, per stage 0..7:
-                the payload's length as minimal LEB128 (at most 4 bytes),
-                then the occupancy payload: the stage's bits of every
-                parent, or on a folded level of every linked parent; on a
-                folded level stage 7's stream goes on with one mask symbol
-                per isolated parent, in ``FoldedLevel.iso`` order, under
-                a table of the counts of the masks coded before it in the
-                frame (``_MASK_PRIOR``, :class:`rangecoder.CountModel`)
+                2 * the payload's length + its kind as minimal LEB128 (at
+                most 4 bytes), then the occupancy payload.  On a folded
+                level stage 7's payload starts with one mask symbol per
+                isolated parent, in ``FoldedLevel.iso`` order, under a
+                table of the counts of the masks coded before it in the
+                frame (``_MASK_PRIOR``, :class:`rangecoder.CountModel`).
+                Then come the stage's bits of every parent, or on a
+                folded level of every linked parent: kind 0 under the
+                network's quantized probabilities, kind 1 under the counts
+                of the sequence's bits so far in their context
+                (:class:`rangecoder.ContextCounts`, :class:`_CountContexts`);
+                a stage without bits is of kind 1
 
 One walker, :func:`_walk`, reads and validates this layout for both
 :func:`decode_sequence` and :func:`container_summary`.  Every decode times
@@ -74,20 +80,21 @@ from .params import (
     unpack_param_block,
     zero_delta_within,
 )
-from .rangecoder import (PROB_ONE, CountModel, RangeDecoder, RangeEncoder,
-                         quantize_probabilities)
+from .rangecoder import (PROB_ONE, ContextCounts, CountModel, RangeDecoder,
+                         RangeEncoder, quantize_probabilities)
 from .voxel import (
     CHILD_OFFSETS,
     MAX_BIT_DEPTH,
     ScalePyramid,
     SparseVoxelSet,
     build_pyramid,
+    neighbor_count,
     pack_coords,
     reconstruct_children,
 )
 
 MAGIC = b"LNRP"
-VERSION = 11
+VERSION = 12
 FILE_EXTENSION = ".linr"
 
 # The largest finite float32: no transmitted parameter may exceed it in magnitude.
@@ -97,6 +104,20 @@ _F32_MAX = float(np.finfo(np.float32).max)
 # mask - 1: 32 for the eight single-child masks, 1 for the rest.  Almost
 # every isolated parent of a sparse cloud has a single child.
 _MASK_PRIOR = np.where((np.arange(1, 256) & np.arange(255)) == 0, 32, 1)
+
+# The two ways to code an occupancy payload's bits, its kind, the low bit
+# of its length prefix: under the network's quantized probabilities, or
+# under adaptive integer counts (:class:`rangecoder.ContextCounts`).
+NETWORK, COUNTS = 0, 1
+PAYLOAD_KINDS = ("network", "counts")
+# A bit's count context within its scale (:class:`_CountContexts`): its
+# stage, the occupied earlier sibling slots and the occupied 26-neighbours
+# of its parent, capped at 12.
+_NEIGHBOUR_CAP = 12
+_SCALE_CONTEXTS = NUM_STAGES * NUM_STAGES * (_NEIGHBOUR_CAP + 1)
+# _EARLIER_SLOTS[j, m]: the occupied slots below slot j of child mask m.
+_SLOT_BITS = (np.arange(256)[None, :] >> np.arange(NUM_STAGES)[:, None]) & 1
+_EARLIER_SLOTS = np.cumsum(_SLOT_BITS, axis=0) - _SLOT_BITS
 
 _HEADER_FMT = "<4sBBBHIB"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
@@ -137,12 +158,18 @@ class TrainResult:
 
 @dataclass
 class StageRecord:
-    """Measured vs estimated size of one per-stage payload."""
+    """Measured vs estimated size of one per-stage payload: the ideal bits
+    of what it codes under the network's probabilities and under the
+    counts', and the kind it was coded in, whose ideal bits are the
+    estimate."""
 
     scale: int
     stage: int
     payload_bits: int
     estimated_bits: float
+    network_bits: float
+    count_bits: float
+    kind: str  # one of PAYLOAD_KINDS
 
 
 @dataclass
@@ -211,6 +238,14 @@ class EncodeReport:
                 out[rec.scale] = out.get(rec.scale, 0) + rec.payload_bits
         return dict(sorted(out.items()))
 
+    def count_payloads_by_scale(self) -> dict:
+        """Per scale, the payloads coded from counts."""
+        out = {i: 0 for i in range(self.num_scales)}
+        for f in self.frames:
+            for rec in f.stages:
+                out[rec.scale] += rec.kind == PAYLOAD_KINDS[COUNTS]
+        return out
+
     def to_dict(self) -> dict:
         return {
             "num_scales": self.num_scales,
@@ -219,6 +254,7 @@ class EncodeReport:
             "bpp": self.bpp,
             "allocation": self.allocation(),
             "occupancy_bits_by_scale": self.occupancy_by_scale(),
+            "count_payloads_by_scale": self.count_payloads_by_scale(),
             "gop_param_bits": list(self.gop_param_bits),
             "gop_param_kinds": list(self.gop_param_kinds),
             "gop_frame_counts": list(self.gop_frame_counts),
@@ -251,7 +287,8 @@ class DecodeStats:
     lowest_seconds: float = 0.0
     scale_seconds: dict = field(default_factory=dict)
     total_seconds: float = 0.0
-    # Per decoded point: (x, y, z, scale, coded bits of its occupancy event).
+    # Per decoded point: (x, y, z, scale, coded bits of its occupancy event)
+    # under the probability it was decoded with.
     point_costs: list = field(default_factory=list)
 
 
@@ -282,7 +319,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def leb128(self) -> int:
-        """A length prefix as :func:`_leb128` writes it: minimal, at most 4
+        """A number as :func:`_leb128` writes it: minimal, at most 4
         bytes."""
         n = 0
         for k in range(4):
@@ -366,25 +403,57 @@ def _coords_from_wire(raw: bytes, bit_depth: int, num_scales: int) -> SparseVoxe
     return SparseVoxelSet(coords, assume_sorted=True)
 
 
+class _CountContexts:
+    """The count contexts of the rows of one scale transition: a bit of
+    stage j whose parent has s occupied earlier sibling slots and n
+    occupied 26-neighbours is in context ``(8 j + s) * 13 + min(n, 12)``
+    of its scale, one of :data:`_SCALE_CONTEXTS`.  The neighbours are
+    counted on first use; ``siblings`` holds s for the next stage."""
+
+    __slots__ = ("_rows", "_neighbours", "siblings")
+
+    def __init__(self, rows):
+        self._rows = rows
+        self._neighbours = None
+        self.siblings = np.zeros(len(rows), dtype=np.int64)
+
+    def _base(self) -> np.ndarray:
+        if self._neighbours is None:
+            self._neighbours = np.minimum(neighbor_count(self._rows), _NEIGHBOUR_CAP)
+        return self._neighbours
+
+    def stage(self, j: int) -> np.ndarray:
+        """The contexts of stage j, given the bits of the stages before."""
+        return (NUM_STAGES * j + self.siblings) * (_NEIGHBOUR_CAP + 1) + self._base()
+
+    def every_stage(self, masks: np.ndarray) -> np.ndarray:
+        """(stages, rows): the contexts of every stage, given the rows'
+        child ``masks``."""
+        j = np.arange(NUM_STAGES)[:, None]
+        return (NUM_STAGES * j + _EARLIER_SLOTS[:, masks]) * (_NEIGHBOUR_CAP + 1) + self._base()
+
+
 def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
                  num_scales: int, stage_bits, pyramid=None):
     """The scale loop of one frame, shared by encoder and decoder.
 
-    From the lowest ``level`` up, each scale transition ``i`` computes the
-    scale context and global features, then the model's eight-stage
-    ``transition``, all without gradients.  Each stage ``j`` quantizes the
-    probabilities of the parents the network conditions on (every parent,
-    or the linked ones of a folded level) once and calls ``stage_bits(i,
-    j, coarse, probs, quantized, counts)``.  That returns the stage's 0/1
-    bits of those parents, one int64 each: the ground truth on encode, the
-    range-decoded bits on decode.  The bits condition the later stages and
-    form the child masks.
+    From the lowest ``level`` up, each scale transition ``i`` runs the
+    model's eight-stage ``transition`` without gradients.  Each stage ``j``
+    calls ``stage_bits(i, j, coarse, network, contexts, counts)`` for the
+    parents the network conditions on (every parent, or the linked ones of
+    a folded level).  ``network()`` computes the stage's float
+    probabilities on demand, running the scale context and global features
+    on the first call in the transition; ``contexts`` is the transition's
+    :class:`_CountContexts`.  ``stage_bits`` returns the stage's 0/1 bits
+    of those parents, one int64 each: the ground truth on encode, the
+    decoded bits on decode.  The bits condition the later stages and form
+    the child masks.
 
     On a folded level (:meth:`SparseVoxelSet.fold`) an isolated parent's
     mask is one symbol.  Stage 7 passes the frame's :class:`CountModel`
     over the 255 masks as ``counts`` (None otherwise); with it,
     ``stage_bits`` codes every isolated parent's mask in the same stream,
-    after the stage's bits, and returns those masks as a second value.
+    before the stage's bits, and returns those masks as a second value.
     The counts carry from coarse to fine and start afresh with each frame:
     on seed-101 to 103 ``random-sparse`` frames that gave 0.35% fewer bytes
     than counts that start afresh on each level, and 0.8-2.3% fewer on
@@ -400,19 +469,22 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
         rows = coarse.fold()
         counts = None if rows is coarse else frame_counts
         isolated = None
+        contexts = _CountContexts(rows)
 
-        def next_bits(j, p):
+        def next_bits(j, probability):
             nonlocal isolated
-            probs = p.data[:, 0]
-            bits_j, masks = stage_bits(i, j, coarse, probs, quantize_probabilities(probs),
-                                       counts if j == NUM_STAGES - 1 else None)
+            bits_j, masks = stage_bits(i, j, coarse, lambda: probability().data[:, 0],
+                                       contexts, counts if j == NUM_STAGES - 1 else None)
+            contexts.siblings += bits_j
             if masks is not None:
                 isolated = masks
             return bits_j
 
+        def features():
+            return model.global_features(model.scale_context(coarse, i), coarse)
+
         with ad.no_grad():
-            g = model.global_features(model.scale_context(coarse, i), coarse)
-            masks = model.transition(g, coarse, next_bits)
+            masks = model.transition(features, coarse, next_bits)
         if pyramid is not None:
             level = pyramid.levels[i]
         else:
@@ -426,7 +498,7 @@ def _leb128(n: int) -> bytes:
     """``n`` as minimal unsigned LEB128: seven bits a byte, low first, the
     top bit set on every byte but the last; at most 4 bytes."""
     if not 0 <= n < 1 << 28:
-        raise LinrError(f"payload of {n} bytes exceeds a 4-byte length prefix")
+        raise LinrError(f"{n} exceeds a 4-byte length prefix")
     out = bytearray()
     while n >= 0x80:
         out.append(0x80 | (n & 0x7F))
@@ -435,51 +507,110 @@ def _leb128(n: int) -> bytes:
     return bytes(out)
 
 
-def _stage_encoder(pyramid, parts: list, records: list):
-    """Stage callback of the encoder: range-codes the ground-truth bits,
-    and with ``counts`` the isolated parents' masks, appending each
-    length-prefixed payload to ``parts``.  A stage's estimate is the ideal
-    bits of what it codes under the probabilities and tables it codes it
-    with."""
+def _prefix(length: int, kind: int) -> bytes:
+    """The prefix of an occupancy payload of ``length`` bytes and ``kind``:
+    ``2 * length + kind`` as :func:`_leb128`."""
+    return _leb128(2 * length + kind)
 
-    def encode_stage(i, j, coarse, probs, quantized, counts):
+
+def _ideal_bits(p1, bits) -> float:
+    """Ideal bits of 0/1 ``bits`` under fixed-point probabilities ``p1`` of
+    a one."""
+    return float(-np.log2(np.where(bits == 1, p1, PROB_ONE - p1) / PROB_ONE).sum())
+
+
+def _stage_encoder(pyramid, parts: list, records: list, scale_counts: list):
+    """Stage callback of the encoder: codes the ground-truth bits, and with
+    ``counts`` first the isolated parents' masks, appending each
+    length-prefixed payload to ``parts``.  ``scale_counts`` holds the
+    sequence's :class:`ContextCounts` per scale.  Every bit is counted in,
+    whatever its payload's kind: at each transition's first stage, the
+    probabilities of all eight stages in one closed form, as their
+    contexts are disjoint.
+
+    A stage is coded in the kind that needs fewer ideal bits, its length
+    prefix included (a payload of b ideal bits taken as ceil(b / 8) + 1
+    bytes); a tie, as when there are no bits, goes to counts, which the
+    decoder decodes without the network.  Its estimate is the ideal bits of what it codes under the
+    probabilities and tables it codes it with."""
+    transition = {}
+
+    def encode_stage(i, j, coarse, network, contexts, counts):
         masks = pyramid.masks(i)
         rows = coarse.fold()
-        bits_j = ((masks >> j) & 1).astype(np.int64)
-        if rows is not coarse:
-            bits_j = bits_j[rows.keep]
+        if j == 0:
+            linked = masks if rows is coarse else masks[rows.keep]
+            bits = _SLOT_BITS[:, linked]
+            counted = scale_counts[i].probabilities(contexts.every_stage(linked).ravel(),
+                                                    bits.ravel())
+            transition.update(bits=bits, counted=counted.reshape(bits.shape))
+        bits_j, counted = transition["bits"][j], transition["counted"][j]
+        probs = network()
+        # Quantized whatever the kind, as ``perfbench``'s tracer counts the
+        # coder's events through this call and needs it at least once, and
+        # before the encoder, whose span the tracer times from RangeEncoder().
+        quantized = quantize_probabilities(probs)
         enc = RangeEncoder()
-        enc.encode_bits(quantized, bits_j)
-        estimated = float(ad.cross_entropy_bits(probs.astype(np.float64),
-                                                bits_j.astype(np.float64)))
+        mask_bits = 0.0
         if counts is not None:
             freqs = enc.encode_adaptive(counts, masks[rows.iso].astype(np.int64) - 1)
-            estimated += float(-np.log2(freqs / PROB_ONE).sum())
+            mask_bits = float(-np.log2(freqs / PROB_ONE).sum())
+        ideal = (mask_bits + float(ad.cross_entropy_bits(probs.astype(np.float64),
+                                                         bits_j.astype(np.float64))),
+                 mask_bits + _ideal_bits(counted, bits_j))
+
+        def cost(kind):
+            return ideal[kind] + 8 * len(_prefix(math.ceil(ideal[kind] / 8) + 1, kind))
+
+        kind = COUNTS if cost(COUNTS) <= cost(NETWORK) else NETWORK
+        enc.encode_bits(counted if kind == COUNTS else quantized, bits_j)
         payload = enc.finish()
-        parts.append(_leb128(len(payload)))
+        parts.append(_prefix(len(payload), kind))
         parts.append(payload)
         records.append(StageRecord(scale=i, stage=j, payload_bits=8 * len(payload),
-                                   estimated_bits=estimated))
+                                   estimated_bits=ideal[kind], network_bits=ideal[NETWORK],
+                                   count_bits=ideal[COUNTS], kind=PAYLOAD_KINDS[kind]))
         return bits_j, None
 
     return encode_stage
 
 
-def _stage_decoder(payloads: list, point_costs: Optional[list]):
-    """Stage callback of the decoder: range-decodes the next payload, and
-    appends each decoded child's coded bits to ``point_costs`` if given.
-    A child of an isolated parent is charged an equal share of its
-    parent's mask symbol under the table it was decoded with."""
-    payloads = iter(payloads)
+def _stage_decoder(stages, scale_counts: list, point_costs: Optional[list]):
+    """Stage callback of the decoder: decodes the next of ``stages``, each
+    ``(payload, kind, update)`` in container order, where ``update`` says
+    whether a network payload must count its bits into ``scale_counts``
+    (whether a later payload reads those counts).  A payload without bits
+    must be of kind counts, as the encoder codes it.  Appends each decoded
+    child's coded bits to ``point_costs`` if given: its bit's, under the
+    probability it was decoded with, or for a child of an isolated parent
+    an equal share of its parent's mask symbol under the table it was
+    decoded with."""
+    stages = iter(stages)
 
-    def decode_stage(i, j, coarse, probs, quantized, counts):
+    def decode_stage(i, j, coarse, network, contexts, counts):
+        payload, kind, update = next(stages)
         rows = coarse.fold()
-        dec = RangeDecoder(next(payloads))
-        bits_j = dec.decode_bits(quantized)
+        if not len(rows) and kind != COUNTS:
+            raise DecodeError(f"occupancy payload at scale {i} stage {j} has no "
+                              f"bits but is not of kind counts")
+        # Probabilities and contexts come before the decoder, so that the
+        # tracer's coder span, from RangeDecoder() to the end check, holds
+        # coding alone.
+        if kind == NETWORK:
+            quantized = quantize_probabilities(network())
+        if kind == COUNTS or update:
+            stage_contexts = contexts.stage(j)
+        if kind == COUNTS and point_costs is not None:
+            before = scale_counts[i].copy()
+        dec = RangeDecoder(payload)
         masks = None
         if counts is not None:
             symbols, freqs = dec.decode_adaptive(counts, len(rows.iso))
             masks = (symbols + 1).astype(np.uint8)
+        if kind == COUNTS:
+            bits_j = dec.decode_counted(scale_counts[i], stage_contexts)
+        else:
+            bits_j = dec.decode_bits(quantized)
         if dec.truncated:
             raise DecodeError(
                 f"occupancy payload truncated at scale {i} stage {j}"
@@ -489,7 +620,11 @@ def _stage_decoder(payloads: list, point_costs: Optional[list]):
                 f"occupancy payload at scale {i} stage {j} does not end "
                 f"where its events do"
             )
+        if kind == NETWORK and update:
+            scale_counts[i].update(stage_contexts, bits_j)
         if point_costs is not None:
+            if kind == COUNTS:
+                quantized = before.probabilities(stage_contexts, bits_j)
             parents = coarse.coords if rows is coarse else coarse.coords[rows.keep]
             hit = bits_j == 1
             if hit.any():
@@ -534,6 +669,7 @@ def encode_sequence(frames, config: GopConfig):
     coding_seconds = 0.0
     trained = None  # the sequence's one model and optimizer, once built
     prev_params = None
+    scale_counts = _sequence_counts(num_scales)
 
     groups = [
         frames[k : k + config.gop_size]
@@ -588,7 +724,7 @@ def encode_sequence(frames, config: GopConfig):
                       + base.coords.astype("<u2").tobytes())
             parts.append(lowest)
             stages: list = []
-            encode_stage = _stage_encoder(pyr, parts, stages)
+            encode_stage = _stage_encoder(pyr, parts, stages, scale_counts)
             for _ in _coding_pass(model, base, num_scales, encode_stage, pyr):
                 pass
             frame_records.append(
@@ -598,7 +734,8 @@ def encode_sequence(frames, config: GopConfig):
                     point_count=len(pyr.levels[0]),
                     lowest_bits=8 * len(lowest),
                     occupancy_bits=sum(
-                        s.payload_bits + 8 * len(_leb128(s.payload_bits // 8))
+                        s.payload_bits + 8 * len(_prefix(s.payload_bits // 8,
+                                                         PAYLOAD_KINDS.index(s.kind)))
                         for s in stages),
                     param_bits_amortized=8 * len(block) / len(gop_frames),
                     stages=stages,
@@ -624,6 +761,12 @@ def encode_sequence(frames, config: GopConfig):
     return data, report
 
 
+def _sequence_counts(num_scales: int) -> list:
+    """The count state of a sequence: one :class:`ContextCounts` per scale,
+    all at zero."""
+    return [ContextCounts(_SCALE_CONTEXTS) for _ in range(num_scales)]
+
+
 def _walk(data: bytes):
     """Split a container into its sections, validating the layout.
 
@@ -639,13 +782,14 @@ def _walk(data: bytes):
     value the blocks before it can give; that an absolute block with
     parameters has a payload and a block without has none;
     rejects an empty lowest-scale block, bounds every block and payload
-    length by the bytes present, rejects a length prefix that is not
+    length by the bytes present, rejects a payload prefix that is not
     minimal LEB128 of at most 4 bytes, and rejects trailing bytes; decodes no
     parameters and no geometry.  Returns ``(header, model, groups)``: the
     model is that freshly built network (None without scales), each group
     is ``(QuantHeader, LaplaceSideInfo, parameter payload, frames)``, each
-    frame ``(lowest-scale coordinate bytes, occupancy payloads)`` with the
-    payloads in container order.
+    frame ``(lowest-scale coordinate bytes, occupancy payloads, kinds)``
+    with the payloads and their kinds (:data:`NETWORK` or :data:`COUNTS`)
+    in container order.
     """
     reader = _Reader(data)
     header = _Header._make(struct.unpack(_HEADER_FMT, reader.take(HEADER_SIZE)))
@@ -712,9 +856,12 @@ def _walk(data: bytes):
             if num_points == 0:
                 raise DecodeError("empty lowest-scale block")
             coords = reader.take(6 * num_points)
-            payloads = [reader.take(reader.leb128())
-                        for _ in range(header.num_scales * NUM_STAGES)]
-            frames.append((coords, payloads))
+            payloads, kinds = [], []
+            for _ in range(header.num_scales * NUM_STAGES):
+                prefix = reader.leb128()
+                payloads.append(reader.take(prefix >> 1))
+                kinds.append(prefix & 1)
+            frames.append((coords, payloads, kinds))
         groups.append((quant, side, payload, frames))
         remaining -= len(frames)
     if reader.pos != len(data):
@@ -737,6 +884,17 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
     stats = DecodeStats()
     point_costs = stats.point_costs if collect_stats else None
 
+    scale_counts = _sequence_counts(num_scales)
+    # Per frame, per payload: whether a later frame's payload of the same
+    # scale and stage is coded from counts, so that this one's bits must be
+    # counted in.
+    read_later = []
+    later = [False] * (num_scales * NUM_STAGES)
+    for *_, kinds in reversed([block for *_, blocks in groups for block in blocks]):
+        read_later.append(later)
+        later = [read or kind == COUNTS for read, kind in zip(later, kinds)]
+    read_later.reverse()
+
     frames = []
     for quant, side, payload, blocks in groups:
         t0 = time.perf_counter()
@@ -745,12 +903,13 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
             reference = model.flatten() if quant.kind == DELTA else None
             reload_dequantized(model, quant, q, reference)
         stats.param_seconds += time.perf_counter() - t0
-        for coords, payloads in blocks:
+        for coords, payloads, kinds in blocks:
             t0 = time.perf_counter()
             level = _coords_from_wire(coords, header.bit_depth, num_scales)
             t1 = time.perf_counter()
             stats.lowest_seconds += t1 - t0
-            decode_stage = _stage_decoder(payloads, point_costs)
+            decode_stage = _stage_decoder(zip(payloads, kinds, read_later[len(frames)]),
+                                          scale_counts, point_costs)
             for i, level in _coding_pass(model, level, num_scales, decode_stage):
                 t0, t1 = t1, time.perf_counter()
                 stats.scale_seconds[i] = stats.scale_seconds.get(i, 0.0) + t1 - t0
@@ -766,27 +925,31 @@ def container_summary(data: bytes) -> dict:
 
     Rejects every container whose layout :func:`decode_sequence` rejects.
     Returns totals per section plus per-scale occupancy bytes (length
-    prefixes included in their sections) and each group's parameter block
-    bytes and kind.
+    prefixes included in their sections) and payloads coded from counts,
+    read from the prefixes, and each group's parameter block bytes and
+    kind.
     """
     header, _, groups = _walk(data)
     num_scales = header.num_scales
     blocks = [block for *_, frames in groups for block in frames]
     scale_bytes = {i: 0 for i in range(num_scales)}
+    count_payloads = {i: 0 for i in range(num_scales)}
     gop_param_bytes = [BLOCK_HEADER_SIZE + len(payload)
                        for _, _, payload, _ in groups]
-    for _, payloads in blocks:
-        for k, payload in enumerate(payloads):
-            scale_bytes[num_scales - 1 - k // NUM_STAGES] += (
-                len(_leb128(len(payload))) + len(payload))
+    for _, payloads, kinds in blocks:
+        for k, (payload, kind) in enumerate(zip(payloads, kinds)):
+            scale = num_scales - 1 - k // NUM_STAGES
+            scale_bytes[scale] += len(_prefix(len(payload), kind)) + len(payload)
+            count_payloads[scale] += kind == COUNTS
     return {
         "file_bytes": len(data),
         "header_bytes": HEADER_SIZE,
         "param_bytes": sum(gop_param_bytes),
         "gop_param_bytes": gop_param_bytes,
         "gop_param_kinds": [KIND_NAMES[quant.kind] for quant, *_ in groups],
-        "lowest_bytes": sum(4 + len(coords) for coords, _ in blocks),
+        "lowest_bytes": sum(4 + len(coords) for coords, *_ in blocks),
         "scale_bytes": scale_bytes,
+        "count_payloads": count_payloads,
         "num_scales": num_scales,
         "frame_count": header.frame_count,
         "gop_count": len(groups),

@@ -15,6 +15,10 @@ added into the bytes already emitted, walking back over their trailing
 the registers in locals; ``encode_bit`` / ``decode_bit`` code one event.
 A :class:`CountModel` is an adaptive table, rebuilt from integer counts
 of the symbols coded so far (``encode_adaptive`` / ``decode_adaptive``).
+:class:`ContextCounts` gives adaptive binary probabilities from integer
+counts per context: the encoder computes a run's probabilities in closed
+form and codes them with ``encode_bits``, the decoder updates the counts
+after every bit (``decode_counted``).
 
 Streams are not self-delimiting: the container records each payload's byte
 length, and the event count is known from the geometry.  The decoder keeps
@@ -254,22 +258,30 @@ class RangeDecoder:
         """Decode ``count`` symbols of ``table``, as
         :meth:`RangeEncoder.encode_symbols` coded them; fewer if the stream
         proves truncated."""
-        data, pos = self._data, self._pos
-        if pos > len(data):
-            return np.zeros(0, dtype=np.int64)
         # The symbol of each of the 2^16 targets, as a view of uint16s: a
         # few microseconds to build per table, where a list of them takes
         # about half a millisecond and a bisection of ``cum`` per symbol
         # made the loop about 40% slower.
         symbol_of = memoryview(np.repeat(np.arange(len(table.freq), dtype=np.uint16),
                                          table.freq))
-        cum = table.cum.tolist()
-        rng, code = self.range, self.code
         out = [0] * count
-        done = count
-        k = 0
+        done = self._decode_symbols(symbol_of, table.cum.tolist(), out, 0, count)
+        return np.array(out[:done], dtype=np.int64)
+
+    def _decode_symbols(self, symbol_of, cum, out, start: int, stop: int) -> int:
+        """The loop of :meth:`decode_symbols`, on Python ints: decodes into
+        ``out[start:stop]`` the symbols of the table with cumulative
+        frequencies ``cum`` and target-to-symbol view ``symbol_of``.
+        Returns the end of what it decoded, ``stop`` unless the stream
+        proves truncated."""
+        data, pos = self._data, self._pos
+        if pos > len(data):
+            return start
+        rng, code = self.range, self.code
+        done = stop
+        k = start
         try:
-            for k in range(count):
+            for k in range(start, stop):
                 # The largest target t with (rng * t) >> 16 <= code:
                 # ((code + 1) * 2^16 - 1) // rng, below 2^16 as code < rng.
                 s = symbol_of[(code << 16 | 0xFFFF) // rng]
@@ -285,23 +297,84 @@ class RangeDecoder:
             pos = len(data) + 1
             done = k
         self.range, self.code, self._pos = rng, code, pos
-        return np.array(out[:done], dtype=np.int64)
+        return done
 
     def decode_adaptive(self, model: "CountModel", count: int):
         """Decode ``count`` symbols as :meth:`RangeEncoder.encode_adaptive`
         coded them, fewer if the stream proves truncated; returns them and
-        each one's frequency in the table it was decoded under."""
-        symbols = [np.zeros(0, dtype=np.int64)]
-        freqs = symbols[:]
+        each one's frequency in the table it was decoded under.
+
+        The symbols go into one byte buffer, so each run of
+        :data:`RESCALE` is counted in through a view of it, and each
+        table is rebuilt without :class:`FrequencyTable`'s checks."""
+        out = bytearray(count)
+        symbols = np.frombuffer(out, dtype=np.uint8)
+        ids = np.arange(len(model.weights), dtype=np.uint8)
+        freqs = []
+        done = 0
         for start in range(0, count, RESCALE):
-            table = model.table()
-            run = self.decode_symbols(table, min(RESCALE, count - start))
-            model.update(run)
-            symbols.append(run)
-            freqs.append(table.freq[run])
-            if len(run) < RESCALE:  # the last run, or a truncated stream
+            freq = model.frequencies()
+            freqs.append(freq)
+            stop = min(start + RESCALE, count)
+            cum = [0]
+            cum += freq.cumsum().tolist()
+            done = self._decode_symbols(memoryview(np.repeat(ids, freq)), cum, out,
+                                        start, stop)
+            model.update(symbols[start:done])
+            if done < stop:  # a truncated stream
                 break
-        return np.concatenate(symbols), np.concatenate(freqs)
+        symbols = symbols[:done].astype(np.int64)
+        runs = [freq[symbols[start:start + RESCALE]]
+                for start, freq in zip(range(0, done, RESCALE), freqs)]
+        return symbols, np.concatenate([symbols[:0], *runs])
+
+    def decode_counted(self, counts: "ContextCounts", contexts) -> np.ndarray:
+        """Decode one bit per context ``contexts[k]``, each under the
+        probability of a one that ``counts`` gives that context after the
+        bits before it, as :meth:`ContextCounts.probabilities` computes them
+        for :meth:`RangeEncoder.encode_bits`; fewer if the stream proves
+        truncated.  Counts every decoded bit into ``counts``.
+
+        The loop holds ``2 * ones + 1`` and ``2 * total + 2`` per context,
+        the numerator and denominator of the probability."""
+        data, pos = self._data, self._pos
+        contexts = np.asarray(contexts, dtype=np.int64)
+        if pos > len(data) or not len(contexts):
+            return np.zeros(0, dtype=np.int64)
+        # The loop works on the span of contexts it reads.
+        lo, hi = int(contexts.min()), int(contexts.max()) + 1
+        num = (2 * counts.ones[lo:hi] + 1).tolist()
+        den = (2 * counts.total[lo:hi] + 2).tolist()
+        contexts = (contexts - lo).tolist()
+        rng, code = self.range, self.code
+        out = bytearray(len(contexts))
+        done = len(contexts)
+        k = 0
+        try:
+            for k, c in enumerate(contexts):
+                a = num[c]
+                t = den[c]
+                split = (rng * (0x10000 - ((a << 16) // t or 1))) >> 16
+                den[c] = t + 2
+                if code < split:
+                    rng = split
+                else:
+                    code -= split
+                    rng -= split
+                    out[k] = 1
+                    num[c] = a + 2
+                while rng < 0x1000000:
+                    code = (code << 8) | data[pos]
+                    pos += 1
+                    rng <<= 8
+        except IndexError:  # data[pos] past the padding: truncated
+            pos = len(data) + 1
+            done = k
+        self.range, self.code, self._pos = rng, code, pos
+        counts.ones[lo:hi] = (np.array(num) - 1) >> 1
+        counts.total[lo:hi] = (np.array(den) - 2) >> 1
+        del out[done:]
+        return np.frombuffer(out, dtype=np.uint8).astype(np.int64)
 
 
 class FrequencyTable:
@@ -324,7 +397,8 @@ class FrequencyTable:
 
 
 class CountModel:
-    """An adaptive table over symbols 0..n-1 (Krichevsky & Trofimov, 1981):
+    """An adaptive table over symbols 0..n-1, n <= 256 (Krichevsky &
+    Trofimov, 1981):
     symbol s weighs ``weights[s] = 2 * count(s) + prior[s]``, where
     count(s) counts the symbols s coded so far and ``prior`` is a positive
     integer per symbol.  :meth:`table` renormalizes the weights to 2^16
@@ -337,17 +411,77 @@ class CountModel:
 
     def __init__(self, prior):
         self.weights = np.array(prior, dtype=np.int64)
+        if not 1 <= len(self.weights) <= 256:
+            raise ValueError("a count model has 1 to 256 symbols")
 
     def table(self) -> FrequencyTable:
+        return FrequencyTable(self.frequencies())
+
+    def frequencies(self) -> np.ndarray:
+        """The frequencies of :meth:`table`, without its checks."""
         w = self.weights
         freq = w * (PROB_ONE - len(w))
         freq //= int(w.sum())
         freq += 1
         freq[int(w.argmax())] += PROB_ONE - int(freq.sum())
-        return FrequencyTable(freq)
+        return freq
 
     def update(self, symbols) -> None:
         self.weights += 2 * np.bincount(symbols, minlength=len(self.weights))
+
+
+class ContextCounts:
+    """Adaptive binary probabilities from integer counts (the sequential
+    estimate of Krichevsky & Trofimov, 1981): per context c, ``total[c]``
+    bits were counted in and ``ones[c]`` of them were ones.  The
+    fixed-point probability of a one is ``clamp(((2 * ones + 1) << 16) //
+    (2 * total + 2), 1, 65535)``, in integer arithmetic alone, so every CPU
+    computes the same.  The upper clamp never binds: the quotient is below
+    2^16 as ones <= total."""
+
+    __slots__ = ("ones", "total")
+
+    def __init__(self, size: int):
+        if not 1 <= size <= 1 << 16:
+            raise ValueError("context counts take 1 to 2^16 contexts")
+        self.ones = np.zeros(size, dtype=np.int64)
+        self.total = np.zeros(size, dtype=np.int64)
+
+    def probabilities(self, contexts, bits) -> np.ndarray:
+        """The probability of a one of each event ``bits[k]`` in context
+        ``contexts[k]``, under the counts after the events before it, in
+        closed form: a stable sort by context, then each event's counts are
+        its context's counts plus the events before it in its context's
+        run.  Counts every event in; :meth:`RangeDecoder.decode_counted`
+        decodes them one by one."""
+        contexts = np.asarray(contexts)
+        order = np.argsort(contexts.astype(np.uint16), kind="stable")  # a radix sort
+        c = contexts[order]
+        b = np.asarray(bits, dtype=np.int64)[order]
+        sizes = np.bincount(c, minlength=len(self.total))
+        starts = np.cumsum(sizes) - sizes  # per context, its run's first event
+        first = starts[c]
+        ones_before = np.zeros(len(b) + 1, dtype=np.int64)
+        np.cumsum(b, out=ones_before[1:])
+        ones = self.ones[c] + ones_before[:-1] - ones_before[first]
+        total = self.total[c] + np.arange(len(c)) - first
+        p1 = np.empty(len(c), dtype=np.int64)
+        p1[order] = np.maximum(((2 * ones + 1) << PROB_BITS) // (2 * total + 2), 1)
+        self.ones += ones_before[starts + sizes] - ones_before[starts]
+        self.total += sizes
+        return p1
+
+    def copy(self) -> "ContextCounts":
+        out = ContextCounts(len(self.total))
+        out.ones[:] = self.ones
+        out.total[:] = self.total
+        return out
+
+    def update(self, contexts, bits) -> None:
+        """Count in the event ``bits[k]`` in context ``contexts[k]``."""
+        size = len(self.total)
+        self.total += np.bincount(contexts, minlength=size)
+        self.ones += np.bincount(contexts, weights=bits, minlength=size).astype(np.int64)
 
 
 class LaplaceTable(FrequencyTable):

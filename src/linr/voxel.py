@@ -78,6 +78,10 @@ _PARENT_OFFSET = ((_AXIS_STEP >> 1) + 1) @ np.array([9, 3, 1])
 _NEIGHBOUR_SLOT = (_AXIS_STEP & 1) @ np.array([4, 2, 1])
 _CENTRE = KERNEL_OFFSETS_3.index((0, 0, 0))
 _SIDE_OFFSETS = np.delete(np.arange(len(KERNEL_OFFSETS_3)), _CENTRE)
+# A set without a parent level searches its 3x3x3 map up to this many
+# points, rather than downsampling itself to one point for a chain of
+# derivations.
+SEARCH_MAX_POINTS = 4096
 
 
 def pack_coords(coords: np.ndarray) -> np.ndarray:
@@ -408,17 +412,36 @@ def _map3(level: SparseVoxelSet) -> KernelMap:
     return pairs
 
 
+def _searched_pairs(level: SparseVoxelSet) -> list:
+    """The first 13 offsets of ``level``'s 3x3x3 map by a binary search of
+    each point's neighbour keys, all offsets at once."""
+    offsets = np.array(KERNEL_OFFSETS_3[:_CENTRE])
+    coords = level.coords[None, :, :] + offsets[:, None, :]  # (13, n, 3)
+    inside = (coords >= 0).all(axis=2)
+    wanted = pack_coords(np.where(inside[:, :, None], coords, 0).reshape(-1, 3))
+    keys = level.keys
+    found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    hit = (inside.ravel() & (keys[found] == wanted)).reshape(inside.shape)
+    found = found.reshape(inside.shape).astype(np.int32)
+    return [(np.flatnonzero(row).astype(np.int32), rows[row])
+            for row, rows in zip(hit, found)]
+
+
 def _derived_pairs(level: SparseVoxelSet) -> list:
     """The first 13 offsets of ``level``'s 3x3x3 map, derived from its
     parent level's map: the neighbour of a child is a child of its parent
     or of a neighbour of its parent, fixed per slot and offset by
     :data:`_PARENT_OFFSET` and :data:`_NEIGHBOUR_SLOT`.  A level without a
-    link downsamples itself for one.
+    link searches its map (:func:`_searched_pairs`) when it has at most
+    :data:`SEARCH_MAX_POINTS` points, and downsamples itself for a link
+    otherwise.
     """
     n = len(level)
     if n <= 1:
         return [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32))] * _CENTRE
     if level._link is None:
+        if n <= SEARCH_MAX_POINTS:
+            return _searched_pairs(level)
         downsample(level)
     parent, rows, slots = level._link
     n_parent = len(parent)
@@ -477,6 +500,17 @@ def neighbor_occupancy(pc) -> np.ndarray:
     for ch, off in enumerate(NEIGHBOR_OFFSETS[:-1]):
         out[pairs[KERNEL_OFFSETS_3.index(off)][0]] |= 1 << ch
     return out
+
+
+def neighbor_count(pc) -> np.ndarray:
+    """The number of occupied points among the 26 neighbours of each row of
+    a SparseVoxelSet or FoldedLevel, from its cached 3x3x3 kernel map: a
+    pair of the first 13 offsets links both of its points."""
+    pairs = pc.kernel_pairs(3)
+    rows = [np.zeros(0, dtype=np.int32)]
+    for out_rows, in_rows in pairs[:_CENTRE]:
+        rows += (out_rows, in_rows)
+    return np.bincount(np.concatenate(rows), minlength=len(pc))
 
 
 def neighbor_channels(patterns, dtype=np.float32) -> np.ndarray:

@@ -389,6 +389,19 @@ class TestCli:
         assert len(section_shares) == 3  # params, lowest, one scale
         assert sum(section_shares) == pytest.approx(100.0, abs=1e-6)
 
+    def test_stats_counts_payloads_per_scale(self, tmp_path, sequence, capsys):
+        out = tmp_path / "s.linr"
+        main(self.encode_args(sequence, out))
+        capsys.readouterr()
+        assert main(["stats", "--input", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = container_summary(out.read_bytes())
+        rows = {int(l.split()[1]): l.split()[-1] for l in lines
+                if l.startswith("scale ")}
+        # Each scale row ends with its count-coded payloads of 8 per frame.
+        assert rows == {scale: f"{n}/{8 * summary['frame_count']}"
+                        for scale, n in summary["count_payloads"].items()}
+
     def test_stats_lists_each_group_block(self, tmp_path, sequence, capsys):
         out = tmp_path / "s.linr"
         args = self.encode_args(sequence, out)

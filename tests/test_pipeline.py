@@ -4,6 +4,7 @@ The cardinal oracle is the roundtrip itself: decode(encode(x)) must equal x
 coordinate-exactly.  Structural cases parse the container with an
 independent walker built from the documented layout.
 """
+import copy
 import os
 import re
 import struct
@@ -37,7 +38,8 @@ from linr.pipeline import (
     train_gop,
     verify,
 )
-from linr.rangecoder import PROB_ONE, RangeEncoder, quantize_probabilities
+from linr.rangecoder import (PROB_ONE, ContextCounts, RangeDecoder, RangeEncoder,
+                             quantize_probabilities)
 from linr.voxel import SparseVoxelSet, build_pyramid, reconstruct_children
 
 
@@ -82,6 +84,43 @@ def mask_bits(pyr):
     return bits, first_tables
 
 
+def kt_reference(counts, contexts, bits):
+    """Sequential Krichevsky-Trofimov probabilities of a one, one event at
+    a time, in Python integers: each context's counts in ``counts`` (a dict
+    of [ones, total], missing means zero) as they stand before the event,
+    then the event counted in."""
+    out = []
+    for c, b in zip(contexts, bits):
+        ones, total = counts.setdefault(c, [0, 0])
+        out.append(min(max(((2 * ones + 1) << 16) // (2 * total + 2), 1), PROB_ONE - 1))
+        counts[c] = [ones + int(b), total + 1]
+    return out
+
+
+def stage_bits_and_contexts(pyr, i):
+    """Per stage j of transition i: j, the bits of the parents the network
+    runs on (every parent, or the linked ones of a folded level), and each
+    one's count context within the scale, from a set lookup: (8 j + its
+    occupied earlier sibling slots) times 13 plus its occupied
+    26-neighbours, capped at 12."""
+    coarse = pyr.levels[i + 1]
+    rows = coarse.fold()
+    masks = pyr.masks(i)
+    if rows is not coarse:
+        masks = masks[rows.keep]
+    occupied = set(map(tuple, coarse.coords.tolist()))
+    coords = coarse.coords if rows is coarse else coarse.coords[rows.keep]
+    neighbours = [
+        min(sum((x + dx, y + dy, z + dz) in occupied
+                for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+                if dx or dy or dz), 12)
+        for x, y, z in coords.tolist()]
+    for j in range(NUM_STAGES):
+        bits = ((masks >> j) & 1).tolist()
+        siblings = [bin(m & ((1 << j) - 1)).count("1") for m in masks.tolist()]
+        yield j, bits, [13 * (8 * j + s) + n for s, n in zip(siblings, neighbours)]
+
+
 def cube_frame(size, offset=0):
     pts = [
         (x + offset, y + offset, z + offset)
@@ -110,7 +149,8 @@ def leb128_size(n):
 
 
 def walk_container(data):
-    """Independent container walk from the documented byte layout.
+    """Independent container walk from the documented byte layout: a stage
+    payload's prefix is 2 * length + kind.
 
     Returns (header fields, per-gop param block spans, per-frame byte
     spans, and per stage payload its (prefix start, payload start, payload
@@ -134,9 +174,9 @@ def walk_container(data):
             (count,) = struct.unpack_from("<I", data, pos)
             pos += 4 + 6 * count
             for _ in range(num_scales * 8):
-                plen, start = read_leb128(data, pos)
-                stage_spans.append((pos, start, start + plen))
-                pos = start + plen
+                prefix, start = read_leb128(data, pos)
+                stage_spans.append((pos, start, start + (prefix >> 1)))
+                pos = start + (prefix >> 1)
             frame_spans.append((start, pos))
         remaining -= in_gop
     assert pos == len(data), "walker must account for every byte"
@@ -397,7 +437,8 @@ class TestContainerStructure:
         prefix_bytes = {i: 0 for i in range(report.num_scales)}
         for f in report.frames:
             for rec in f.stages:
-                prefix_bytes[rec.scale] += leb128_size(rec.payload_bits // 8)
+                prefix_bytes[rec.scale] += leb128_size(
+                    2 * (rec.payload_bits // 8) + (rec.kind == "counts"))
         assert summary["scale_bytes"] == {
             i: bits / 8 + prefix_bytes[i]
             for i, bits in report.occupancy_by_scale().items()}
@@ -414,7 +455,8 @@ class TestContainerStructure:
         out = report.to_dict()
         assert list(out) == [
             "num_scales", "total_bits", "total_points", "bpp", "allocation",
-            "occupancy_bits_by_scale", "gop_param_bits", "gop_param_kinds",
+            "occupancy_bits_by_scale", "count_payloads_by_scale",
+            "gop_param_bits", "gop_param_kinds",
             "gop_frame_counts", "epochs_used", "gop_losses",
             "training_seconds", "coding_seconds", "encode_seconds", "frames",
         ]
@@ -424,10 +466,12 @@ class TestContainerStructure:
         ]
         assert list(out["frames"][0]["stages"][0]) == [
             "scale", "stage", "payload_bits", "estimated_bits",
+            "network_bits", "count_bits", "kind",
         ]
         assert list(container_summary(data)) == [
             "file_bytes", "header_bytes", "param_bytes", "gop_param_bytes",
-            "gop_param_kinds", "lowest_bytes", "scale_bytes", "num_scales",
+            "gop_param_kinds", "lowest_bytes", "scale_bytes", "count_payloads",
+            "num_scales",
             "frame_count", "gop_count", "gop_size", "bit_depth",
             "param_bits_width",
         ]
@@ -532,8 +576,10 @@ class TestLosslessness:
         assert res.ok, res.message
 
     def test_zero_model_payload_near_one_bit_per_slot(self):
-        # Under p = 1/2 a linked parent's eight bits cost 8 bits; an
-        # isolated parent's mask costs its ideal bits under the count table.
+        # Under p = 1/2 a linked parent's eight bits cost 8 bits under the
+        # network; counts cost their sequential ideal bits.  An isolated
+        # parent's mask costs its ideal bits under the count table in
+        # either kind.
         rng = np.random.default_rng(10)
         frame = random_frame(rng, n=300)
         pyr = build_pyramid(frame, stop_at=64)
@@ -541,31 +587,47 @@ class TestLosslessness:
         model.load_flat(np.zeros(model.num_parameters()))
         base = pyr.levels[-1]
         parts, stages = [], []
-        encode_stage = _stage_encoder(pyr, parts, stages)
+        encode_stage = _stage_encoder(pyr, parts, stages,
+                                      pipeline._sequence_counts(pyr.num_scales))
         for _ in _coding_pass(model, base, pyr.num_scales, encode_stage, pyr):
             pass
         iso_bits, _ = mask_bits(pyr)
         assert len(iso_bits) >= 2
-        ideal = 0.0
+        counts = {}
         costs = 0.0  # each coded child's share, as the decoder charges it
-        for i in range(pyr.num_scales):
-            rows = pyr.levels[i + 1].fold()
-            linked = len(rows)
-            ideal += 8 * linked + iso_bits.get(i, 0.0)
-            masks = pyr.masks(i) if rows is pyr.levels[i + 1] else pyr.masks(i)[rows.keep]
-            costs += np.unpackbits(masks).sum() + iso_bits.get(i, 0.0)
-            # The estimate is the ideal bits of what each stage codes.
-            got = [s.estimated_bits for s in stages if s.scale == i]
-            assert got[:7] == [float(linked)] * 7
-            assert got[7] == pytest.approx(linked + iso_bits.get(i, 0.0), rel=1e-12)
+        records = iter(stages)
+        for i in range(pyr.num_scales - 1, -1, -1):
+            for j, bits, contexts in stage_bits_and_contexts(pyr, i):
+                rec = next(records)
+                iso = iso_bits.get(i, 0.0) if j == NUM_STAGES - 1 else 0.0
+                p1 = kt_reference(counts, [(i, j, c) for c in contexts], bits)
+                counted = sum(-np.log2((p if b else PROB_ONE - p) / PROB_ONE)
+                              for p, b in zip(p1, bits))
+                assert (rec.scale, rec.stage) == (i, j)
+                assert rec.network_bits == pytest.approx(len(bits) + iso, rel=1e-12)
+                assert rec.count_bits == pytest.approx(counted + iso, rel=1e-12)
+                # The estimate is the ideal bits of the kind it was coded in,
+                # the cheaper one up to its length prefix.
+                ideal = {"network": rec.network_bits, "counts": rec.count_bits}
+                assert rec.estimated_bits == ideal[rec.kind]
+                assert rec.estimated_bits <= min(ideal.values()) + 8
+                hits = [p for p, b in zip(p1, bits) if b]
+                costs += (len(hits) if rec.kind == "network"
+                          else sum(-np.log2(p / PROB_ONE) for p in hits)) + iso
+        assert {rec.kind for rec in stages} == {"network", "counts"}
+        ideal = sum(rec.estimated_bits for rec in stages)
         assert ideal < 8 * sum(len(pyr.levels[i + 1]) for i in range(pyr.num_scales))
         measured = sum(s.payload_bits for s in stages)
         streams = len(stages)
         assert measured >= ideal - 1
         assert measured <= 1.02 * ideal + 16 * streams
-        # parts alternates length prefixes and payloads.
+        # parts alternates prefixes and payloads.
+        kinds = [read_leb128(prefix, 0)[0] & 1 for prefix in parts[::2]]
+        assert kinds == [rec.kind == "counts" for rec in stages]
         point_costs = []
-        decode_stage = _stage_decoder(parts[1::2], point_costs)
+        decode_stage = _stage_decoder(zip(parts[1::2], kinds, [True] * len(kinds)),
+                                      pipeline._sequence_counts(pyr.num_scales),
+                                      point_costs)
         for _, level in _coding_pass(model, base, pyr.num_scales, decode_stage):
             pass
         assert level == frame
@@ -589,7 +651,7 @@ class TestLosslessness:
         monkeypatch.setattr(model, "stage_probability", recording)
         coded = {}
 
-        def record(i, j, coarse, probs, quantized, counts):
+        def record(i, j, coarse, network, contexts, counts):
             rows = coarse.fold()
             bits_j = ((pyr.masks(i) >> j) & 1).astype(np.int64)
             table = None
@@ -598,7 +660,9 @@ class TestLosslessness:
                 table = counts.table().freq.tolist()
                 RangeEncoder().encode_adaptive(
                     counts, pyr.masks(i)[rows.iso].astype(np.int64) - 1)
-            coded[i, j] = probs.tobytes(), quantized, table
+            probs = network()
+            coded[i, j] = (probs.tobytes(), quantize_probabilities(probs), table,
+                           contexts.stage(j))
             return (bits_j, None) if rows is coarse else (bits_j[rows.keep], None)
 
         for _ in _coding_pass(model, pyr.levels[-1], pyr.num_scales, record, pyr):
@@ -614,14 +678,15 @@ class TestLosslessness:
                                               coarse, masks)
             training_rows = rows_seen[-NUM_STAGES:]
             rows = coarse.fold()
-            for j in range(NUM_STAGES):
+            for j, _, want_contexts in stage_bits_and_contexts(pyr, i):
                 want = training_rows[j]
                 assert want.shape == (len(rows), 1)
                 assert coding_rows.pop(0).tobytes() == want.tobytes()
-                probs_j, quantized, table = coded[i, j]
+                probs_j, quantized, table, contexts = coded[i, j]
                 assert probs_j == want[:, 0].tobytes()
                 assert np.array_equal(quantized, quantize_probabilities(want[:, 0]))
                 assert probs[j].data.tobytes() == want.tobytes()
+                assert contexts.tolist() == want_contexts
                 if rows is coarse or j < NUM_STAGES - 1:
                     assert table is None
                 else:
@@ -691,8 +756,10 @@ class TestDecodeRobustness:
         # 8: isolated parents' masks coded as eight binary events, u32
         # length prefixes and a payload on every delta block; 9: the
         # context MLP and global.conv_in evaluated per point; 10: the
-        # isolated parents' masks coded under the stand-in rows' table.
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12):
+        # isolated parents' masks coded under the stand-in rows' table;
+        # 11: every payload coded under the network, the isolated parents'
+        # masks after the stage's bits, and a length prefix without kind.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13):
             corrupt = bytearray(data)
             corrupt[4] = version  # the version byte follows the 4-byte magic
             with pytest.raises(DecodeError):
@@ -864,10 +931,11 @@ class TestDecodeRobustness:
 
 
 def with_payload(data, span, payload, prefix=None):
-    """``data`` with one stage payload and its length prefix replaced."""
+    """``data`` with one stage payload and its length prefix replaced; the
+    prefix keeps the payload's kind unless given."""
     if prefix is None:
         prefix = bytearray()
-        n = len(payload)
+        n = 2 * len(payload) + (read_leb128(data, span[0])[0] & 1)
         while n >= 0x80:
             prefix.append(0x80 | (n & 0x7F))
             n >>= 7
@@ -958,6 +1026,220 @@ class TestIsolatedMaskSymbols:
                 decode_sequence(with_payload(data, span, payload[:keep]))
 
 
+def kinds_of(data):
+    """Each stage payload's kind, from its prefix's low bit, in container
+    order."""
+    return [read_leb128(data, start)[0] & 1 for start, _, _ in walk_container(data)[3]]
+
+
+class TestPayloadKinds:
+    """Each payload is coded under the network or from counts, as its
+    prefix's low bit says; counts carry across frames and groups."""
+
+    # Shells of radius 12 in two groups of two: both kinds in every frame.
+    FRAMES = [generate_fixture("sphere-shell", 12, offset=k) for k in range(4)]
+    CONFIG = GopConfig(gop_size=2, epochs_first=1, epochs_rest=1)
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        return encode_sequence(self.FRAMES, self.CONFIG)
+
+    def reference(self, num_scales):
+        """Per payload, in container order: its bits, contexts and
+        sequential reference probabilities, from every bit of every payload
+        before it counted in."""
+        counts, out = {}, []
+        for frame in self.FRAMES:
+            pyr = build_pyramid(frame, num_scales=num_scales)
+            for i in range(num_scales - 1, -1, -1):
+                for j, bits, contexts in stage_bits_and_contexts(pyr, i):
+                    p1 = kt_reference(counts, [(i, c) for c in contexts], bits)
+                    out.append((bits, contexts, p1))
+        return out
+
+    def test_report_and_container_agree(self, mixed):
+        data, report = mixed
+        records = [rec for f in report.frames for rec in f.stages]
+        assert kinds_of(data) == [rec.kind == "counts" for rec in records]
+        summary = container_summary(data)
+        assert summary["count_payloads"] == report.count_payloads_by_scale()
+        assert (report.to_dict()["count_payloads_by_scale"]
+                == report.count_payloads_by_scale())
+        # Both kinds in every frame of both groups.
+        for f in report.frames:
+            assert {rec.kind for rec in f.stages} == {"network", "counts"}
+        for rec in records:
+            ideal = {"network": rec.network_bits, "counts": rec.count_bits}
+            assert rec.estimated_bits == ideal[rec.kind]
+        assert verify(data, self.FRAMES).ok
+
+    def test_probabilities_equal_sequential_reference(self, mixed, monkeypatch):
+        data, report = mixed
+        reference = self.reference(report.num_scales)
+        # The encoder's closed form, for every payload of either kind.
+        closed_form = []
+        probabilities = ContextCounts.probabilities
+
+        def recording(counts, contexts, bits):
+            p1 = probabilities(counts, contexts, bits)
+            closed_form.append((contexts.tolist(), p1.tolist()))
+            return p1
+
+        monkeypatch.setattr(ContextCounts, "probabilities", recording)
+        assert encode_sequence(self.FRAMES, self.CONFIG)[0] == data
+        monkeypatch.undo()
+        # One call per transition, on its eight stages in order.
+        per_transition = [reference[k:k + NUM_STAGES]
+                          for k in range(0, len(reference), NUM_STAGES)]
+        assert closed_form == [
+            ([c for _, contexts, _ in stages for c in contexts],
+             [p for _, _, p1 in stages for p in p1])
+            for stages in per_transition]
+        records = [rec for f in report.frames for rec in f.stages]
+        for rec, (bits, _, p1) in zip(records, reference):
+            if rec.kind == "counts" and rec.stage < NUM_STAGES - 1:
+                assert rec.estimated_bits == pytest.approx(sum(
+                    -np.log2((p if b else PROB_ONE - p) / PROB_ONE)
+                    for p, b in zip(p1, bits)), rel=1e-12)
+        # The decoder's loop, one event per call: its registers follow a
+        # per-event decode under the reference probability.
+        expected = iter([ref for ref, kind in zip(reference, kinds_of(data)) if kind])
+        decode_counted = RangeDecoder.decode_counted
+        events = 0
+
+        def stepwise(dec, counts, contexts):
+            nonlocal events
+            bits, want_contexts, p1 = next(expected)
+            assert contexts.tolist() == want_contexts
+            ref = copy.copy(dec)
+            for c, b, p in zip(want_contexts, bits, p1):
+                assert decode_counted(dec, counts, [c]).tolist() == [b]
+                assert ref.decode_bit(p) == b
+                assert (dec.range, dec.code, dec._pos) == (ref.range, ref.code, ref._pos)
+                events += 1
+            return np.array(bits, dtype=np.int64)
+
+        monkeypatch.setattr(RangeDecoder, "decode_counted", stepwise)
+        decoded, _ = decode_sequence(data)
+        assert decoded == self.FRAMES
+        assert next(expected, None) is None and events > 1000
+
+    def test_flipped_kind_rejected(self, mixed):
+        data, _ = mixed
+        spans = walk_container(data)[3]
+        for start, payload_start, end in spans:
+            corrupt = bytearray(data)
+            corrupt[start] ^= 1  # the low bit of the prefix's first byte
+            with pytest.raises(LinrError):
+                decode_sequence(bytes(corrupt))
+
+    def test_payload_without_bits_must_be_counts(self):
+        # Two hundred isolated parents: the finest transition's stages code
+        # no bit, so the encoder writes them as counts, and the network
+        # kind is refused there.
+        frame = folded_frame(np.random.default_rng(64), grid(200))
+        data, report = encode_sequence([frame], GopConfig(gop_size=1, epochs_first=1))
+        finest = [rec for rec in report.frames[0].stages if rec.scale == 0]
+        assert [rec.kind for rec in finest] == ["counts"] * NUM_STAGES
+        assert [rec.count_bits for rec in finest[:-1]] == [0.0] * (NUM_STAGES - 1)
+        start = walk_container(data)[3][-2][0]  # stage 6 of the finest
+        corrupt = bytearray(data)
+        corrupt[start] ^= 1
+        with pytest.raises(DecodeError, match="has no bits but is not of kind counts"):
+            decode_sequence(bytes(corrupt))
+
+    def test_network_still_learns_on_c03_input(self):
+        # c03's input and settings: the network's own ideal bits, whatever
+        # kind each payload takes, stay below 0.95 of 8 bits per parent.
+        frame = generate_fixture("random", 500, seed=3)
+        pyr = build_pyramid(frame, stop_at=64)
+        baseline = 8 * sum(len(pyr.levels[i + 1]) for i in range(pyr.num_scales))
+        _, report = encode_sequence([frame], GopConfig(gop_size=1, epochs_first=6,
+                                                       bits=8, seed=3))
+        network = sum(rec.network_bits for rec in report.frames[0].stages)
+        assert network < 0.95 * baseline, (network, baseline)
+
+
+_DECODE_SCRIPT = """
+import sys
+import numpy as np
+from linr import decode_sequence
+frames, _ = decode_sequence(open(sys.argv[1], "rb").read())
+want = np.load(sys.argv[2])
+assert len(frames) == want.shape[0]
+assert all(np.array_equal(f.coords, w) for f, w in zip(frames, want))
+print("lossless")
+"""
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is OpenBLAS built with DYNAMIC_ARCH, which
+    ``OPENBLAS_CORETYPE`` switches between CPU kernels."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+class TestCountPayloadsOnEveryCpu:
+    """A container whose payloads are all coded from counts runs no network
+    on decode, so it decodes alike under every BLAS kernel; the benchmark
+    still traces its encode and decode."""
+
+    @pytest.fixture(scope="class")
+    def sparse(self):
+        frames = [generate_fixture("random", 8000, seed=7, offset=k) for k in range(2)]
+        data, report = encode_sequence(frames, GopConfig(gop_size=2, epochs_first=1))
+        return frames, data, report
+
+    def test_all_payloads_counts_and_no_network_runs(self, sparse, monkeypatch):
+        frames, data, report = sparse
+        assert set(kinds_of(data)) == {1}
+        assert sum(report.count_payloads_by_scale().values()) == 2 * 8 * report.num_scales
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the network ran")
+
+        for name in ("scale_context", "global_features", "stage_probability"):
+            monkeypatch.setattr(OccupancyModel, name, refused)
+        decoded, _ = decode_sequence(data)
+        assert decoded == frames
+
+    def test_traced_benchmark_emits_every_per_layer_metric(self, sparse, monkeypatch):
+        # The tracer counts coder events through pipeline.quantize_probabilities,
+        # so the encoder calls it on every stage, whatever the payload's kind.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import harness
+        frames, _, _ = sparse
+        workload = harness.Workload("sparse", "random", 8000, frames=2, gop=2,
+                                    epochs_first=1, epochs_rest=1)
+        assert workload.make_frames(7) == frames
+        result = harness.summary(harness.run(workload, seed=7, seconds=0, trace=True))
+        assert result["correct"] and result["failed"] == 0
+        assert list(result["metrics"]) == [m["name"]
+                                           for m in harness.metric_spec()["per_layer"]]
+        assert result["metrics"]["rangecoder.events"]["value"] > 0
+
+    @pytest.mark.skipif(not _dynamic_arch_openblas(),
+                        reason="numpy's BLAS is not DYNAMIC_ARCH OpenBLAS")
+    @pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Prescott"])
+    def test_lossless_under_forced_kernel(self, sparse, core, tmp_path):
+        frames, data, _ = sparse
+        container = tmp_path / "sparse.linr"
+        container.write_bytes(data)
+        coords = tmp_path / "coords.npy"
+        np.save(coords, np.stack([f.coords for f in frames]))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=core)
+        proc = subprocess.run([sys.executable, "-c", _DECODE_SCRIPT, str(container),
+                               str(coords)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "lossless"
+
+
 class TestLengthPrefix:
     @pytest.mark.parametrize("n, size", [(0, 1), (127, 1), (128, 2), (16383, 2),
                                          (16384, 3), ((1 << 28) - 1, 4)])
@@ -977,14 +1259,14 @@ class TestLengthPrefix:
         (b"\x80\x80\x80\x80\x00", "longer than 4 bytes"),
         (b"\xff\xff\xff\xff\x0f", "longer than 4 bytes"),
         (b"\xff\xff\xff\x7f", "container truncated"),
-        (b"\x90\x03", "container truncated"),  # 400 bytes: past the end
+        (b"\x90\x03", "container truncated"),  # 200 bytes: past the end
     ])
     def test_walker_rejects(self, prefix, message):
         rng = np.random.default_rng(62)
         data, _ = encode_sequence([random_frame(rng, n=300)],
                                   GopConfig(gop_size=1, epochs_first=0))
         span = walk_container(data)[3][-1]
-        assert len(data) - span[1] < 400
+        assert len(data) - span[1] < 200
         corrupt = with_payload(data, span, data[span[1]:span[2]], prefix)
         for read in (decode_sequence, container_summary):
             with pytest.raises(DecodeError, match=message):

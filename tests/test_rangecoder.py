@@ -13,6 +13,7 @@ from linr.errors import DecodeError, LinrError, NumericError
 from linr.rangecoder import (
     PROB_ONE,
     RESCALE,
+    ContextCounts,
     CountModel,
     LaplaceTable,
     RangeDecoder,
@@ -501,6 +502,113 @@ class TestMaskTable:
         got, freqs = dec.decode_adaptive(CountModel(prior), len(symbols))
         assert dec.truncated and len(got) == len(freqs) < len(symbols)
         assert got.tolist() == symbols[:len(got)].tolist()
+
+
+def kt_reference(ones, total, contexts, bits):
+    """Sequential Krichevsky-Trofimov probabilities of a one in Python
+    integers: each event under its context's counts so far, then counted
+    in; ``ones`` and ``total`` (lists) are updated in place."""
+    out = []
+    for c, b in zip(contexts, bits):
+        out.append(min(max(((2 * ones[c] + 1) << 16) // (2 * total[c] + 2), 1),
+                       PROB_ONE - 1))
+        ones[c] += b
+        total[c] += 1
+    return out
+
+
+def skewed_bits(rng, n, size):
+    """``n`` (context, bit) events over ``size`` contexts, each context with
+    its own probability of a one, some near 0 or 1."""
+    contexts = rng.integers(0, size, size=n)
+    p = rng.choice([0.001, 0.05, 0.3, 0.5, 0.9, 0.999], size=size)
+    return contexts, (rng.uniform(size=n) < p[contexts]).astype(np.int64)
+
+
+class TestContextCounts:
+    """The encoder's closed-form probabilities and the decoder's loop both
+    equal a sequential reference, event for event."""
+
+    def test_closed_form_equals_sequential_reference(self):
+        rng = np.random.default_rng(70)
+        counts = ContextCounts(40)
+        ones, total = [0] * 40, [0] * 40
+        for n in (0, 1, 500, 3000):  # counts carry from run to run
+            contexts, bits = skewed_bits(rng, n, 40)
+            want = kt_reference(ones, total, contexts.tolist(), bits.tolist())
+            assert counts.probabilities(contexts.astype(np.uint8), bits).tolist() == want
+            assert counts.ones.tolist() == ones and counts.total.tolist() == total
+
+    def test_clamp_at_large_counts(self):
+        # After 40,000 zeros a context's one is below 2^-16: p1 clamps to 1.
+        counts = ContextCounts(1)
+        p1 = counts.probabilities(np.zeros(40_000, dtype=np.uint8),
+                                  np.zeros(40_000, dtype=np.int64))
+        assert p1[0] == PROB_ONE // 2 and p1[-1] == 1 and p1.min() >= 1
+        assert kt_reference([0], [0], [0] * 40_000, [0] * 40_000)[-1] == 1
+
+    def test_decoder_loop_equals_reference_event_for_event(self):
+        # Decoded one event per call, the loop leaves the registers where a
+        # per-event decode under the reference probability leaves them, so
+        # every event was decoded under the reference's probability.
+        rng = np.random.default_rng(71)
+        ones, total = [0] * 20, [0] * 20
+        kt_reference(ones, total, *skewed_bits(rng, 200, 20))  # counts so far
+        start = ContextCounts(20)
+        start.ones[:], start.total[:] = ones, total
+        contexts, bits = skewed_bits(rng, 1500, 20)
+        p1 = kt_reference(ones, total, contexts.tolist(), bits.tolist())
+        enc = RangeEncoder()
+        enc.encode_bits(start.copy().probabilities(contexts, bits), bits)
+        payload = enc.finish()
+        counts = start.copy()
+        loop, reference = RangeDecoder(payload), RangeDecoder(payload)
+        for c, b, p in zip(contexts.tolist(), bits.tolist(), p1):
+            assert loop.decode_counted(counts, [c]).tolist() == [b]
+            assert reference.decode_bit(p) == b
+            assert (loop.range, loop.code) == (reference.range, reference.code)
+        assert loop.ended
+        assert counts.ones.tolist() == ones and counts.total.tolist() == total
+        # One call decodes the same bits and leaves the same counts.
+        counts = start.copy()
+        dec = RangeDecoder(payload)
+        assert dec.decode_counted(counts, contexts).tolist() == bits.tolist()
+        assert dec.ended
+        assert counts.ones.tolist() == ones and counts.total.tolist() == total
+
+    def test_payload_near_ideal(self):
+        rng = np.random.default_rng(72)
+        contexts, bits = skewed_bits(rng, 20_000, 30)
+        p1 = ContextCounts(30).probabilities(contexts, bits)
+        enc = RangeEncoder()
+        enc.encode_bits(p1, bits)
+        payload = enc.finish()
+        ideal = -np.log2(np.where(bits == 1, p1, PROB_ONE - p1) / PROB_ONE).sum()
+        assert 8 * len(payload) <= 1.001 * ideal + 32
+
+    def test_sizes_bounded(self):
+        # Contexts sort as uint16s, and decode_adaptive decodes mask symbols
+        # into bytes.
+        ContextCounts(1 << 16)
+        for size in (0, (1 << 16) + 1):
+            with pytest.raises(ValueError):
+                ContextCounts(size)
+        CountModel([1] * 256)
+        for prior in ([], [1] * 257):
+            with pytest.raises(ValueError):
+                CountModel(prior)
+
+    def test_truncated_stream_stops(self):
+        rng = np.random.default_rng(73)
+        contexts, bits = skewed_bits(rng, 2000, 10)
+        enc = RangeEncoder()
+        enc.encode_bits(ContextCounts(10).probabilities(contexts, bits), bits)
+        payload = enc.finish()
+        dec = RangeDecoder(payload[:len(payload) // 2])
+        got = dec.decode_counted(ContextCounts(10), contexts)
+        assert dec.truncated and len(bits) // 4 < len(got) < len(bits)
+        # The events decoded from the zero padding past the cut may differ.
+        assert got[:len(bits) // 4].tolist() == bits[:len(bits) // 4].tolist()
 
 
 class TestCanonicalEnd:

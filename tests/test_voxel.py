@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from linr import autodiff, pipeline
+from linr import autodiff, pipeline, voxel
 from linr.errors import (
     DepthError,
     EmptyCloudError,
@@ -29,6 +29,7 @@ from linr.voxel import (
     child_occupancy,
     downsample,
     neighbor_channels,
+    neighbor_count,
     neighbor_occupancy,
     pack_coords,
     reconstruct_children,
@@ -537,12 +538,48 @@ class TestDerivedMaps:
         for level in pyr.levels[1:]:
             assert_same_map(level.kernel_pairs(3), reference_pairs(level))
 
+    @pytest.mark.parametrize("above", [False, True])
+    def test_parentless_sets_either_side_of_the_search_bound(self, above, monkeypatch):
+        # A set without a parent level searches its map up to
+        # SEARCH_MAX_POINTS points and derives it from its own downsampling
+        # above; both give the reference map.
+        searched = []
+        search = voxel._searched_pairs
+        monkeypatch.setattr(voxel, "_searched_pairs",
+                            lambda level: searched.append(len(level)) or search(level))
+        n = voxel.SEARCH_MAX_POINTS + (1 if above else 0)
+        rng = np.random.default_rng(n)
+        coords = np.unique(rng.integers(0, 40, size=(3 * n, 3)), axis=0)[:n]
+        pc = SparseVoxelSet(coords)
+        assert len(pc) == n
+        assert_same_map(pc.kernel_pairs(3), reference_pairs(pc))
+        # Above the bound the chain of parents searches only its small ones.
+        assert (n in searched) is not above and searched
+
     def test_pinned_scale_count(self):
         pc = random_cloud(np.random.default_rng(3), 500, hi=64)
         pyr = build_pyramid(pc, num_scales=9)
         assert len(pyr.levels[-1]) == 1
         for level in reversed(pyr.levels):
             assert_same_map(level.kernel_pairs(3), reference_pairs(level))
+
+
+class TestNeighborCount:
+    @pytest.mark.parametrize("make", [
+        lambda: random_cloud(np.random.default_rng(30), 3000, hi=32),
+        lambda: mixed_level(40),
+        lambda: mixed_level(40).fold(),
+        lambda: make_set([(5, 5, 5)]),
+    ])
+    def test_matches_set_lookup(self, make):
+        pc = make()
+        level = pc if isinstance(pc, SparseVoxelSet) else mixed_level(40)
+        coords = level.coords if pc is level else level.coords[pc.keep]
+        occupied = set(map(tuple, level.coords.tolist()))
+        want = [sum((x + dx, y + dy, z + dz) in occupied
+                    for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+                    if dx or dy or dz) for x, y, z in coords.tolist()]
+        assert neighbor_count(pc).tolist() == want
 
 
 class TestLinks:
