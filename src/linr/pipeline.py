@@ -577,9 +577,8 @@ def _stage_encoder(pyramid, parts: list, records: list, scale_counts: list):
 
 def _stage_decoder(stages, scale_counts: list, point_costs: Optional[list]):
     """Stage callback of the decoder: decodes the next of ``stages``, each
-    ``(payload, kind, update)`` in container order, where ``update`` says
-    whether a network payload must count its bits into ``scale_counts``
-    (whether a later payload reads those counts).  A payload without bits
+    ``(payload, kind)`` in container order, and counts the decoded bits
+    into ``scale_counts``, as the encoder does.  A payload without bits
     must be of kind counts, as the encoder codes it.  Appends each decoded
     child's coded bits to ``point_costs`` if given: its bit's, under the
     probability it was decoded with, or for a child of an isolated parent
@@ -588,7 +587,7 @@ def _stage_decoder(stages, scale_counts: list, point_costs: Optional[list]):
     stages = iter(stages)
 
     def decode_stage(i, j, coarse, network, contexts, counts):
-        payload, kind, update = next(stages)
+        payload, kind = next(stages)
         rows = coarse.fold()
         if not len(rows) and kind != COUNTS:
             raise DecodeError(f"occupancy payload at scale {i} stage {j} has no "
@@ -598,8 +597,7 @@ def _stage_decoder(stages, scale_counts: list, point_costs: Optional[list]):
         # coding alone.
         if kind == NETWORK:
             quantized = quantize_probabilities(network())
-        if kind == COUNTS or update:
-            stage_contexts = contexts.stage(j)
+        stage_contexts = contexts.stage(j)
         if kind == COUNTS and point_costs is not None:
             before = scale_counts[i].copy()
         dec = RangeDecoder(payload)
@@ -620,7 +618,7 @@ def _stage_decoder(stages, scale_counts: list, point_costs: Optional[list]):
                 f"occupancy payload at scale {i} stage {j} does not end "
                 f"where its events do"
             )
-        if kind == NETWORK and update:
+        if kind == NETWORK:
             scale_counts[i].update(stage_contexts, bits_j)
         if point_costs is not None:
             if kind == COUNTS:
@@ -885,15 +883,6 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
     point_costs = stats.point_costs if collect_stats else None
 
     scale_counts = _sequence_counts(num_scales)
-    # Per frame, per payload: whether a later frame's payload of the same
-    # scale and stage is coded from counts, so that this one's bits must be
-    # counted in.
-    read_later = []
-    later = [False] * (num_scales * NUM_STAGES)
-    for *_, kinds in reversed([block for *_, blocks in groups for block in blocks]):
-        read_later.append(later)
-        later = [read or kind == COUNTS for read, kind in zip(later, kinds)]
-    read_later.reverse()
 
     frames = []
     for quant, side, payload, blocks in groups:
@@ -908,8 +897,7 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
             level = _coords_from_wire(coords, header.bit_depth, num_scales)
             t1 = time.perf_counter()
             stats.lowest_seconds += t1 - t0
-            decode_stage = _stage_decoder(zip(payloads, kinds, read_later[len(frames)]),
-                                          scale_counts, point_costs)
+            decode_stage = _stage_decoder(zip(payloads, kinds), scale_counts, point_costs)
             for i, level in _coding_pass(model, level, num_scales, decode_stage):
                 t0, t1 = t1, time.perf_counter()
                 stats.scale_seconds[i] = stats.scale_seconds.get(i, 0.0) + t1 - t0

@@ -78,10 +78,9 @@ _PARENT_OFFSET = ((_AXIS_STEP >> 1) + 1) @ np.array([9, 3, 1])
 _NEIGHBOUR_SLOT = (_AXIS_STEP & 1) @ np.array([4, 2, 1])
 _CENTRE = KERNEL_OFFSETS_3.index((0, 0, 0))
 _SIDE_OFFSETS = np.delete(np.arange(len(KERNEL_OFFSETS_3)), _CENTRE)
-# A set without a parent level searches its 3x3x3 map up to this many
-# points, rather than downsampling itself to one point for a chain of
-# derivations.
-SEARCH_MAX_POINTS = 4096
+# A set without a parent level searches its 3x3x3 map this many points at
+# a time, which bounds the search's arrays to a few MB.
+_SEARCH_CHUNK = 1 << 14
 
 
 def pack_coords(coords: np.ndarray) -> np.ndarray:
@@ -414,15 +413,19 @@ def _map3(level: SparseVoxelSet) -> KernelMap:
 
 def _searched_pairs(level: SparseVoxelSet) -> list:
     """The first 13 offsets of ``level``'s 3x3x3 map by a binary search of
-    each point's neighbour keys, all offsets at once."""
+    each point's neighbour keys, all offsets at once, :data:`_SEARCH_CHUNK`
+    points at a time."""
     offsets = np.array(KERNEL_OFFSETS_3[:_CENTRE])
-    coords = level.coords[None, :, :] + offsets[:, None, :]  # (13, n, 3)
-    inside = (coords >= 0).all(axis=2)
-    wanted = pack_coords(np.where(inside[:, :, None], coords, 0).reshape(-1, 3))
     keys = level.keys
-    found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    hit = (inside.ravel() & (keys[found] == wanted)).reshape(inside.shape)
-    found = found.reshape(inside.shape).astype(np.int32)
+    hit_parts, row_parts = [], []
+    for start in range(0, len(level), _SEARCH_CHUNK):
+        coords = level.coords[None, start:start + _SEARCH_CHUNK] + offsets[:, None, :]
+        inside = (coords >= 0).all(axis=2)  # (13, chunk)
+        wanted = pack_coords(np.where(inside[:, :, None], coords, 0).reshape(-1, 3))
+        found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit_parts.append((inside.ravel() & (keys[found] == wanted)).reshape(inside.shape))
+        row_parts.append(found.reshape(inside.shape).astype(np.int32))
+    hit, found = np.concatenate(hit_parts, axis=1), np.concatenate(row_parts, axis=1)
     return [(np.flatnonzero(row).astype(np.int32), rows[row])
             for row, rows in zip(hit, found)]
 
@@ -432,17 +435,13 @@ def _derived_pairs(level: SparseVoxelSet) -> list:
     parent level's map: the neighbour of a child is a child of its parent
     or of a neighbour of its parent, fixed per slot and offset by
     :data:`_PARENT_OFFSET` and :data:`_NEIGHBOUR_SLOT`.  A level without a
-    link searches its map (:func:`_searched_pairs`) when it has at most
-    :data:`SEARCH_MAX_POINTS` points, and downsamples itself for a link
-    otherwise.
+    link searches its map (:func:`_searched_pairs`).
     """
     n = len(level)
     if n <= 1:
         return [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32))] * _CENTRE
     if level._link is None:
-        if n <= SEARCH_MAX_POINTS:
-            return _searched_pairs(level)
-        downsample(level)
+        return _searched_pairs(level)
     parent, rows, slots = level._link
     n_parent = len(parent)
     pairs = _map3(parent)

@@ -625,7 +625,7 @@ class TestLosslessness:
         kinds = [read_leb128(prefix, 0)[0] & 1 for prefix in parts[::2]]
         assert kinds == [rec.kind == "counts" for rec in stages]
         point_costs = []
-        decode_stage = _stage_decoder(zip(parts[1::2], kinds, [True] * len(kinds)),
+        decode_stage = _stage_decoder(zip(parts[1::2], kinds),
                                       pipeline._sequence_counts(pyr.num_scales),
                                       point_costs)
         for _, level in _coding_pass(model, base, pyr.num_scales, decode_stage):

@@ -516,7 +516,7 @@ class TestDerivedMaps:
     def test_random_sets_at_three_densities(self, hi):
         rng = np.random.default_rng(hi)
         pc = random_cloud(rng, 3000, hi=hi)
-        # A set built from coordinates downsamples itself for a link.
+        # A set built from coordinates searches its map.
         assert_same_map(pc.kernel_pairs(3), reference_pairs(pc))
         pyr = build_pyramid(random_cloud(rng, 3000, hi=hi), stop_at=8)
         for level in pyr.levels[1:]:
@@ -538,23 +538,13 @@ class TestDerivedMaps:
         for level in pyr.levels[1:]:
             assert_same_map(level.kernel_pairs(3), reference_pairs(level))
 
-    @pytest.mark.parametrize("above", [False, True])
-    def test_parentless_sets_either_side_of_the_search_bound(self, above, monkeypatch):
-        # A set without a parent level searches its map up to
-        # SEARCH_MAX_POINTS points and derives it from its own downsampling
-        # above; both give the reference map.
-        searched = []
-        search = voxel._searched_pairs
-        monkeypatch.setattr(voxel, "_searched_pairs",
-                            lambda level: searched.append(len(level)) or search(level))
-        n = voxel.SEARCH_MAX_POINTS + (1 if above else 0)
-        rng = np.random.default_rng(n)
-        coords = np.unique(rng.integers(0, 40, size=(3 * n, 3)), axis=0)[:n]
-        pc = SparseVoxelSet(coords)
-        assert len(pc) == n
+    def test_parentless_set_searched_in_chunks(self, monkeypatch):
+        # A set without a parent level searches its map a chunk of points
+        # at a time; chunks that split the set give the reference map.
+        monkeypatch.setattr(voxel, "_SEARCH_CHUNK", 7)
+        pc = random_cloud(np.random.default_rng(5), 3000, hi=16)
+        assert len(pc) % 7
         assert_same_map(pc.kernel_pairs(3), reference_pairs(pc))
-        # Above the bound the chain of parents searches only its small ones.
-        assert (n in searched) is not above and searched
 
     def test_pinned_scale_count(self):
         pc = random_cloud(np.random.default_rng(3), 500, hi=64)
