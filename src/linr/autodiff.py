@@ -757,27 +757,20 @@ def lookup_conv(table: Tensor, patterns: np.ndarray, weight: Tensor,
     return _make(out, (table, weight, bias), backward)
 
 
-def cross_entropy_bits(p: np.ndarray, t: np.ndarray):
-    """Summed binary cross-entropy in bits of 0/1 targets ``t`` under ``p``,
-    in their dtype, with ``p`` clamped to [BCE_EPS, 1 - BCE_EPS] so the
-    result is finite for any input."""
-    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    return -(t * np.log2(p) + (1.0 - t) * np.log2(1.0 - p)).sum()
-
-
 def bce_bits(probs: Tensor, targets: np.ndarray) -> Tensor:
     """Binary cross-entropy in bits (base-2 logs), summed over points.
 
-    The probability clamp of :func:`cross_entropy_bits` passes no gradient.
+    The probabilities are clamped to [BCE_EPS, 1 - BCE_EPS], so the result
+    is finite for any input; the clamp passes no gradient.
     """
     t = np.asarray(targets, dtype=probs.data.dtype)
     if t.shape != probs.data.shape:
         raise ShapeError(f"bce shape mismatch: {t.shape} vs {probs.data.shape}")
-    bits = cross_entropy_bits(probs.data, t)
+    p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
+    bits = -(t * np.log2(p) + (1.0 - t) * np.log2(1.0 - p)).sum()
 
     def backward(g):
         if probs.requires_grad:
-            p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
             inside = (probs.data > BCE_EPS) & (probs.data < 1.0 - BCE_EPS)
             dp = (-(t / p) + (1.0 - t) / (1.0 - p)) / _LN2
             probs._accumulate(g * dp * inside)

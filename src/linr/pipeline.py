@@ -17,11 +17,13 @@ budget provably cannot move any parameter by half a quantization step
 Encoder and decoder share one coding loop, :func:`_coding_pass`: per scale
 transition, coarse to fine, the model's eight-stage ``transition``, which
 computes a stage's network probabilities only when the stage asks for
-them.  Only the source of each stage's bits differs: the encoder hands in
-the ground truth, weighs both kinds and range-codes it, the decoder
-range-decodes the bits from the payload under the kind its prefix names.
-Whatever the decoder computes, the encoder computed from the same values
-in the same order.
+them.  The loop also builds each stage's count contexts and counts the
+stage's bits in once it is coded, the only write of the count state.  Only
+the source of each stage's bits differs: the encoder hands in the ground
+truth, weighs both kinds and range-codes it, the decoder range-decodes the
+bits from the payload under the kind its prefix names.  Whatever the
+decoder computes, the encoder computed from the same values in the same
+order.
 
 Container layout (`.linr`, all integers little-endian):
 
@@ -43,7 +45,7 @@ Container layout (`.linr`, all integers little-endian):
                 folded level of every linked parent: kind 0 under the
                 network's quantized probabilities, kind 1 under the counts
                 of the sequence's bits so far in their context
-                (:class:`rangecoder.ContextCounts`, :class:`_CountContexts`);
+                (:class:`rangecoder.ContextCounts`, :func:`_coding_pass`);
                 a stage without bits is of kind 1
 
 One walker, :func:`_walk`, reads and validates this layout for both
@@ -110,14 +112,11 @@ _MASK_PRIOR = np.where((np.arange(1, 256) & np.arange(255)) == 0, 32, 1)
 # under adaptive integer counts (:class:`rangecoder.ContextCounts`).
 NETWORK, COUNTS = 0, 1
 PAYLOAD_KINDS = ("network", "counts")
-# A bit's count context within its scale (:class:`_CountContexts`): its
+# A bit's count context within its scale (:func:`_coding_pass`): its
 # stage, the occupied earlier sibling slots and the occupied 26-neighbours
 # of its parent, capped at 12.
 _NEIGHBOUR_CAP = 12
 _SCALE_CONTEXTS = NUM_STAGES * NUM_STAGES * (_NEIGHBOUR_CAP + 1)
-# _EARLIER_SLOTS[j, m]: the occupied slots below slot j of child mask m.
-_SLOT_BITS = (np.arange(256)[None, :] >> np.arange(NUM_STAGES)[:, None]) & 1
-_EARLIER_SLOTS = np.cumsum(_SLOT_BITS, axis=0) - _SLOT_BITS
 
 _HEADER_FMT = "<4sBBBHIB"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
@@ -159,8 +158,8 @@ class TrainResult:
 @dataclass
 class StageRecord:
     """Measured vs estimated size of one per-stage payload: the ideal bits
-    of what it codes under the network's probabilities and under the
-    counts', and the kind it was coded in, whose ideal bits are the
+    of what it codes under the network's quantized probabilities and under
+    the counts', and the kind it was coded in, whose ideal bits are the
     estimate."""
 
     scale: int
@@ -403,58 +402,35 @@ def _coords_from_wire(raw: bytes, bit_depth: int, num_scales: int) -> SparseVoxe
     return SparseVoxelSet(coords, assume_sorted=True)
 
 
-class _CountContexts:
-    """The count contexts of the rows of one scale transition: a bit of
-    stage j whose parent has s occupied earlier sibling slots and n
-    occupied 26-neighbours is in context ``(8 j + s) * 13 + min(n, 12)``
-    of its scale, one of :data:`_SCALE_CONTEXTS`.  The neighbours are
-    counted on first use; ``siblings`` holds s for the next stage."""
-
-    __slots__ = ("_rows", "_neighbours", "siblings")
-
-    def __init__(self, rows):
-        self._rows = rows
-        self._neighbours = None
-        self.siblings = np.zeros(len(rows), dtype=np.int64)
-
-    def _base(self) -> np.ndarray:
-        if self._neighbours is None:
-            self._neighbours = np.minimum(neighbor_count(self._rows), _NEIGHBOUR_CAP)
-        return self._neighbours
-
-    def stage(self, j: int) -> np.ndarray:
-        """The contexts of stage j, given the bits of the stages before."""
-        return (NUM_STAGES * j + self.siblings) * (_NEIGHBOUR_CAP + 1) + self._base()
-
-    def every_stage(self, masks: np.ndarray) -> np.ndarray:
-        """(stages, rows): the contexts of every stage, given the rows'
-        child ``masks``."""
-        j = np.arange(NUM_STAGES)[:, None]
-        return (NUM_STAGES * j + _EARLIER_SLOTS[:, masks]) * (_NEIGHBOUR_CAP + 1) + self._base()
-
-
 def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
-                 num_scales: int, stage_bits, pyramid=None):
+                 num_scales: int, scale_counts: list, stage_bits, pyramid=None):
     """The scale loop of one frame, shared by encoder and decoder.
 
     From the lowest ``level`` up, each scale transition ``i`` runs the
     model's eight-stage ``transition`` without gradients.  Each stage ``j``
-    calls ``stage_bits(i, j, coarse, network, contexts, counts)`` for the
-    parents the network conditions on (every parent, or the linked ones of
-    a folded level).  ``network()`` computes the stage's float
-    probabilities on demand, running the scale context and global features
-    on the first call in the transition; ``contexts`` is the transition's
-    :class:`_CountContexts`.  ``stage_bits`` returns the stage's 0/1 bits
-    of those parents, one int64 each: the ground truth on encode, the
-    decoded bits on decode.  The bits condition the later stages and form
-    the child masks.
+    calls ``stage_bits(i, j, coarse, network, contexts, counts,
+    mask_model)`` for the parents the network conditions on (every parent,
+    or the linked ones of a folded level).  ``network()`` computes the
+    stage's float probabilities on demand, running the scale context and
+    global features on the first call in the transition.  A bit whose
+    parent has s occupied earlier sibling slots and n occupied
+    26-neighbours is in count context ``(8 j + s) * 13 + min(n, 12)`` of
+    its scale, one of :data:`_SCALE_CONTEXTS`; ``contexts`` holds the
+    stage's, and ``counts`` is the scale's :class:`ContextCounts` of
+    ``scale_counts`` (one per scale, carried across frames), which
+    ``stage_bits`` only reads.  ``stage_bits`` returns the stage's 0/1
+    bits of those parents, one int64 each: the ground truth on encode, the
+    decoded bits on decode.  The loop then counts them in, the only write
+    of the counts; a bit's context includes its stage, so the stages of a
+    transition touch disjoint counts.  The bits condition the later stages
+    and form the child masks.
 
     On a folded level (:meth:`SparseVoxelSet.fold`) an isolated parent's
     mask is one symbol.  Stage 7 passes the frame's :class:`CountModel`
-    over the 255 masks as ``counts`` (None otherwise); with it,
+    over the 255 masks as ``mask_model`` (None otherwise); with it,
     ``stage_bits`` codes every isolated parent's mask in the same stream,
     before the stage's bits, and returns those masks as a second value.
-    The counts carry from coarse to fine and start afresh with each frame:
+    The mask counts carry from coarse to fine and start afresh with each frame:
     on seed-101 to 103 ``random-sparse`` frames that gave 0.35% fewer bytes
     than counts that start afresh on each level, and 0.8-2.3% fewer on
     frames of 150-2,000 random points.
@@ -463,19 +439,24 @@ def _coding_pass(model: Optional[OccupancyModel], level: SparseVoxelSet,
     rebuilt from the masks, unless the encoder passes the ``pyramid`` it
     trained on, whose levels already carry their kernel pairs.
     """
-    frame_counts = CountModel(_MASK_PRIOR)
+    frame_masks = CountModel(_MASK_PRIOR)
     for i in range(num_scales - 1, -1, -1):
         coarse = level
         rows = coarse.fold()
-        counts = None if rows is coarse else frame_counts
+        counts = scale_counts[i]
+        mask_model = None if rows is coarse else frame_masks
         isolated = None
-        contexts = _CountContexts(rows)
+        neighbours = np.minimum(neighbor_count(rows), _NEIGHBOUR_CAP)
+        siblings = np.zeros(len(rows), dtype=np.int64)
 
         def next_bits(j, probability):
-            nonlocal isolated
+            nonlocal isolated, siblings
+            contexts = (NUM_STAGES * j + siblings) * (_NEIGHBOUR_CAP + 1) + neighbours
             bits_j, masks = stage_bits(i, j, coarse, lambda: probability().data[:, 0],
-                                       contexts, counts if j == NUM_STAGES - 1 else None)
-            contexts.siblings += bits_j
+                                       contexts, counts,
+                                       mask_model if j == NUM_STAGES - 1 else None)
+            counts.update(contexts, bits_j)
+            siblings = siblings + bits_j
             if masks is not None:
                 isolated = masks
             return bits_j
@@ -519,44 +500,36 @@ def _ideal_bits(p1, bits) -> float:
     return float(-np.log2(np.where(bits == 1, p1, PROB_ONE - p1) / PROB_ONE).sum())
 
 
-def _stage_encoder(pyramid, parts: list, records: list, scale_counts: list):
+def _stage_encoder(pyramid, parts: list, records: list):
     """Stage callback of the encoder: codes the ground-truth bits, and with
-    ``counts`` first the isolated parents' masks, appending each
-    length-prefixed payload to ``parts``.  ``scale_counts`` holds the
-    sequence's :class:`ContextCounts` per scale.  Every bit is counted in,
-    whatever its payload's kind: at each transition's first stage, the
-    probabilities of all eight stages in one closed form, as their
-    contexts are disjoint.
+    ``mask_model`` first the isolated parents' masks, appending each
+    length-prefixed payload to ``parts``.  The stage's count probabilities
+    come from ``counts`` in one closed form, before the loop counts the
+    stage in.
 
     A stage is coded in the kind that needs fewer ideal bits, its length
     prefix included (a payload of b ideal bits taken as ceil(b / 8) + 1
     bytes); a tie, as when there are no bits, goes to counts, which the
-    decoder decodes without the network.  Its estimate is the ideal bits of what it codes under the
-    probabilities and tables it codes it with."""
-    transition = {}
+    decoder decodes without the network.  Its estimate is the ideal bits
+    of what it codes under the probabilities and tables it codes it
+    with."""
 
-    def encode_stage(i, j, coarse, network, contexts, counts):
+    def encode_stage(i, j, coarse, network, contexts, counts, mask_model):
         masks = pyramid.masks(i)
         rows = coarse.fold()
-        if j == 0:
-            linked = masks if rows is coarse else masks[rows.keep]
-            bits = _SLOT_BITS[:, linked]
-            counted = scale_counts[i].probabilities(contexts.every_stage(linked).ravel(),
-                                                    bits.ravel())
-            transition.update(bits=bits, counted=counted.reshape(bits.shape))
-        bits_j, counted = transition["bits"][j], transition["counted"][j]
-        probs = network()
-        # Quantized whatever the kind, as ``perfbench``'s tracer counts the
-        # coder's events through this call and needs it at least once, and
-        # before the encoder, whose span the tracer times from RangeEncoder().
-        quantized = quantize_probabilities(probs)
+        linked = masks if rows is coarse else masks[rows.keep]
+        bits_j = ((linked >> j) & 1).astype(np.int64)
+        counted = counts.probabilities(contexts, bits_j)
+        # Quantized whatever the kind, as the network kind is weighed under
+        # these values, and before the encoder, whose span ``perfbench``'s
+        # tracer times from RangeEncoder().
+        quantized = quantize_probabilities(network())
         enc = RangeEncoder()
         mask_bits = 0.0
-        if counts is not None:
-            freqs = enc.encode_adaptive(counts, masks[rows.iso].astype(np.int64) - 1)
+        if mask_model is not None:
+            freqs = enc.encode_adaptive(mask_model, masks[rows.iso].astype(np.int64) - 1)
             mask_bits = float(-np.log2(freqs / PROB_ONE).sum())
-        ideal = (mask_bits + float(ad.cross_entropy_bits(probs.astype(np.float64),
-                                                         bits_j.astype(np.float64))),
+        ideal = (mask_bits + _ideal_bits(quantized, bits_j),
                  mask_bits + _ideal_bits(counted, bits_j))
 
         def cost(kind):
@@ -575,38 +548,33 @@ def _stage_encoder(pyramid, parts: list, records: list, scale_counts: list):
     return encode_stage
 
 
-def _stage_decoder(stages, scale_counts: list, point_costs: Optional[list]):
+def _stage_decoder(stages, point_costs: Optional[list]):
     """Stage callback of the decoder: decodes the next of ``stages``, each
-    ``(payload, kind)`` in container order, and counts the decoded bits
-    into ``scale_counts``, as the encoder does.  A payload without bits
-    must be of kind counts, as the encoder codes it.  Appends each decoded
+    ``(payload, kind)`` in container order.  A payload without bits must
+    be of kind counts, as the encoder codes it.  Appends each decoded
     child's coded bits to ``point_costs`` if given: its bit's, under the
     probability it was decoded with, or for a child of an isolated parent
     an equal share of its parent's mask symbol under the table it was
     decoded with."""
     stages = iter(stages)
 
-    def decode_stage(i, j, coarse, network, contexts, counts):
+    def decode_stage(i, j, coarse, network, contexts, counts, mask_model):
         payload, kind = next(stages)
         rows = coarse.fold()
         if not len(rows) and kind != COUNTS:
             raise DecodeError(f"occupancy payload at scale {i} stage {j} has no "
                               f"bits but is not of kind counts")
-        # Probabilities and contexts come before the decoder, so that the
-        # tracer's coder span, from RangeDecoder() to the end check, holds
-        # coding alone.
+        # Probabilities come before the decoder, so that the tracer's coder
+        # span, from RangeDecoder() to the end check, holds coding alone.
         if kind == NETWORK:
             quantized = quantize_probabilities(network())
-        stage_contexts = contexts.stage(j)
-        if kind == COUNTS and point_costs is not None:
-            before = scale_counts[i].copy()
         dec = RangeDecoder(payload)
         masks = None
-        if counts is not None:
-            symbols, freqs = dec.decode_adaptive(counts, len(rows.iso))
+        if mask_model is not None:
+            symbols, freqs = dec.decode_adaptive(mask_model, len(rows.iso))
             masks = (symbols + 1).astype(np.uint8)
         if kind == COUNTS:
-            bits_j = dec.decode_counted(scale_counts[i], stage_contexts)
+            bits_j = dec.decode_counted(counts, contexts)
         else:
             bits_j = dec.decode_bits(quantized)
         if dec.truncated:
@@ -618,11 +586,9 @@ def _stage_decoder(stages, scale_counts: list, point_costs: Optional[list]):
                 f"occupancy payload at scale {i} stage {j} does not end "
                 f"where its events do"
             )
-        if kind == NETWORK:
-            scale_counts[i].update(stage_contexts, bits_j)
         if point_costs is not None:
             if kind == COUNTS:
-                quantized = before.probabilities(stage_contexts, bits_j)
+                quantized = counts.probabilities(contexts, bits_j)
             parents = coarse.coords if rows is coarse else coarse.coords[rows.keep]
             hit = bits_j == 1
             if hit.any():
@@ -722,8 +688,8 @@ def encode_sequence(frames, config: GopConfig):
                       + base.coords.astype("<u2").tobytes())
             parts.append(lowest)
             stages: list = []
-            encode_stage = _stage_encoder(pyr, parts, stages, scale_counts)
-            for _ in _coding_pass(model, base, num_scales, encode_stage, pyr):
+            encode_stage = _stage_encoder(pyr, parts, stages)
+            for _ in _coding_pass(model, base, num_scales, scale_counts, encode_stage, pyr):
                 pass
             frame_records.append(
                 FrameRecord(
@@ -897,8 +863,9 @@ def decode_sequence(data: bytes, collect_stats: bool = False):
             level = _coords_from_wire(coords, header.bit_depth, num_scales)
             t1 = time.perf_counter()
             stats.lowest_seconds += t1 - t0
-            decode_stage = _stage_decoder(zip(payloads, kinds), scale_counts, point_costs)
-            for i, level in _coding_pass(model, level, num_scales, decode_stage):
+            decode_stage = _stage_decoder(zip(payloads, kinds), point_costs)
+            for i, level in _coding_pass(model, level, num_scales, scale_counts,
+                                         decode_stage):
                 t0, t1 = t1, time.perf_counter()
                 stats.scale_seconds[i] = stats.scale_seconds.get(i, 0.0) + t1 - t0
             # The frame runs no conv; its link would keep level 1 alive.

@@ -17,8 +17,9 @@ A :class:`CountModel` is an adaptive table, rebuilt from integer counts
 of the symbols coded so far (``encode_adaptive`` / ``decode_adaptive``).
 :class:`ContextCounts` gives adaptive binary probabilities from integer
 counts per context: the encoder computes a run's probabilities in closed
-form and codes them with ``encode_bits``, the decoder updates the counts
-after every bit (``decode_counted``).
+form and codes them with ``encode_bits``, the decoder decodes the run bit
+by bit (``decode_counted``).  Both read the counts; the caller counts the
+run in afterwards (``update``).
 
 Streams are not self-delimiting: the container records each payload's byte
 length, and the event count is known from the geometry.  The decoder keeps
@@ -60,6 +61,12 @@ def quantize_probabilities(p: np.ndarray) -> np.ndarray:
         raise NumericError("probabilities contain non-finite values")
     q = np.floor(p * PROB_ONE + 0.5).astype(np.int64)
     return np.clip(q, 1, PROB_MAX)
+
+
+def _cumulative(freq: np.ndarray) -> list:
+    """The cumulative frequencies of a table as the symbol loops take them:
+    ``cum[s]`` is the total below symbol s, ``cum[-1]`` the sum."""
+    return [0, *freq.cumsum().tolist()]
 
 
 def _carry(out: bytearray) -> None:
@@ -159,10 +166,10 @@ class RangeEncoder:
         freqs = [symbols[:0]]
         for start in range(0, len(symbols), RESCALE):
             run = symbols[start:start + RESCALE]
-            table = model.table()
-            self._encode_symbols(table.cum.tolist(), listed[start:start + RESCALE])
+            freq = model.frequencies()
+            self._encode_symbols(_cumulative(freq), listed[start:start + RESCALE])
             model.update(run)
-            freqs.append(table.freq[run])
+            freqs.append(freq[run])
         return np.concatenate(freqs)
 
     def finish(self) -> bytes:
@@ -305,8 +312,7 @@ class RangeDecoder:
         each one's frequency in the table it was decoded under.
 
         The symbols go into one byte buffer, so each run of
-        :data:`RESCALE` is counted in through a view of it, and each
-        table is rebuilt without :class:`FrequencyTable`'s checks."""
+        :data:`RESCALE` is counted in through a view of it."""
         out = bytearray(count)
         symbols = np.frombuffer(out, dtype=np.uint8)
         ids = np.arange(len(model.weights), dtype=np.uint8)
@@ -316,10 +322,8 @@ class RangeDecoder:
             freq = model.frequencies()
             freqs.append(freq)
             stop = min(start + RESCALE, count)
-            cum = [0]
-            cum += freq.cumsum().tolist()
-            done = self._decode_symbols(memoryview(np.repeat(ids, freq)), cum, out,
-                                        start, stop)
+            done = self._decode_symbols(memoryview(np.repeat(ids, freq)), _cumulative(freq),
+                                        out, start, stop)
             model.update(symbols[start:done])
             if done < stop:  # a truncated stream
                 break
@@ -333,10 +337,10 @@ class RangeDecoder:
         probability of a one that ``counts`` gives that context after the
         bits before it, as :meth:`ContextCounts.probabilities` computes them
         for :meth:`RangeEncoder.encode_bits`; fewer if the stream proves
-        truncated.  Counts every decoded bit into ``counts``.
+        truncated.  Leaves ``counts`` as it was.
 
-        The loop holds ``2 * ones + 1`` and ``2 * total + 2`` per context,
-        the numerator and denominator of the probability."""
+        The loop holds its own ``2 * ones + 1`` and ``2 * total + 2`` per
+        context, the numerator and denominator of the probability."""
         data, pos = self._data, self._pos
         contexts = np.asarray(contexts, dtype=np.int64)
         if pos > len(data) or not len(contexts):
@@ -371,8 +375,6 @@ class RangeDecoder:
             pos = len(data) + 1
             done = k
         self.range, self.code, self._pos = rng, code, pos
-        counts.ones[lo:hi] = (np.array(num) - 1) >> 1
-        counts.total[lo:hi] = (np.array(den) - 2) >> 1
         del out[done:]
         return np.frombuffer(out, dtype=np.uint8).astype(np.int64)
 
@@ -401,8 +403,8 @@ class CountModel:
     Trofimov, 1981):
     symbol s weighs ``weights[s] = 2 * count(s) + prior[s]``, where
     count(s) counts the symbols s coded so far and ``prior`` is a positive
-    integer per symbol.  :meth:`table` renormalizes the weights to 2^16
-    with a floor of 1, each symbol its share rounded down and the first
+    integer per symbol.  :meth:`frequencies` renormalizes the weights to
+    2^16 with a floor of 1, each symbol its share rounded down and the first
     largest weight the remainder, in integer arithmetic alone, so every
     CPU builds the same table.  Encoder and decoder update it alike
     (``encode_adaptive`` / ``decode_adaptive``)."""
@@ -414,11 +416,9 @@ class CountModel:
         if not 1 <= len(self.weights) <= 256:
             raise ValueError("a count model has 1 to 256 symbols")
 
-    def table(self) -> FrequencyTable:
-        return FrequencyTable(self.frequencies())
-
     def frequencies(self) -> np.ndarray:
-        """The frequencies of :meth:`table`, without its checks."""
+        """The table's frequency of each symbol: each at least 1, summing
+        to 2^16."""
         w = self.weights
         freq = w * (PROB_ONE - len(w))
         freq //= int(w.sum())
@@ -437,7 +437,7 @@ class ContextCounts:
     fixed-point probability of a one is ``clamp(((2 * ones + 1) << 16) //
     (2 * total + 2), 1, 65535)``, in integer arithmetic alone, so every CPU
     computes the same.  The upper clamp never binds: the quotient is below
-    2^16 as ones <= total."""
+    2^16 as ones <= total.  Only :meth:`update` changes the counts."""
 
     __slots__ = ("ones", "total")
 
@@ -452,8 +452,7 @@ class ContextCounts:
         ``contexts[k]``, under the counts after the events before it, in
         closed form: a stable sort by context, then each event's counts are
         its context's counts plus the events before it in its context's
-        run.  Counts every event in; :meth:`RangeDecoder.decode_counted`
-        decodes them one by one."""
+        run.  :meth:`RangeDecoder.decode_counted` decodes them one by one."""
         contexts = np.asarray(contexts)
         order = np.argsort(contexts.astype(np.uint16), kind="stable")  # a radix sort
         c = contexts[order]
@@ -467,15 +466,7 @@ class ContextCounts:
         total = self.total[c] + np.arange(len(c)) - first
         p1 = np.empty(len(c), dtype=np.int64)
         p1[order] = np.maximum(((2 * ones + 1) << PROB_BITS) // (2 * total + 2), 1)
-        self.ones += ones_before[starts + sizes] - ones_before[starts]
-        self.total += sizes
         return p1
-
-    def copy(self) -> "ContextCounts":
-        out = ContextCounts(len(self.total))
-        out.ones[:] = self.ones
-        out.total[:] = self.total
-        return out
 
     def update(self, contexts, bits) -> None:
         """Count in the event ``bits[k]`` in context ``contexts[k]``."""

@@ -587,9 +587,9 @@ class TestLosslessness:
         model.load_flat(np.zeros(model.num_parameters()))
         base = pyr.levels[-1]
         parts, stages = [], []
-        encode_stage = _stage_encoder(pyr, parts, stages,
-                                      pipeline._sequence_counts(pyr.num_scales))
-        for _ in _coding_pass(model, base, pyr.num_scales, encode_stage, pyr):
+        encode_stage = _stage_encoder(pyr, parts, stages)
+        for _ in _coding_pass(model, base, pyr.num_scales,
+                              pipeline._sequence_counts(pyr.num_scales), encode_stage, pyr):
             pass
         iso_bits, _ = mask_bits(pyr)
         assert len(iso_bits) >= 2
@@ -625,10 +625,9 @@ class TestLosslessness:
         kinds = [read_leb128(prefix, 0)[0] & 1 for prefix in parts[::2]]
         assert kinds == [rec.kind == "counts" for rec in stages]
         point_costs = []
-        decode_stage = _stage_decoder(zip(parts[1::2], kinds),
-                                      pipeline._sequence_counts(pyr.num_scales),
-                                      point_costs)
-        for _, level in _coding_pass(model, base, pyr.num_scales, decode_stage):
+        decode_stage = _stage_decoder(zip(parts[1::2], kinds), point_costs)
+        for _, level in _coding_pass(model, base, pyr.num_scales,
+                                     pipeline._sequence_counts(pyr.num_scales), decode_stage):
             pass
         assert level == frame
         assert sum(c.sum() for _, _, c in point_costs) == pytest.approx(costs, rel=1e-12)
@@ -651,21 +650,21 @@ class TestLosslessness:
         monkeypatch.setattr(model, "stage_probability", recording)
         coded = {}
 
-        def record(i, j, coarse, network, contexts, counts):
+        def record(i, j, coarse, network, contexts, counts, mask_model):
             rows = coarse.fold()
             bits_j = ((pyr.masks(i) >> j) & 1).astype(np.int64)
             table = None
-            if counts is not None:
+            if mask_model is not None:
                 # Code the masks as the encoder does, so the counts carry.
-                table = counts.table().freq.tolist()
+                table = mask_model.frequencies().tolist()
                 RangeEncoder().encode_adaptive(
-                    counts, pyr.masks(i)[rows.iso].astype(np.int64) - 1)
+                    mask_model, pyr.masks(i)[rows.iso].astype(np.int64) - 1)
             probs = network()
-            coded[i, j] = (probs.tobytes(), quantize_probabilities(probs), table,
-                           contexts.stage(j))
+            coded[i, j] = (probs.tobytes(), quantize_probabilities(probs), table, contexts)
             return (bits_j, None) if rows is coarse else (bits_j[rows.keep], None)
 
-        for _ in _coding_pass(model, pyr.levels[-1], pyr.num_scales, record, pyr):
+        for _ in _coding_pass(model, pyr.levels[-1], pyr.num_scales,
+                              pipeline._sequence_counts(pyr.num_scales), record, pyr):
             pass
         assert len(coded) == NUM_STAGES * pyr.num_scales
         _, want_tables = mask_bits(pyr)
@@ -1088,13 +1087,8 @@ class TestPayloadKinds:
         monkeypatch.setattr(ContextCounts, "probabilities", recording)
         assert encode_sequence(self.FRAMES, self.CONFIG)[0] == data
         monkeypatch.undo()
-        # One call per transition, on its eight stages in order.
-        per_transition = [reference[k:k + NUM_STAGES]
-                          for k in range(0, len(reference), NUM_STAGES)]
-        assert closed_form == [
-            ([c for _, contexts, _ in stages for c in contexts],
-             [p for _, _, p1 in stages for p in p1])
-            for stages in per_transition]
+        # One call per stage, in container order.
+        assert closed_form == [(contexts, p1) for _, contexts, p1 in reference]
         records = [rec for f in report.frames for rec in f.stages]
         for rec, (bits, _, p1) in zip(records, reference):
             if rec.kind == "counts" and rec.stage < NUM_STAGES - 1:
@@ -1112,8 +1106,12 @@ class TestPayloadKinds:
             bits, want_contexts, p1 = next(expected)
             assert contexts.tolist() == want_contexts
             ref = copy.copy(dec)
+            # The coding loop counts the stage in after this call, so the
+            # events are counted into a copy, one by one.
+            counts = copy.deepcopy(counts)
             for c, b, p in zip(want_contexts, bits, p1):
                 assert decode_counted(dec, counts, [c]).tolist() == [b]
+                counts.update([c], [b])
                 assert ref.decode_bit(p) == b
                 assert (dec.range, dec.code, dec._pos) == (ref.range, ref.code, ref._pos)
                 events += 1
@@ -1123,6 +1121,28 @@ class TestPayloadKinds:
         decoded, _ = decode_sequence(data)
         assert decoded == self.FRAMES
         assert next(expected, None) is None and events > 1000
+
+    def test_encoder_and_decoder_end_with_equal_counts(self, mixed, monkeypatch):
+        data, report = mixed
+        made = []
+        sequence_counts = pipeline._sequence_counts
+
+        def recording(num_scales):
+            made.append(sequence_counts(num_scales))
+            return made[-1]
+
+        monkeypatch.setattr(pipeline, "_sequence_counts", recording)
+        assert encode_sequence(self.FRAMES, self.CONFIG)[0] == data
+        assert decode_sequence(data)[0] == self.FRAMES
+        encoded, decoded = made
+        assert len(encoded) == len(decoded) == report.num_scales
+        for enc, dec in zip(encoded, decoded):
+            assert np.array_equal(enc.ones, dec.ones)
+            assert np.array_equal(enc.total, dec.total)
+        # Every linked parent's eight bits counted in once, whatever the kind.
+        parents = sum(len(build_pyramid(f, num_scales=report.num_scales).levels[i + 1].fold())
+                      for f in self.FRAMES for i in range(report.num_scales))
+        assert sum(int(c.total.sum()) for c in encoded) == NUM_STAGES * parents
 
     def test_flipped_kind_rejected(self, mixed):
         data, _ = mixed

@@ -426,12 +426,13 @@ class TestMaskTable:
                        rng.integers(0, 10**6, size=255)):
             model = CountModel(prior)
             model.weights += 2 * counts.astype(np.int64)
-            table = model.table()
-            assert table.freq.shape == (255,)  # masks 1..255 as symbols 0..254
-            assert int(table.freq.sum()) == PROB_ONE
-            assert int(table.freq.min()) >= 1
-            assert table.cum[0] == 0 and table.cum[-1] == PROB_ONE
-            assert table.freq.tolist() == reference_table(2 * counts + prior)
+            freq = model.frequencies()
+            assert freq.shape == (255,)  # masks 1..255 as symbols 0..254
+            assert int(freq.sum()) == PROB_ONE
+            assert int(freq.min()) >= 1
+            cum = rangecoder._cumulative(freq)
+            assert cum[0] == 0 and cum[-1] == PROB_ONE and len(cum) == 256
+            assert freq.tolist() == reference_table(2 * counts + prior)
 
     def test_shares_follow_the_weights(self):
         rng = np.random.default_rng(51)
@@ -440,7 +441,7 @@ class TestMaskTable:
             model.update(skewed_symbols(rng, 3000))
             weights = model.weights
             want = PROB_ONE * weights / weights.sum()
-            err = np.abs(model.table().freq - want)
+            err = np.abs(model.frequencies() - want)
             # The floors of 1 take 255 units from the proportional share,
             # then each rounds down; the largest takes the remainder.
             bound = 2.0 + 255.0 * want / PROB_ONE
@@ -456,7 +457,7 @@ class TestMaskTable:
         for p in (prior, prior.tolist()):
             model = CountModel(p)
             model.update(symbols)
-            tables.append(model.table().freq.tolist())
+            tables.append(model.frequencies().tolist())
         assert tables[0] == tables[1]
         # Pure integer arithmetic: this table holds on every CPU.
         freq = np.array(tables[0], dtype=np.int64)
@@ -525,9 +526,17 @@ def skewed_bits(rng, n, size):
     return contexts, (rng.uniform(size=n) < p[contexts]).astype(np.int64)
 
 
+def counts_of(ones, total):
+    """A :class:`ContextCounts` holding the lists ``ones`` and ``total``."""
+    counts = ContextCounts(len(total))
+    counts.ones[:], counts.total[:] = ones, total
+    return counts
+
+
 class TestContextCounts:
     """The encoder's closed-form probabilities and the decoder's loop both
-    equal a sequential reference, event for event."""
+    equal a sequential reference, event for event; only ``update`` counts
+    the events in."""
 
     def test_closed_form_equals_sequential_reference(self):
         rng = np.random.default_rng(70)
@@ -537,7 +546,22 @@ class TestContextCounts:
             contexts, bits = skewed_bits(rng, n, 40)
             want = kt_reference(ones, total, contexts.tolist(), bits.tolist())
             assert counts.probabilities(contexts.astype(np.uint8), bits).tolist() == want
+            counts.update(contexts, bits)
             assert counts.ones.tolist() == ones and counts.total.tolist() == total
+
+    def test_reads_leave_the_counts_unchanged(self):
+        rng = np.random.default_rng(74)
+        ones, total = [0] * 20, [0] * 20
+        kt_reference(ones, total, *skewed_bits(rng, 300, 20))
+        counts = counts_of(ones, total)
+        contexts, bits = skewed_bits(rng, 1000, 20)
+        p1 = counts.probabilities(contexts, bits)
+        assert counts.ones.tolist() == ones and counts.total.tolist() == total
+        enc = RangeEncoder()
+        enc.encode_bits(p1, bits)
+        dec = RangeDecoder(enc.finish())
+        assert dec.decode_counted(counts, contexts).tolist() == bits.tolist()
+        assert counts.ones.tolist() == ones and counts.total.tolist() == total
 
     def test_clamp_at_large_counts(self):
         # After 40,000 zeros a context's one is below 2^-16: p1 clamps to 1.
@@ -554,26 +578,27 @@ class TestContextCounts:
         rng = np.random.default_rng(71)
         ones, total = [0] * 20, [0] * 20
         kt_reference(ones, total, *skewed_bits(rng, 200, 20))  # counts so far
-        start = ContextCounts(20)
-        start.ones[:], start.total[:] = ones, total
+        start = (ones[:], total[:])
         contexts, bits = skewed_bits(rng, 1500, 20)
         p1 = kt_reference(ones, total, contexts.tolist(), bits.tolist())
         enc = RangeEncoder()
-        enc.encode_bits(start.copy().probabilities(contexts, bits), bits)
+        enc.encode_bits(counts_of(*start).probabilities(contexts, bits), bits)
         payload = enc.finish()
-        counts = start.copy()
+        counts = counts_of(*start)
         loop, reference = RangeDecoder(payload), RangeDecoder(payload)
         for c, b, p in zip(contexts.tolist(), bits.tolist(), p1):
             assert loop.decode_counted(counts, [c]).tolist() == [b]
+            counts.update([c], [b])
             assert reference.decode_bit(p) == b
             assert (loop.range, loop.code) == (reference.range, reference.code)
         assert loop.ended
         assert counts.ones.tolist() == ones and counts.total.tolist() == total
-        # One call decodes the same bits and leaves the same counts.
-        counts = start.copy()
+        # One call decodes the same bits; counted in, they give the same counts.
+        counts = counts_of(*start)
         dec = RangeDecoder(payload)
         assert dec.decode_counted(counts, contexts).tolist() == bits.tolist()
         assert dec.ended
+        counts.update(contexts, bits)
         assert counts.ones.tolist() == ones and counts.total.tolist() == total
 
     def test_payload_near_ideal(self):
